@@ -7,6 +7,7 @@ a plain-text rendering of the same report object.
 
 Exit codes: 0 every check passed, 1 a mathematical violation was found,
 2 malformed or inconsistent input, 3 precision or enumeration failure.
+Failures exit through EXIT_CODES with a JSON error record on stderr.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import random
 import sys
 
 from . import jsonio
-from .errors import (ConfigMismatch, ElladicError, IncompleteData, InputError,
-                     InsufficientPrecision, NoMatching, NoSimpleRoot,
-                     NotCongruent, NotIntegral, PrecisionLoss, SpecMismatch,
-                     TooLarge, UnsupportedDegree, UnsupportedPoint)
+from .errors import (BadSquareRoot, ConfigMismatch, ElladicError,
+                     IncompleteData, InputError, InsufficientPrecision,
+                     NoMatching, NoSimpleRoot, NotCongruent, NotIntegral,
+                     PrecisionLoss, SpecMismatch, TooLarge, UnsupportedDegree,
+                     UnsupportedPoint)
 from .function_field import (Divisor, GroundField, PsiTarget, expand_at,
                              principal_adele, psi_global, psi_local,
                              quotient_index, rr_space)
@@ -35,10 +37,20 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_PRECISION = 3
 
-_INPUT_ERRORS = (InputError, UnsupportedDegree, ConfigMismatch, SpecMismatch,
-                 IncompleteData, NoSimpleRoot, NoMatching, UnsupportedPoint,
-                 json.JSONDecodeError, ValueError, KeyError, TypeError)
-_PRECISION_ERRORS = (PrecisionLoss, InsufficientPrecision, TooLarge)
+# error class -> exit code; an error takes the code of the nearest class
+# in its method resolution order
+EXIT_CODES = {
+    NotCongruent: EXIT_VIOLATION, NotIntegral: EXIT_VIOLATION,
+    InputError: EXIT_INPUT, UnsupportedDegree: EXIT_INPUT,
+    ConfigMismatch: EXIT_INPUT, SpecMismatch: EXIT_INPUT,
+    IncompleteData: EXIT_INPUT, NoSimpleRoot: EXIT_INPUT,
+    NoMatching: EXIT_INPUT, UnsupportedPoint: EXIT_INPUT,
+    BadSquareRoot: EXIT_INPUT, OSError: EXIT_INPUT,
+    json.JSONDecodeError: EXIT_INPUT, ValueError: EXIT_INPUT,
+    KeyError: EXIT_INPUT, TypeError: EXIT_INPUT,
+    PrecisionLoss: EXIT_PRECISION, InsufficientPrecision: EXIT_PRECISION,
+    TooLarge: EXIT_PRECISION,
+}
 
 
 def main(argv=None) -> int:
@@ -46,12 +58,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, ok = COMMANDS[args.command](args)
-    except _PRECISION_ERRORS as exc:
+    except tuple(EXIT_CODES) as exc:
         _emit_error(args, exc)
-        return EXIT_PRECISION
-    except _INPUT_ERRORS as exc:
-        _emit_error(args, exc)
-        return EXIT_INPUT
+        return next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
     envelope = {
         "schema": jsonio.SCHEMA,
         "command": args.command,

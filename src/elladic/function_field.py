@@ -418,14 +418,8 @@ class LocalElement:
             n = length
         else:
             n = len(self.coeffs)
-        c0_inv = K.inv(self.coeffs[0])
-        out = [c0_inv]
-        for k in range(1, n):
-            acc = K.zero
-            for i in range(1, min(k, len(self.coeffs) - 1) + 1):
-                acc = K.add(acc, K.mul(self.coeffs[i], out[k - i]))
-            out.append(K.neg(K.mul(c0_inv, acc)))
-        return LocalElement(self.place, -self.v, tuple(out), False)
+        return LocalElement(self.place, -self.v,
+                            _series_quotient(K, (K.one,), self.coeffs, n), False)
 
     def prefix(self, n: int) -> tuple:
         """First n unit coefficients (index v..v+n-1), padded exactly."""
@@ -565,8 +559,7 @@ def residue_trace(place: Place, x: LocalElement):
         c = K.neg(x.coefficient(1))
     else:
         c = x.coefficient(-1)
-    base_elt = K.trace_to_base(c)
-    return place.ground.field().trace_to_prime(base_elt)
+    return place.ground.field().trace_to_base(K.trace_to_base(c))
 
 
 def psi_local(place: Place, x: LocalElement, target: PsiTarget) -> LocalNumber:

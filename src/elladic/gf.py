@@ -1,12 +1,13 @@
 """Small finite fields and polynomial arithmetic over them.
 
-Two layers:
+One field protocol and one polynomial layer:
 
-* prime-field polynomials: coefficient tuples of ints mod p, ascending
-  degree, trailing zeros stripped, () is the zero polynomial;
-* field objects (GF for F_{p^f}, ExtField for F_q[s]/(P)) whose elements
-  are fixed-length tuples, plus generic polynomial helpers parameterised
-  by the field object.
+* field objects form a tower rooted at PrimeField(p) (Z/p, int
+  elements); ExtField(base, modulus) is base[s]/(modulus) with elements
+  fixed-length tuples of base elements, and GF(p, deg) is the ExtField
+  F_{p^deg} over PrimeField(p) with integer fast paths for its hot
+  element operations;
+* generic polynomial helpers (fp_*) parameterised by any field object.
 
 Everything here is exact and deterministic.  Fields are desk-scale: the
 code assumes orders small enough that trial division and exhaustive
@@ -72,266 +73,14 @@ def factorize_int(n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Z/p
-# ---------------------------------------------------------------------------
-
-def ip_trim(c) -> IntPoly:
-    c = tuple(c)
-    n = len(c)
-    while n and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
-
-
-def ip_add(a, b, p) -> IntPoly:
-    n = max(len(a), len(b))
-    return ip_trim((((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p)
-                   for i in range(n))
-
-
-def ip_neg(a, p) -> IntPoly:
-    return tuple((-c) % p for c in a)
-
-
-def ip_sub(a, b, p) -> IntPoly:
-    return ip_add(a, ip_neg(b, p), p)
-
-
-def ip_mul(a, b, p) -> IntPoly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return ip_trim(out)
-
-
-def ip_divmod(a, b, p):
-    """Quotient and remainder; b need not be monic (lead inverted mod p)."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    db, inv_lead = len(b) - 1, pow(b[-1], -1, p)
-    q = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - 1 - db, -1, -1):
-        c = (a[i + db] * inv_lead) % p
-        if c:
-            q[i] = c
-            for j, cb in enumerate(b):
-                a[i + j] = (a[i + j] - c * cb) % p
-    return ip_trim(q), ip_trim(a)
-
-
-def ip_mod(a, b, p) -> IntPoly:
-    return ip_divmod(a, b, p)[1]
-
-
-def ip_gcd(a, b, p) -> IntPoly:
-    while b:
-        a, b = b, ip_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = tuple((c * inv) % p for c in a)
-    return a
-
-
-def ip_powmod(a, e, mod, p) -> IntPoly:
-    result: IntPoly = (1,)
-    base = ip_mod(a, mod, p)
-    while e:
-        if e & 1:
-            result = ip_mod(ip_mul(result, base, p), mod, p)
-        base = ip_mod(ip_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def ip_is_irreducible(f, p) -> bool:
-    """Monic f over Z/p; gcd test against X^{p^i} - X."""
-    d = len(f) - 1
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    x: IntPoly = (0, 1)
-    # X^{p^d} must reduce to X mod f
-    xq = x
-    for _ in range(d):
-        xq = ip_powmod(xq, p, f, p)
-    if xq != ip_mod(x, f, p):
-        return False
-    for r in factorize_int(d):
-        xe = x
-        for _ in range(d // r):
-            xe = ip_powmod(xe, p, f, p)
-        if ip_gcd(ip_sub(xe, x, p), f, p) != (1,):
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def smallest_irreducible(p: int, d: int) -> IntPoly:
-    """First monic irreducible of degree d over Z/p in the fixed
-    enumeration order (low coefficients vary fastest)."""
-    for tail in itertools.product(range(p), repeat=d):
-        f = tuple(reversed(tail)) + (1,)
-        if ip_is_irreducible(f, p):
-            return f
-    raise InputError(f"no irreducible polynomial of degree {d} over F_{p}")
-
-
-# ---------------------------------------------------------------------------
-# F_{p^f}
-# ---------------------------------------------------------------------------
-
-class GF:
-    """The field F_{p^deg} as Z/p[X]/(modulus).
-
-    Elements are tuples of ints mod p of fixed length ``deg``.  Instances
-    are immutable after construction and may be shared freely.
-    """
-
-    __slots__ = ("p", "deg", "modulus", "order", "zero", "one", "_gen")
-
-    def __init__(self, p: int, deg: int = 1, modulus: IntPoly | None = None):
-        if not is_prime(p):
-            raise InputError(f"{p} is not prime")
-        if deg < 1:
-            raise InputError("degree must be >= 1")
-        if modulus is None:
-            modulus = smallest_irreducible(p, deg)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != deg + 1 or modulus[-1] != 1:
-            raise InputError("modulus must be monic of the stated degree")
-        if not ip_is_irreducible(modulus, p):
-            raise InputError("modulus is reducible")
-        self.p = p
-        self.deg = deg
-        self.modulus = modulus
-        self.order = p ** deg
-        self.zero = (0,) * deg
-        self.one = ((1,) + (0,) * (deg - 1)) if deg else ()
-        self._gen = None
-
-    def __eq__(self, other):
-        return (isinstance(other, GF)
-                and (self.p, self.deg, self.modulus) == (other.p, other.deg, other.modulus))
-
-    def __hash__(self):
-        return hash((self.p, self.deg, self.modulus))
-
-    def __repr__(self):
-        return f"GF({self.p}^{self.deg})" if self.deg > 1 else f"GF({self.p})"
-
-    def _pad(self, c) -> tuple:
-        return tuple(c) + (0,) * (self.deg - len(c))
-
-    def from_int(self, n: int) -> tuple:
-        """Base-p digits of n mod p^deg; inverse of to_int."""
-        n %= self.order
-        digits = []
-        for _ in range(self.deg):
-            n, r = divmod(n, self.p)
-            digits.append(r)
-        return tuple(digits)
-
-    def to_int(self, x) -> int:
-        n = 0
-        for c in reversed(x):
-            n = n * self.p + c
-        return n
-
-    def is_zero(self, x) -> bool:
-        return not any(x)
-
-    def add(self, x, y) -> tuple:
-        p = self.p
-        return tuple((a + b) % p for a, b in zip(x, y))
-
-    def sub(self, x, y) -> tuple:
-        p = self.p
-        return tuple((a - b) % p for a, b in zip(x, y))
-
-    def neg(self, x) -> tuple:
-        p = self.p
-        return tuple((-a) % p for a in x)
-
-    def mul(self, x, y) -> tuple:
-        if self.deg == 1:
-            return ((x[0] * y[0]) % self.p,)
-        prod = ip_mul(ip_trim(x), ip_trim(y), self.p)
-        return self._pad(ip_mod(prod, self.modulus, self.p))
-
-    def inv(self, x) -> tuple:
-        if self.is_zero(x):
-            raise ZeroDivisionError("inverse of zero field element")
-        if self.deg == 1:
-            return (pow(x[0], -1, self.p),)
-        # extended Euclid against the modulus
-        a, b = ip_trim(x), self.modulus
-        s0, s1 = (1,), ()
-        while b:
-            q, r = ip_divmod(a, b, self.p)
-            a, b = b, r
-            s0, s1 = s1, ip_sub(s0, ip_mul(q, s1, self.p), self.p)
-        lead_inv = pow(a[-1], -1, self.p)
-        s0 = tuple((c * lead_inv) % self.p for c in s0)
-        return self._pad(ip_mod(s0, self.modulus, self.p))
-
-    def pow(self, x, e: int) -> tuple:
-        if e < 0:
-            x, e = self.inv(x), -e
-        result = self.one
-        base = x
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def elements(self):
-        """All elements in to_int order (deterministic)."""
-        for n in range(self.order):
-            yield self.from_int(n)
-
-    def trace_to_prime(self, x) -> int:
-        """Tr_{F_q/F_p}(x) as an int mod p."""
-        acc = self.zero
-        y = x
-        for _ in range(self.deg):
-            acc = self.add(acc, y)
-            y = self.pow(y, self.p)
-        assert not any(acc[1:]), "trace landed outside the prime field"
-        return acc[0]
-
-    def generator(self) -> tuple:
-        """Smallest multiplicative generator in to_int order."""
-        if self._gen is not None:
-            return self._gen
-        n = self.order - 1
-        primes = list(factorize_int(n))
-        for m in range(1, self.order):
-            x = self.from_int(m)
-            if all(self.pow(x, n // r) != self.one for r in primes):
-                self._gen = x
-                return x
-        raise RuntimeError("no generator found (impossible for a field)")
-
-
-@lru_cache(maxsize=None)
-def gf_field(p: int, deg: int = 1, modulus: IntPoly | None = None) -> GF:
-    return GF(p, deg, modulus)
-
-
-# ---------------------------------------------------------------------------
 # polynomials over an arbitrary field object
 # ---------------------------------------------------------------------------
-# A "field object" F provides: zero, one, order, is_zero, add, sub, neg,
-# mul, inv, pow, from_int.  Polynomials are tuples of F-elements, ascending
-# degree, trailing zeros stripped, () = 0.
+# A "field object" F provides: zero, one, order, char(), deg_over_prime(),
+# is_zero, add, sub, neg, mul, inv, pow, and from_int and to_int (integer
+# codes below the order).  PrimeField, ExtField and GF below are the field
+# objects; ExtField and GF also list their elements() in code order.
+# Polynomials are tuples of F-elements, ascending degree, trailing zeros
+# stripped, () = 0.
 
 def fp_trim(F, c) -> tuple:
     c = tuple(c)
@@ -433,7 +182,7 @@ def fp_deriv(F, a) -> tuple:
 
 
 def fp_is_irreducible(F, f) -> bool:
-    """Monic f over F (order q); same gcd criterion as the prime case."""
+    """Monic f over F (order q); gcd test against X^{q^i} - X."""
     d = len(f) - 1
     if d < 1:
         return False
@@ -593,29 +342,80 @@ def fp_xgcd(F, a, b):
     return r0, s0, t0
 
 
-# field-object protocol additions used above
+# ---------------------------------------------------------------------------
+# the field tower: Z/p, F_{p^f}, residue fields
+# ---------------------------------------------------------------------------
 
-def _gf_char(self):
-    return self.p
+class PrimeField:
+    """Z/p with int elements: the root of every field tower here."""
 
+    __slots__ = ("p", "order", "zero", "one")
 
-def _gf_deg_over_prime(self):
-    return self.deg
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise InputError(f"{p} is not prime")
+        self.p = p
+        self.order = p
+        self.zero = 0
+        self.one = 1
 
+    def __eq__(self, other):
+        return isinstance(other, PrimeField) and self.p == other.p
 
-GF.char = _gf_char
-GF.deg_over_prime = _gf_deg_over_prime
+    def __hash__(self):
+        return hash(self.p)
+
+    def __repr__(self):
+        return f"PrimeField({self.p})"
+
+    def char(self):
+        return self.p
+
+    def deg_over_prime(self):
+        return 1
+
+    def from_int(self, n: int) -> int:
+        return n % self.p
+
+    def to_int(self, x: int) -> int:
+        return x
+
+    def is_zero(self, x) -> bool:
+        return not x
+
+    def add(self, x, y) -> int:
+        return (x + y) % self.p
+
+    def sub(self, x, y) -> int:
+        return (x - y) % self.p
+
+    def neg(self, x) -> int:
+        return (-x) % self.p
+
+    def mul(self, x, y) -> int:
+        return (x * y) % self.p
+
+    def inv(self, x) -> int:
+        if not x:
+            raise ZeroDivisionError("inverse of zero field element")
+        return pow(x, -1, self.p)
+
+    def pow(self, x, e: int) -> int:
+        if e < 0:
+            x, e = self.inv(x), -e
+        return pow(x, e, self.p)
 
 
 class ExtField:
     """F[s]/(modulus) for a field object F and irreducible monic modulus.
 
-    Used for residue fields of places: the base is F_q and the modulus is
-    the place's defining polynomial.  Elements are tuples of base elements
-    of fixed length deg(modulus).
+    Used for residue fields of places, where the base is F_q and the
+    modulus is the place's defining polynomial, and (as GF) for F_{p^f}
+    itself over Z/p.  Elements are tuples of base elements of fixed length
+    deg(modulus).
     """
 
-    __slots__ = ("base", "modulus", "deg", "order", "zero", "one")
+    __slots__ = ("base", "modulus", "deg", "order", "zero", "one", "_gen")
 
     def __init__(self, base, modulus):
         modulus = tuple(modulus)
@@ -627,6 +427,7 @@ class ExtField:
         self.order = base.order ** self.deg
         self.zero = (base.zero,) * self.deg
         self.one = (base.one,) + (base.zero,) * (self.deg - 1)
+        self._gen = None
 
     def __eq__(self, other):
         return (isinstance(other, ExtField)
@@ -722,5 +523,93 @@ class ExtField:
         return acc[0]
 
     def elements(self):
+        """All elements in to_int order (deterministic)."""
         for n in range(self.order):
             yield self.from_int(n)
+
+    def generator(self):
+        """Smallest multiplicative generator in to_int order."""
+        if self._gen is not None:
+            return self._gen
+        n = self.order - 1
+        primes = list(factorize_int(n))
+        for m in range(1, self.order):
+            x = self.from_int(m)
+            if all(self.pow(x, n // r) != self.one for r in primes):
+                self._gen = x
+                return x
+        raise RuntimeError("no generator found (impossible for a field)")
+
+
+class GF(ExtField):
+    """The field F_{p^deg} as ExtField(PrimeField(p), modulus).
+
+    Elements are tuples of ints mod p of fixed length ``deg``.  The hot
+    element operations (is_zero, add, sub, neg, and mul and inv at degree
+    1) work on the ints directly; everything else is the generic ExtField
+    code.  Instances are immutable after construction and may be shared
+    freely.
+    """
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int, deg: int = 1, modulus: IntPoly | None = None):
+        base = PrimeField(p)
+        if deg < 1:
+            raise InputError("degree must be >= 1")
+        if modulus is None:
+            modulus = smallest_irreducible(p, deg)
+        modulus = tuple(c % p for c in modulus)
+        if len(modulus) != deg + 1 or modulus[-1] != 1:
+            raise InputError("modulus must be monic of the stated degree")
+        if not fp_is_irreducible(base, modulus):
+            raise InputError("modulus is reducible")
+        super().__init__(base, modulus)
+        self.p = p
+
+    def __repr__(self):
+        return f"GF({self.p}^{self.deg})" if self.deg > 1 else f"GF({self.p})"
+
+    def is_zero(self, x) -> bool:
+        return not any(x)
+
+    def add(self, x, y) -> tuple:
+        p = self.p
+        return tuple((a + b) % p for a, b in zip(x, y))
+
+    def sub(self, x, y) -> tuple:
+        p = self.p
+        return tuple((a - b) % p for a, b in zip(x, y))
+
+    def neg(self, x) -> tuple:
+        p = self.p
+        return tuple((-a) % p for a in x)
+
+    def mul(self, x, y) -> tuple:
+        if self.deg == 1:
+            return ((x[0] * y[0]) % self.p,)
+        return super().mul(x, y)
+
+    def inv(self, x) -> tuple:
+        if self.deg > 1:
+            return super().inv(x)
+        if not x[0]:
+            raise ZeroDivisionError("inverse of zero field element")
+        return (pow(x[0], -1, self.p),)
+
+
+@lru_cache(maxsize=None)
+def gf_field(p: int, deg: int = 1, modulus: IntPoly | None = None) -> GF:
+    return GF(p, deg, modulus)
+
+
+@lru_cache(maxsize=None)
+def smallest_irreducible(p: int, d: int) -> IntPoly:
+    """First monic irreducible of degree d over Z/p in the fixed
+    enumeration order (low coefficients vary fastest)."""
+    F = PrimeField(p)
+    for tail in itertools.product(range(p), repeat=d):
+        f = tuple(reversed(tail)) + (1,)
+        if fp_is_irreducible(F, f):
+            return f
+    raise InputError(f"no irreducible polynomial of degree {d} over F_{p}")

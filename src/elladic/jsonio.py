@@ -10,8 +10,8 @@ record) and are always emitted as the full record.
 from __future__ import annotations
 
 from .errors import InputError
-from .function_field import (Adele, Divisor, GroundField, LocalElement,
-                             Place, RationalFunction)
+from .function_field import (Divisor, GroundField, LocalElement, Place,
+                             RationalFunction)
 from .padic import FieldConfig, LocalNumber
 from .pipeline import (CharacterFamily, GlobalWhittakerSpec, KirillovEntry,
                        KirillovTable, LocalCharacter, MirabolicPoint,
@@ -43,11 +43,6 @@ def decode_field_config(obj) -> FieldConfig:
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-
-
-def encode_field_config(cfg: FieldConfig) -> dict:
-    return {"ell": cfg.ell, "d": cfg.d, "modulus_coeffs": list(cfg.modulus),
-            "precision": cfg.precision}
 
 
 def decode_local_number(obj, cfg: FieldConfig) -> LocalNumber:
@@ -135,10 +130,6 @@ def decode_ground(obj) -> GroundField:
         raise InputError(str(exc)) from exc
 
 
-def encode_ground(g: GroundField) -> dict:
-    return {"p": g.p, "f": g.f, "modulus": list(g.modulus)}
-
-
 def decode_place(obj, ground: GroundField) -> Place:
     if isinstance(obj, dict):
         if obj.get("infinity"):
@@ -207,10 +198,6 @@ def encode_local_element(x: LocalElement) -> dict:
     return {"place": encode_place(x.place), "v": x.v,
             "coeffs": [K.to_int(c) for c in x.coeffs],
             "exact": x.exact_tail}
-
-
-def encode_adele(a: Adele) -> list:
-    return [[encode_place(pl), encode_local_element(x)] for pl, x in a.items]
 
 
 # -- global specifications ---------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .errors import (BadSquareRoot, ConfigMismatch, NoSimpleRoot, NotIntegral,
                      PrecisionLoss, UnsupportedDegree)
-from .gf import GF, gf_field, is_prime, smallest_irreducible
+from .gf import GF, fp_deriv, fp_eval, gf_field, is_prime, smallest_irreducible
 
 INFINITY = math.inf
 
@@ -424,34 +424,6 @@ def _int_val(n: int, ell: int, cap: int) -> int:
     return v
 
 
-# ---------------------------------------------------------------------------
-# spec-level operation aliases
-# ---------------------------------------------------------------------------
-
-def add(x: LocalNumber, y: LocalNumber) -> LocalNumber:
-    return x + y
-
-
-def sub(x: LocalNumber, y: LocalNumber) -> LocalNumber:
-    return x - y
-
-
-def mul(x: LocalNumber, y: LocalNumber) -> LocalNumber:
-    return x * y
-
-
-def neg(x: LocalNumber) -> LocalNumber:
-    return -x
-
-
-def valuation(x: LocalNumber):
-    return x.valuation()
-
-
-def reduce(x: LocalNumber) -> Residue:
-    return x.reduce()
-
-
 def congruent_mod_m(x: LocalNumber, y: LocalNumber) -> bool:
     """True when x and y are both integral with equal residues, i.e. the
     difference lies in the maximal ideal."""
@@ -489,20 +461,10 @@ def hensel_root(f: Sequence[LocalNumber], r0: Residue) -> LocalNumber:
         raise NotIntegral("Hensel lifting requires integral coefficients")
 
     F = cfg.residue_field()
-    fbar = [c.reduce().coeffs for c in f]
-    val_at = F.zero
-    dval_at = F.zero
-    for i in reversed(range(len(fbar))):
-        val_at = F.add(F.mul(val_at, r0.coeffs), fbar[i])
-    for i in reversed(range(1, len(fbar))):
-        ci = fbar[i]
-        scaled = F.zero
-        for _ in range(i % cfg.ell):
-            scaled = F.add(scaled, ci)
-        dval_at = F.add(F.mul(dval_at, r0.coeffs), scaled)
-    if any(val_at):
+    fbar = tuple(c.reduce().coeffs for c in f)
+    if not F.is_zero(fp_eval(F, fbar, r0.coeffs)):
         raise NoSimpleRoot("residue is not a root")
-    if not any(dval_at):
+    if F.is_zero(fp_eval(F, fp_deriv(F, fbar), r0.coeffs)):
         raise NoSimpleRoot("residue root is not simple")
 
     N = cfg.precision
@@ -576,18 +538,10 @@ def sqrt_unit(config: FieldConfig, n: int) -> LocalNumber:
     if n % config.ell == 0:
         raise BadSquareRoot(f"{n} is not an l-unit")
     F = config.residue_field()
-    target = F.from_int(n % config.ell) if config.d == 1 else _embed_int(F, n)
+    target = F.from_int(n % config.ell)
     for cand in F.elements():
         if F.mul(cand, cand) == target:
             poly = [config.integer(-n), config.zero(), config.one()]
             return hensel_root(poly, Residue(config, cand))
     raise UnsupportedDegree(
         f"{n} is not a square in F_{F.order}; use an even residue degree d")
-
-
-def _embed_int(F: GF, n: int):
-    acc = F.zero
-    step = F.one
-    for _ in range(n % F.p):
-        acc = F.add(acc, step)
-    return acc

@@ -33,7 +33,7 @@ from .function_field import (Adele, DEFAULT_ENUMERATION_CAP, Divisor,
                              coset_reps, psi_global, psi_local,
                              quotient_index, rr_space, scale_adele,
                              span_nonzero)
-from .padic import FieldConfig, LocalNumber
+from .padic import FieldConfig, LocalNumber, congruent_mod_m
 from .satake import SatakeParam, char_poly, congruent, is_integral
 from .whittaker import whittaker_value
 
@@ -565,10 +565,6 @@ def _residue_json(x: LocalNumber):
     return list(x.reduce().coeffs)
 
 
-def _residues_agree(x: LocalNumber, y: LocalNumber) -> bool:
-    return x.reduce() == y.reduce()
-
-
 def validate_spec_pair(spec1: GlobalWhittakerSpec, spec2: GlobalWhittakerSpec):
     """The pipeline preconditions: identical S, w and tabulated data;
     integral, congruent unramified data at every listed place and for
@@ -625,9 +621,9 @@ def congruence_pipeline(spec1: GlobalWhittakerSpec, spec2: GlobalWhittakerSpec,
         f1 = mirabolic_expand(spec1, point, sqrt_q, target, cap)
         f2 = mirabolic_expand(spec2, point, sqrt_q, target, cap)
         w_cong = (min(w1.valuation(), w2.valuation()) >= 0
-                  and _residues_agree(w1, w2))
+                  and congruent_mod_m(w1, w2))
         f_cong = (min(f1.valuation(), f2.valuation()) >= 0
-                  and _residues_agree(f1, f2))
+                  and congruent_mod_m(f1, f2))
         reports.append(PointReport(idx, (w1, w2), (f1, f2), w_cong, f_cong))
     return PipelineReport(tuple(reports))
 
@@ -712,13 +708,17 @@ def _character_relevant_places(fam: CharacterFamily, y: RationalFunction):
     return sorted(places, key=lambda p: p.sort_key())
 
 
-def character_product(fam: CharacterFamily, y: RationalFunction) -> LocalNumber:
+def character_product(fam: CharacterFamily, y: RationalFunction,
+                      exclude=()) -> LocalNumber:
     """prod over places of chi_v(y), exact; relevant places are the
-    support of div(y) together with every ramified or exceptional place."""
+    support of div(y) together with every ramified or exceptional place,
+    less the places in exclude."""
     if y.is_zero:
         raise ValueError("characters are evaluated on nonzero elements")
     out = fam.config.one()
     for pl in _character_relevant_places(fam, y):
+        if pl in exclude:
+            continue
         chi = fam.character_at(pl)
         M = max(1, chi.level - int(y.ord_at(pl)) + 2)
         out = out * chi.evaluate(expand_at(y, pl, M))
@@ -797,20 +797,9 @@ def central_char_propagate(fam1: CharacterFamily, fam2: CharacterFamily,
                 else:
                     constraints.append((v, LocalElement.uniformizer_power(v, 0), h_v))
             y = weak_approx(constraints)
-            r1 = _off_s_product(fam1, y)
-            r2 = _off_s_product(fam2, y)
+            r1 = character_product(fam1, y, exclude=fam1.S)
+            r2 = character_product(fam2, y, exclude=fam2.S)
             ratio = r1 / r2
             diff = ratio - config.one()
             ratio_records.append(RatioRecord(w0, repr(x), diff.valuation()))
     return CentralCharReport(tuple(product_failures), tuple(ratio_records))
-
-
-def _off_s_product(fam: CharacterFamily, y: RationalFunction) -> LocalNumber:
-    out = fam.config.one()
-    for pl in _character_relevant_places(fam, y):
-        if pl in fam.S:
-            continue
-        chi = fam.character_at(pl)
-        M = max(1, chi.level - int(y.ord_at(pl)) + 2)
-        out = out * chi.evaluate(expand_at(y, pl, M))
-    return out

@@ -108,9 +108,18 @@ def schur_value(S: SatakeParam, a) -> LocalNumber:
     if not is_dominant(a):
         raise ValueError("schur_value requires a dominant weight")
     c = a[n - 1]
+    h = complete_homogeneous_table(S, a[0] - c + n - 1)
+    e_n = elementary_symmetric_all(S)[n] if c else None
+    return _jacobi_trudi(S.config, h, e_n, a)
+
+
+def _jacobi_trudi(cfg, h, e_n, a) -> LocalNumber:
+    """s_a from the table h = [h_0, h_1, ...] and e_n = prod mu_i: the
+    determinant det(h_{lambda_i - i + j}) of the partition lambda = a - c,
+    times e_n^c with c the last entry of a (e_n is unused when c = 0)."""
+    n = len(a)
+    c = a[n - 1]
     lam = [a[i] - c for i in range(n)]
-    h = complete_homogeneous_table(S, lam[0] + n - 1)
-    cfg = S.config
     zero = cfg.zero()
     rows = []
     for i in range(n):
@@ -120,10 +129,7 @@ def schur_value(S: SatakeParam, a) -> LocalNumber:
             row.append(h[idx] if idx >= 0 else zero)
         rows.append(row)
     det = _det(cfg, rows)
-    if c == 0:
-        return det
-    e_n = elementary_symmetric_all(S)[n]
-    return det * e_n ** c
+    return det if c == 0 else det * e_n ** c
 
 
 def whittaker_value(S: SatakeParam, a) -> WhittakerValue:
@@ -301,28 +307,14 @@ def check_congruence(S1: SatakeParam, S2: SatakeParam, bound: int) -> Congruence
     e1 = elementary_symmetric_all(S1)[n]
     e2 = elementary_symmetric_all(S2)[n]
     cfg = S1.config
-    zero = cfg.zero()
-
-    def value(htab, e_n, a):
-        c = a[n - 1]
-        lam = [a[i] - c for i in range(n)]
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                idx = lam[i] - (i + 1) + (j + 1)
-                row.append(htab[idx] if idx >= 0 else zero)
-            rows.append(row)
-        det = _det(cfg, rows)
-        return det if c == 0 else det * e_n ** c
 
     violations = []
     checked = 0
     for a in dominant_weights(n, bound):
         checked += 1
         m = half_exponent(Weight(a))
-        c1 = value(h1, e1, a)
-        c2 = value(h2, e2, a)
+        c1 = _jacobi_trudi(cfg, h1, e1, a)
+        c2 = _jacobi_trudi(cfg, h2, e2, a)
         v1, v2 = c1.valuation(), c2.valuation()
         if v1 < 0 or v2 < 0:
             violations.append(Violation(a, "non-integral",

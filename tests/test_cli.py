@@ -179,3 +179,49 @@ def test_text_format(capsys):
                     json.dumps({"divisor": [[{"finite": [0, 1]}, 1]]}))
     assert code == 0
     assert out.strip().endswith("OK")
+
+
+def run_failing(capsys, *argv):
+    """Exit code and the JSON error record written to stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, json.loads(captured.err)
+
+
+def pipeline_file(tmp_path, spec2_mu):
+    data = json.loads(json.dumps(PIPE_INPUT))
+    data["spec2"]["places"][0]["datum"]["unramified"]["mu"] = spec2_mu
+    path = tmp_path / "pipe.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_wrong_sqrt_q_exits_two(capsys):
+    code, record = run_failing(capsys, "whittaker", "--input",
+                               json.dumps({"field": {"ell": 7},
+                                           "param": {"q": 3, "mu": [1, 1]},
+                                           "weights": [[0, 0]], "sqrt_q": 2}))
+    assert code == 2
+    assert record["error"] == "BadSquareRoot"
+
+
+def test_missing_input_file_exits_two(capsys, tmp_path):
+    code, record = run_failing(capsys, "satake", "--input", str(tmp_path / "absent.json"))
+    assert code == 2
+    assert record["error"] == "FileNotFoundError"
+    assert record["schema"] == "elladic/1"
+
+
+def test_pipeline_noncongruent_specs_exit_one(capsys, tmp_path):
+    code, record = run_failing(capsys, "pipeline", "--input",
+                               pipeline_file(tmp_path, [3, 6]))
+    assert code == 1
+    assert record["error"] == "NotCongruent"
+
+
+def test_pipeline_nonintegral_specs_exit_one(capsys, tmp_path):
+    code, record = run_failing(capsys, "pipeline", "--input",
+                               pipeline_file(tmp_path, [[1, 7], 5]))
+    assert code == 1
+    assert record["error"] == "NotIntegral"
