@@ -1,13 +1,15 @@
 """Batch command line front end.
 
-Subcommands: satake, whittaker, congruence, rr, psi, index, expand,
-pipeline, selftest.  Input is JSON (a file path or an inline literal via
---input); output is a single JSON report (--format json, the default) or
-a plain-text rendering of the same report object.
+Usage: elladic COMMAND [flags]; COMMAND is satake, whittaker, congruence,
+rr, psi, index, expand, pipeline or selftest, and every flag is declared
+once, before or after it.  Input is JSON (a file path or an inline literal
+via --input), read once per run; output is a single JSON report (--format
+json, the default) or a plain-text rendering of the same report object.
 
 Exit codes: 0 every check passed, 1 a mathematical violation was found,
-2 malformed or inconsistent input, 3 precision or enumeration failure.
-Failures exit through EXIT_CODES with a JSON error record on stderr.
+3 precision or enumeration failure, 2 anything else (malformed input or
+command line).  Every failure exits through EXIT_CODES with a JSON error
+record on stderr, whose "command" is null if the command line did not parse.
 """
 
 from __future__ import annotations
@@ -18,11 +20,8 @@ import random
 import sys
 
 from . import jsonio
-from .errors import (BadSquareRoot, ConfigMismatch, ElladicError,
-                     IncompleteData, InputError, InsufficientPrecision,
-                     NoMatching, NoSimpleRoot, NotCongruent, NotIntegral,
-                     PrecisionLoss, SpecMismatch, TooLarge, UnsupportedDegree,
-                     UnsupportedPoint)
+from .errors import (ElladicError, InputError, InsufficientPrecision,
+                     NotCongruent, NotIntegral, PrecisionLoss, TooLarge)
 from .function_field import (Divisor, GroundField, PsiTarget, expand_at,
                              principal_adele, psi_global, psi_local,
                              quotient_index, rr_space)
@@ -38,27 +37,21 @@ EXIT_INPUT = 2
 EXIT_PRECISION = 3
 
 # error class -> exit code; an error takes the code of the nearest class
-# in its method resolution order
+# in its method resolution order, so every other failure exits 2
 EXIT_CODES = {
     NotCongruent: EXIT_VIOLATION, NotIntegral: EXIT_VIOLATION,
-    InputError: EXIT_INPUT, UnsupportedDegree: EXIT_INPUT,
-    ConfigMismatch: EXIT_INPUT, SpecMismatch: EXIT_INPUT,
-    IncompleteData: EXIT_INPUT, NoSimpleRoot: EXIT_INPUT,
-    NoMatching: EXIT_INPUT, UnsupportedPoint: EXIT_INPUT,
-    BadSquareRoot: EXIT_INPUT, OSError: EXIT_INPUT,
-    json.JSONDecodeError: EXIT_INPUT, ValueError: EXIT_INPUT,
-    KeyError: EXIT_INPUT, TypeError: EXIT_INPUT,
     PrecisionLoss: EXIT_PRECISION, InsufficientPrecision: EXIT_PRECISION,
     TooLarge: EXIT_PRECISION,
+    Exception: EXIT_INPUT,
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
-        report, ok = COMMANDS[args.command](args)
-    except tuple(EXIT_CODES) as exc:
+        args = build_parser().parse_args(argv)
+        report, ok = COMMANDS[args.command](args, load_input(args))
+    except Exception as exc:
         _emit_error(args, exc)
         return next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
     envelope = {
@@ -76,7 +69,7 @@ def main(argv=None) -> int:
 
 
 def _emit_error(args, exc):
-    record = {"schema": jsonio.SCHEMA, "command": args.command,
+    record = {"schema": jsonio.SCHEMA, "command": getattr(args, "command", None),
               "error": type(exc).__name__, "message": str(exc)}
     if getattr(args, "format", "json") == "json":
         print(json.dumps(record, sort_keys=True, indent=2), file=sys.stderr)
@@ -84,22 +77,26 @@ def _emit_error(args, exc):
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError instead of printing and exiting."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="elladic")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("satake", "whittaker", "congruence", "rr", "psi", "index",
-                 "expand", "pipeline", "selftest"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--input", help="JSON file path or inline JSON literal")
-        sp.add_argument("--ell", type=int)
-        sp.add_argument("--d", type=int, default=None)
-        sp.add_argument("--precision", type=int, default=None)
-        sp.add_argument("--p", type=int)
-        sp.add_argument("--f", type=int, default=None)
-        sp.add_argument("--bound", type=int, default=None)
-        sp.add_argument("--cap", type=int, default=10 ** 6)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--format", choices=("text", "json"), default="json")
+    parser = _Parser(prog="elladic")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--input", help="JSON file path or inline JSON literal")
+    parser.add_argument("--ell", type=int)
+    parser.add_argument("--d", type=int, default=None)
+    parser.add_argument("--precision", type=int, default=None)
+    parser.add_argument("--p", type=int)
+    parser.add_argument("--f", type=int, default=None)
+    parser.add_argument("--bound", type=int, default=None)
+    parser.add_argument("--cap", type=int, default=10 ** 6)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--format", choices=("text", "json"), default="json")
     return parser
 
 
@@ -141,8 +138,7 @@ def resolve_ground(args, data) -> GroundField:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_satake(args):
-    data = load_input(args)
+def cmd_satake(args, data):
     cfg = resolve_field(args, data)
     params = [jsonio.decode_satake(obj, cfg) for obj in data.get("params", [])]
     if not params:
@@ -174,8 +170,7 @@ def cmd_satake(args):
     return report, ok
 
 
-def cmd_whittaker(args):
-    data = load_input(args)
+def cmd_whittaker(args, data):
     cfg = resolve_field(args, data)
     params = data.get("params")
     if params and len(params) >= 2:
@@ -215,8 +210,7 @@ def _whittaker_pair(args, data, cfg, params):
     return rep.to_dict(), rep.ok
 
 
-def cmd_congruence(args):
-    data = load_input(args)
+def cmd_congruence(args, data):
     cfg = resolve_field(args, data)
     params = data.get("params", [])
     if len(params) != 2:
@@ -224,8 +218,7 @@ def cmd_congruence(args):
     return _whittaker_pair(args, data, cfg, params)
 
 
-def cmd_rr(args):
-    data = load_input(args)
+def cmd_rr(args, data):
     ground = resolve_ground(args, data)
     D = jsonio.decode_divisor(data.get("divisor", []), ground)
     basis = rr_space(D)
@@ -235,8 +228,7 @@ def cmd_rr(args):
             "basis": [jsonio.encode_rational(b) for b in basis]}, True
 
 
-def cmd_psi(args):
-    data = load_input(args)
+def cmd_psi(args, data):
     ground = resolve_ground(args, data)
     cfg = resolve_field(args, data)
     target = PsiTarget.create(ground, cfg)
@@ -267,8 +259,7 @@ def cmd_psi(args):
     return {"values": out, "all_one": all_one}, True
 
 
-def cmd_index(args):
-    data = load_input(args)
+def cmd_index(args, data):
     ground = resolve_ground(args, data)
     U = jsonio.decode_divisor(data.get("divisor", []), ground)
     idx = quotient_index(U)
@@ -281,8 +272,7 @@ def cmd_index(args):
             "p": ground.p, "p_exponent": exponent}, True
 
 
-def cmd_expand(args):
-    data = load_input(args)
+def cmd_expand(args, data):
     ground = resolve_ground(args, data)
     r = jsonio.decode_rational(data.get("rational", {}), ground)
     place = jsonio.decode_place(data.get("place", {}), ground)
@@ -293,8 +283,7 @@ def cmd_expand(args):
             "expansion": jsonio.encode_local_element(le)}, True
 
 
-def cmd_pipeline(args):
-    data = load_input(args)
+def cmd_pipeline(args, data):
     ground = resolve_ground(args, data)
     cfg = resolve_field(args, data)
     target = PsiTarget.create(ground, cfg)
@@ -328,7 +317,7 @@ def cmd_pipeline(args):
     return out, rep.ok
 
 
-def cmd_selftest(args):
+def cmd_selftest(args, data):
     seed = args.seed
     rng = random.Random(seed)
     checks = []

@@ -629,34 +629,34 @@ class Adele:
         return Adele(self.ground, tuple((pl, -x) for pl, x in self.items))
 
 
-def principal_adele(r: RationalFunction, min_abs_finite: int = 0,
-                    min_abs_infinity: int = 2, margin: int = 2,
-                    extra_places=()) -> Adele:
-    """The diagonal image of r, carried on its poles, infinity and any
-    extra places, with enough precision to evaluate the residue character."""
+def principal_adele(r: RationalFunction) -> Adele:
+    """The diagonal image of r, carried on its poles and infinity, with
+    enough precision to evaluate the residue character: absolute precision
+    2 at infinity (where dt has its double pole) and 0 elsewhere, plus a
+    margin of two digits."""
     ground = r.ground
-    places = {pl for pl, _ in r.pole_places()} | {ground.infinity()} | set(extra_places)
+    places = {pl for pl, _ in r.pole_places()} | {ground.infinity()}
     comps = []
     for pl in places:
-        needed = min_abs_infinity if pl.is_infinity else min_abs_finite
+        needed = 2 if pl.is_infinity else 0
         ordv = r.ord_at(pl)
         if ordv is INF:
             continue
-        M = max(1, int(needed - ordv) + margin)
+        M = max(1, int(needed - ordv) + 2)
         comps.append((pl, expand_at(r, pl, M)))
     return Adele.make(ground, comps)
 
 
-def scale_adele(a: Adele, r: RationalFunction, min_abs_finite: int = 0,
-                min_abs_infinity: int = 2, margin: int = 2) -> Adele:
-    """Componentwise product of an adele with (the expansions of) r."""
+def scale_adele(a: Adele, r: RationalFunction) -> Adele:
+    """Componentwise product of an adele with (the expansions of) r, to the
+    precision principal_adele uses."""
     if r.is_zero:
         return Adele.zero(a.ground)
     comps = []
     for pl, x in a.items:
-        needed = min_abs_infinity if pl.is_infinity else min_abs_finite
+        needed = 2 if pl.is_infinity else 0
         ordv = int(r.ord_at(pl))
-        M = max(1, int(needed - x.v - ordv) + margin)
+        M = max(1, int(needed - x.v - ordv) + 2)
         comps.append((pl, x * expand_at(r, pl, M)))
     return Adele.make(a.ground, comps)
 

@@ -181,8 +181,9 @@ def fp_deriv(F, a) -> tuple:
     return fp_trim(F, out)
 
 
+@lru_cache(maxsize=None)
 def fp_is_irreducible(F, f) -> bool:
-    """Monic f over F (order q); gcd test against X^{q^i} - X."""
+    """Monic tuple f over F (order q); gcd test against X^{q^i} - X."""
     d = len(f) - 1
     if d < 1:
         return False

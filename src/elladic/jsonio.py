@@ -53,6 +53,8 @@ def decode_local_number(obj, cfg: FieldConfig) -> LocalNumber:
     if isinstance(obj, list):
         if len(obj) != 2 or not all(isinstance(x, int) for x in obj):
             raise InputError("rational shorthand must be [numerator, denominator]")
+        if obj[1] == 0:
+            raise InputError("rational shorthand has a zero denominator")
         return cfg.rational(obj[0], obj[1])
     if isinstance(obj, dict):
         if obj.get("zero"):

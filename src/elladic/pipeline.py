@@ -24,9 +24,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import (BadSquareRoot, ConfigMismatch, IncompleteData,
-                     NotCongruent, NotIntegral, SpecMismatch,
-                     UnsupportedPoint)
+from .errors import (ConfigMismatch, IncompleteData, NotCongruent,
+                     NotIntegral, SpecMismatch, UnsupportedPoint)
 from .function_field import (Adele, DEFAULT_ENUMERATION_CAP, Divisor,
                              GroundField, LocalElement, Place, PsiTarget,
                              RationalFunction, enumerate_places, expand_at,
@@ -35,7 +34,7 @@ from .function_field import (Adele, DEFAULT_ENUMERATION_CAP, Divisor,
                              span_nonzero)
 from .padic import FieldConfig, LocalNumber, congruent_mod_m
 from .satake import SatakeParam, char_poly, congruent, is_integral
-from .whittaker import whittaker_value
+from .whittaker import check_sqrt_q, whittaker_value
 
 INF = float("inf")
 
@@ -345,10 +344,10 @@ def local_value(datum, place: Place, x: LocalElement, a, central: int,
     return out, 0
 
 
-def _sqrt_check(config: FieldConfig, sqrt_q: LocalNumber, q: int):
-    diff = sqrt_q * sqrt_q - config.integer(q)
-    if not diff.is_zero and diff.valuation() < config.precision:
-        raise BadSquareRoot(f"supplied value does not square to {q}")
+def _base_places(spec: GlobalWhittakerSpec, point: MirabolicPoint) -> set:
+    """The point's support, the exceptional set S and infinity: the places
+    every gamma term and every bound on the gamma support looks at."""
+    return set(point.support()) | set(spec.S) | {spec.ground.infinity()}
 
 
 def gamma_support(spec: GlobalWhittakerSpec, point: MirabolicPoint,
@@ -356,7 +355,7 @@ def gamma_support(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     """A finite superset of the gamma with nonzero term, as the nonzero
     part of a Riemann-Roch space built from the local vanishing bounds."""
     ground = spec.ground
-    relevant = set(point.support()) | set(spec.S) | {ground.infinity()}
+    relevant = _base_places(spec, point)
     pairs = []
     for pl in relevant:
         _, a1, a2 = point.get(pl)
@@ -380,9 +379,8 @@ def _gamma_term(spec: GlobalWhittakerSpec, point: MirabolicPoint,
                 gamma: RationalFunction | None, target: PsiTarget):
     """The product of local values at diag(gamma,1) * point; gamma = None
     means gamma = 1.  Returns (coefficient, total half exponent)."""
-    ground = spec.ground
     config = spec.config
-    relevant = set(point.support()) | set(spec.S) | {ground.infinity()}
+    relevant = _base_places(spec, point)
     if gamma is not None:
         for pl, _ in gamma.pole_places():
             relevant.add(pl)
@@ -421,7 +419,7 @@ def mirabolic_expand(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     """The finite sum over gamma of the Whittaker term at diag(gamma,1)g,
     collapsed to a plain field element through the supplied sqrt of q."""
     config = spec.config
-    _sqrt_check(config, sqrt_q, spec.ground.q)
+    check_sqrt_q(sqrt_q, spec.ground.q)
     support = gamma_support(spec, point, cap)
     acc = config.zero()
     for gamma in support:
@@ -435,8 +433,7 @@ def mirabolic_expand(spec: GlobalWhittakerSpec, point: MirabolicPoint,
 def whittaker_at(spec: GlobalWhittakerSpec, point: MirabolicPoint,
                  sqrt_q: LocalNumber, target: PsiTarget) -> LocalNumber:
     """The pure-tensor Whittaker function itself at the point."""
-    config = spec.config
-    _sqrt_check(config, sqrt_q, spec.ground.q)
+    check_sqrt_q(sqrt_q, spec.ground.q)
     coef, half = _gamma_term(spec, point, None, target)
     if coef.is_zero:
         return coef
@@ -475,7 +472,7 @@ def invariance_divisor(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     (two extra digits at infinity, where dt has its double pole).
     """
     ground = spec.ground
-    relevant = set(point.support()) | set(spec.S) | {ground.infinity()}
+    relevant = _base_places(spec, point)
     if extra is not None:
         relevant |= set(extra.support())
     pairs = []
@@ -612,8 +609,7 @@ def congruence_pipeline(spec1: GlobalWhittakerSpec, spec2: GlobalWhittakerSpec,
     """Evaluate both Whittaker products and both expansions at every
     sample point and record integrality and residue agreement."""
     validate_spec_pair(spec1, spec2)
-    config = spec1.config
-    _sqrt_check(config, sqrt_q, spec1.ground.q)
+    check_sqrt_q(sqrt_q, spec1.ground.q)
     reports = []
     for idx, point in enumerate(samples):
         w1 = whittaker_at(spec1, point, sqrt_q, target)
@@ -628,14 +624,12 @@ def congruence_pipeline(spec1: GlobalWhittakerSpec, spec2: GlobalWhittakerSpec,
     return PipelineReport(tuple(reports))
 
 
-def default_sample_points(ground: GroundField, seed: int, count: int = 50,
-                          max_place_degree: int = 2, a_bound: int = 2,
-                          min_x_val: int = -1, central_bound: int = 1) -> tuple:
+def default_sample_points(ground: GroundField, seed: int, count: int = 50) -> tuple:
     """Deterministic sample points in Z(A)P(A): small supports over places
-    of low degree, x components of valuation >= min_x_val, torus exponents
-    within a_bound and central exponents within central_bound."""
+    of degree <= 2, x components of valuation >= -1, torus exponents in
+    [-2, 2] and central exponents in [-1, 1]."""
     rng = random.Random(seed)
-    places = list(enumerate_places(ground, max_place_degree))
+    places = list(enumerate_places(ground, 2))
     points = []
     attempts = 0
     while len(points) < count and attempts < 40 * count:
@@ -645,16 +639,16 @@ def default_sample_points(ground: GroundField, seed: int, count: int = 50,
         entries = []
         for pl in chosen:
             K = pl.residue()
-            v = rng.randint(min_x_val, 1)
+            v = rng.randint(-1, 1)
             ncoef = rng.randint(1, 3)
             coeffs = tuple(K.from_int(rng.randrange(K.order)) for _ in range(ncoef))
             x = LocalElement.from_coeffs(pl, v, coeffs, exact=True)
-            a1 = rng.randint(-a_bound, a_bound)
+            a1 = rng.randint(-2, 2)
             entries.append((pl, x, a1, 0))
         central = []
         if rng.random() < 0.5:
             zp = rng.choice(places)
-            c = rng.randint(-central_bound, central_bound)
+            c = rng.randint(-1, 1)
             if c:
                 central.append((zp, c))
         points.append(MirabolicPoint(ground, tuple(entries), tuple(central)))
@@ -747,7 +741,7 @@ class CentralCharReport:
 
 
 def central_char_propagate(fam1: CharacterFamily, fam2: CharacterFamily,
-                           y_samples, unit_levels: int = 1) -> CentralCharReport:
+                           y_samples) -> CentralCharReport:
     """Verify the product formula for both families on principal elements,
     then derive each exceptional-place ratio through a weak-approximation
     element and check it is 1 modulo the maximal ideal.
@@ -778,7 +772,7 @@ def central_char_propagate(fam1: CharacterFamily, fam2: CharacterFamily,
         for fam in (fam1, fam2):
             chi = fam.character_at(w0)
             levels.append(chi.level)
-        m_w = max(max(levels), unit_levels, 1)
+        m_w = max(max(levels), 1)
         test_elements = [LocalElement.uniformizer_power(w0, 1)]
         K = w0.residue()
         nonone = next((e for e in K.elements()

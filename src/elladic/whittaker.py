@@ -143,11 +143,16 @@ def whittaker_value(S: SatakeParam, a) -> WhittakerValue:
     return WhittakerValue.make(schur_value(S, a), half_exponent(a))
 
 
-def collapse(W: WhittakerValue, sqrt_q: LocalNumber, q: int) -> LocalNumber:
-    """coef * sqrt_q^m as a plain field element; sqrt_q must square to q."""
+def check_sqrt_q(sqrt_q: LocalNumber, q: int):
+    """Raise BadSquareRoot unless sqrt_q squares to q to full precision."""
     check = sqrt_q * sqrt_q - sqrt_q.config.integer(q)
     if not check.is_zero and check.valuation() < sqrt_q.config.precision:
         raise BadSquareRoot(f"supplied root does not square to {q}")
+
+
+def collapse(W: WhittakerValue, sqrt_q: LocalNumber, q: int) -> LocalNumber:
+    """coef * sqrt_q^m as a plain field element; sqrt_q must square to q."""
+    check_sqrt_q(sqrt_q, q)
     if W.is_zero:
         return W.coef
     return W.coef * sqrt_q ** W.q_half_exp

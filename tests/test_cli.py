@@ -1,4 +1,11 @@
+import contextlib
+import copy
+import io
 import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elladic.cli import main
 
@@ -36,6 +43,32 @@ PIPE_INPUT = {
     "samples": {"seed": 5, "count": 4},
 }
 
+SATAKE_PAIR = {"field": {"ell": 5, "precision": 8},
+               "params": [{"q": 3, "mu": [1, 1]}, {"q": 3, "mu": [1, 6]}]}
+SATAKE_INTEGRAL = {"field": {"ell": 5}, "params": [{"q": 3, "mu": [[1, 5], 1]}],
+                   "require_integral": True}
+WHITTAKER = {"field": {"ell": 7}, "param": {"q": 3, "mu": [1, 1]},
+             "weights": [[0, 0], [0, 1], [2, 0]]}
+CONGRUENCE = {"field": {"ell": 5},
+              "params": [{"q": 3, "mu": [1, 2]}, {"q": 3, "mu": [6, 27]}]}
+DIVISOR = {"divisor": [[{"finite": [0, 1]}, 2]]}
+PSI = {"items": [{"gamma": {"num": [1, 1, 1], "den": [0, 1]}}]}
+EXPAND = {"rational": {"num": [1], "den": [0, 1]}, "place": {"finite": [0, 1]},
+          "precision": 4}
+
+# every valid request above: the command line before --input, and the input
+VALID_REQUESTS = [
+    (("satake",), SATAKE_PAIR),
+    (("satake",), SATAKE_INTEGRAL),
+    (("whittaker",), WHITTAKER),
+    (("congruence", "--bound", "3"), CONGRUENCE),
+    (("rr", "--p", "2"), DIVISOR),
+    (("psi", "--p", "2", "--ell", "3"), PSI),
+    (("index", "--p", "3"), DIVISOR),
+    (("expand", "--p", "2"), EXPAND),
+    (("pipeline",), PIPE_INPUT),
+]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -44,10 +77,7 @@ def run(capsys, *argv):
 
 
 def test_satake_congruent_pair_exits_zero(capsys):
-    code, out = run(capsys, "satake", "--input",
-                    json.dumps({"field": {"ell": 5, "precision": 8},
-                                "params": [{"q": 3, "mu": [1, 1]},
-                                           {"q": 3, "mu": [1, 6]}]}))
+    code, out = run(capsys, "satake", "--input", json.dumps(SATAKE_PAIR))
     assert code == 0
     body = json.loads(out)
     assert body["schema"] == "elladic/1"
@@ -64,10 +94,7 @@ def test_satake_noncongruent_pair_exits_one(capsys):
 
 
 def test_satake_require_integral(capsys):
-    code, out = run(capsys, "satake", "--input",
-                    json.dumps({"field": {"ell": 5},
-                                "params": [{"q": 3, "mu": [[1, 5], 1]}],
-                                "require_integral": True}))
+    code, out = run(capsys, "satake", "--input", json.dumps(SATAKE_INTEGRAL))
     assert code == 1
     assert json.loads(out)["result"]["params"][0]["integral"] is False
 
@@ -80,10 +107,7 @@ def test_malformed_input_exits_two(capsys):
 
 
 def test_whittaker_values(capsys):
-    code, out = run(capsys, "whittaker", "--input",
-                    json.dumps({"field": {"ell": 7},
-                                "param": {"q": 3, "mu": [1, 1]},
-                                "weights": [[0, 0], [0, 1], [2, 0]]}))
+    code, out = run(capsys, "whittaker", "--input", json.dumps(WHITTAKER))
     assert code == 0
     vals = json.loads(out)["result"]["values"]
     assert vals[0]["value"]["q_half_exp"] == 0
@@ -92,10 +116,7 @@ def test_whittaker_values(capsys):
 
 
 def test_congruence_command(capsys):
-    code, out = run(capsys, "congruence", "--bound", "3", "--input",
-                    json.dumps({"field": {"ell": 5},
-                                "params": [{"q": 3, "mu": [1, 2]},
-                                           {"q": 3, "mu": [6, 27]}]}))
+    code, out = run(capsys, "congruence", "--bound", "3", "--input", json.dumps(CONGRUENCE))
     assert code == 0
     body = json.loads(out)
     assert body["result"]["checked"] == 28
@@ -103,31 +124,26 @@ def test_congruence_command(capsys):
 
 
 def test_rr_command(capsys):
-    code, out = run(capsys, "rr", "--p", "2", "--input",
-                    json.dumps({"divisor": [[{"finite": [0, 1]}, 2]]}))
+    code, out = run(capsys, "rr", "--p", "2", "--input", json.dumps(DIVISOR))
     assert code == 0
     assert json.loads(out)["result"]["dimension"] == 3
 
 
 def test_psi_command(capsys):
-    code, out = run(capsys, "psi", "--p", "2", "--ell", "3", "--input",
-                    json.dumps({"items": [{"gamma": {"num": [1, 1, 1], "den": [0, 1]}}]}))
+    code, out = run(capsys, "psi", "--p", "2", "--ell", "3", "--input", json.dumps(PSI))
     assert code == 0
     assert json.loads(out)["result"]["all_one"] is True
 
 
 def test_index_command(capsys):
-    code, out = run(capsys, "index", "--p", "3", "--input",
-                    json.dumps({"divisor": [[{"finite": [0, 1]}, 2]]}))
+    code, out = run(capsys, "index", "--p", "3", "--input", json.dumps(DIVISOR))
     assert code == 0
     body = json.loads(out)["result"]
     assert body["index"] == 3 and body["p_exponent"] == 1
 
 
 def test_expand_command(capsys):
-    code, out = run(capsys, "expand", "--p", "2", "--input",
-                    json.dumps({"rational": {"num": [1], "den": [0, 1]},
-                                "place": {"finite": [0, 1]}, "precision": 4}))
+    code, out = run(capsys, "expand", "--p", "2", "--input", json.dumps(EXPAND))
     assert code == 0
     assert json.loads(out)["result"]["expansion"]["v"] == -1
 
@@ -225,3 +241,88 @@ def test_pipeline_nonintegral_specs_exit_one(capsys, tmp_path):
                                pipeline_file(tmp_path, [[1, 7], 5]))
     assert code == 1
     assert record["error"] == "NotIntegral"
+
+
+def nodes(obj, path=()):
+    """The path to every node of a JSON value, containers included."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, val in items:
+        yield from nodes(val, path + (key,))
+
+
+def replaced(obj, path, value):
+    """A copy of obj with the node at path replaced by value."""
+    if not path:
+        return value
+    obj = copy.deepcopy(obj)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return obj
+
+
+@pytest.mark.parametrize("argv, command, error", [
+    (["satake", "--input", json.dumps({"field": {"ell": 5},
+                                       "params": [{"q": 3, "mu": [[1, 0], 1]}]})],
+     "satake", "InputError"),
+    (["pipeline", "--input", json.dumps(replaced(
+        PIPE_INPUT, ("spec1", "places", 1, "datum", "table", 0), 5))],
+     "pipeline", None),
+    (["pipeline", "--input", json.dumps(replaced(
+        PIPE_INPUT, ("spec1", "default_rule"), [[1, 1]]))],
+     "pipeline", None),
+    (["rr", "--p", "x"], None, "InputError"),
+    (["frobnicate", "--p", "2"], None, "InputError"),
+], ids=["zero-denominator", "table-entry-5", "default-rule-list", "bad-flag-value",
+        "unknown-command"])
+def test_malformed_request_exits_two(capsys, argv, command, error):
+    """Malformed input or command line: exit 2 and a JSON record whose
+    command is null when the command line did not parse."""
+    code, record = run_failing(capsys, *argv)
+    assert code == 2
+    assert record["command"] == command
+    assert error is None or record["error"] == error
+
+
+def test_flags_may_precede_the_command(capsys):
+    code, out = run(capsys, "--p", "2", "rr", "--input", json.dumps(DIVISOR))
+    assert code == 0
+    assert json.loads(out)["result"]["dimension"] == 3
+
+
+SMALL_JSON = st.one_of(st.none(), st.booleans(), st.integers(-3, 6),
+                       st.text(max_size=3), st.just([1, 0]), st.just({}))
+
+
+@st.composite
+def mutated_requests(draw):
+    """A valid request with one node (a leaf or a whole subtree) of its
+    input swapped for a small JSON value."""
+    prefix, data = draw(st.sampled_from(VALID_REQUESTS))
+    path = draw(st.sampled_from(list(nodes(data))))
+    return list(prefix) + ["--cap", "16", "--input",
+                           json.dumps(replaced(data, path, draw(SMALL_JSON)))]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(mutated_requests())
+def test_every_run_exits_with_a_json_record(argv):
+    """Any one malformed node still gives an exit code in 0-3 and one JSON
+    document: the report on stdout or the error record on stderr.  The
+    enumeration cap of 16 keeps every run short."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if out.getvalue():
+        assert err.getvalue() == ""
+        envelope = json.loads(out.getvalue())
+        assert set(envelope) == {"schema", "command", "seed", "ok", "result"}
+        assert code == (0 if envelope["ok"] else 1)
+    else:
+        record = json.loads(err.getvalue())
+        assert set(record) == {"schema", "command", "error", "message"}
+        assert code != 0
