@@ -140,7 +140,8 @@ def resolve_ground(args, data) -> GroundField:
 
 def cmd_satake(args, data):
     cfg = resolve_field(args, data)
-    params = [jsonio.decode_satake(obj, cfg) for obj in data.get("params", [])]
+    params = [jsonio.decode_satake(obj, cfg)
+              for obj in jsonio._list(data.get("params", []), "'params'")]
     if not params:
         raise InputError("'params' must list at least one Satake parameter")
     require_integral = bool(data.get("require_integral", False))
@@ -172,14 +173,14 @@ def cmd_satake(args, data):
 
 def cmd_whittaker(args, data):
     cfg = resolve_field(args, data)
-    params = data.get("params")
-    if params and len(params) >= 2:
+    params = jsonio._list(data.get("params", []), "'params'")
+    if len(params) >= 2:
         return _whittaker_pair(args, data, cfg, params)
     obj = data.get("param") or (params[0] if params else None)
     if obj is None:
         raise InputError("supply 'param' (or 'params') for evaluation")
     S = jsonio.decode_satake(obj, cfg)
-    weights = data.get("weights")
+    weights = jsonio._list(data.get("weights", []), "'weights'")
     if not weights:
         raise InputError("'weights' must list exponent vectors")
     sqrt_obj = data.get("sqrt_q")
@@ -190,6 +191,7 @@ def cmd_whittaker(args, data):
         sq = jsonio.decode_local_number(sqrt_obj, cfg)
     values = []
     for a in weights:
+        a = jsonio._list(a, "weight")
         w = whittaker_value(S, tuple(int(x) for x in a))
         rec = {"weight": [int(x) for x in a],
                "value": jsonio.encode_whittaker_value(w)}
@@ -212,7 +214,7 @@ def _whittaker_pair(args, data, cfg, params):
 
 def cmd_congruence(args, data):
     cfg = resolve_field(args, data)
-    params = data.get("params", [])
+    params = jsonio._list(data.get("params", []), "'params'")
     if len(params) != 2:
         raise InputError("'params' must list exactly two Satake parameters")
     return _whittaker_pair(args, data, cfg, params)
@@ -232,12 +234,13 @@ def cmd_psi(args, data):
     ground = resolve_ground(args, data)
     cfg = resolve_field(args, data)
     target = PsiTarget.create(ground, cfg)
-    items = data.get("items", [])
+    items = jsonio._list(data.get("items", []), "'items'")
     if not items:
         raise InputError("'items' must list evaluation requests")
     out = []
     all_one = True
     for item in items:
+        item = jsonio._obj(item, "psi item")
         if "gamma" in item:
             gamma = jsonio.decode_rational(item["gamma"], ground)
             if gamma.is_zero:
@@ -299,7 +302,8 @@ def cmd_pipeline(args, data):
         samples = default_sample_points(ground, int(samples_obj.get("seed", args.seed)),
                                         int(samples_obj.get("count", 20)))
     else:
-        samples = tuple(jsonio.decode_point(p, ground) for p in samples_obj)
+        samples = tuple(jsonio.decode_point(p, ground)
+                        for p in jsonio._list(samples_obj, "'samples'"))
     rep = congruence_pipeline(spec1, spec2, samples, sq, target, cap=args.cap)
     out = rep.to_dict()
     out["sample_count"] = len(samples)

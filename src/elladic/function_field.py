@@ -736,7 +736,8 @@ def rr_space(D: Divisor) -> tuple:
         else:
             c = fp_mul(F, c, _poly_power(F, pl.poly, -m))
     deg_d = D.degree
-    assert deg_d == (len(bplus) - 1) + n_inf - (len(c) - 1)
+    if deg_d != (len(bplus) - 1) + n_inf - (len(c) - 1):
+        raise RuntimeError("divisor degree disagrees with its polynomial parts")
     if deg_d < 0:
         return ()
     basis = []
@@ -840,7 +841,8 @@ def coset_reps(U: Divisor, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple:
             coeffs = tuple(per_place[pl].get(i, K.zero) for i in range(m))
             comps.append((pl, LocalElement.from_coeffs(pl, 0, coeffs, exact=True)))
         reps.append(Adele.make(ground, comps))
-    assert len(reps) == index
+    if len(reps) != index:
+        raise RuntimeError("coset representatives do not match the quotient index")
     return tuple(reps)
 
 
@@ -979,7 +981,8 @@ def weak_approx(constraints) -> RationalFunction:
     A_crt, Pi = build(B)
     deg_pi = len(Pi) - 1
     j0 = max(0, deg_bw - h_inf + 1)
-    assert j0 >= deg_pi, "auxiliary pole order too small"
+    if j0 < deg_pi:
+        raise RuntimeError("auxiliary pole order too small")
 
     # prescribed high coefficients from w = x_inf * expansion(B) at infinity
     inf_pl = ground.infinity()

@@ -519,8 +519,8 @@ class ExtField:
         for _ in range(self.deg):
             acc = self.add(acc, y)
             y = self.pow(y, self.base.order)
-        assert all(self.base.is_zero(c) for c in acc[1:]), \
-            "trace landed outside the base field"
+        if not all(self.base.is_zero(c) for c in acc[1:]):
+            raise RuntimeError("trace landed outside the base field")
         return acc[0]
 
     def elements(self):

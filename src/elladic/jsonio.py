@@ -28,11 +28,22 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _obj(x, where: str) -> dict:
+    if not isinstance(x, dict):
+        raise InputError(f"{where} must be an object")
+    return x
+
+
+def _list(x, where: str) -> list:
+    if not isinstance(x, list):
+        raise InputError(f"{where} must be a list")
+    return x
+
+
 # -- coefficient field -------------------------------------------------------
 
 def decode_field_config(obj) -> FieldConfig:
-    if not isinstance(obj, dict):
-        raise InputError("field config must be an object")
+    _obj(obj, "field config")
     modulus = obj.get("modulus_coeffs", obj.get("modulus"))
     try:
         return FieldConfig(
@@ -60,13 +71,13 @@ def decode_local_number(obj, cfg: FieldConfig) -> LocalNumber:
         if obj.get("zero"):
             return cfg.zero()
         v = int(_need(obj, "valuation", "local number"))
-        digits = _need(obj, "unit_digits", "local number")
+        digits = _list(_need(obj, "unit_digits", "local number"), "unit_digits")
         if not digits:
             raise InputError("nonzero local number needs at least one digit vector")
         coeffs = [0] * cfg.d
         scale = 1
         for vec in digits:
-            if len(vec) != cfg.d:
+            if len(_list(vec, "digit vector")) != cfg.d:
                 raise InputError(f"digit vectors must have length d = {cfg.d}")
             for j, digit in enumerate(vec):
                 if not 0 <= int(digit) < cfg.ell:
@@ -91,9 +102,9 @@ def encode_local_number(x: LocalNumber) -> dict:
 # -- satake ------------------------------------------------------------------
 
 def decode_satake(obj, cfg: FieldConfig) -> SatakeParam:
-    if not isinstance(obj, dict):
-        raise InputError("satake parameter must be an object")
-    mu = [decode_local_number(m, cfg) for m in _need(obj, "mu", "satake parameter")]
+    _obj(obj, "satake parameter")
+    mu = [decode_local_number(m, cfg)
+          for m in _list(_need(obj, "mu", "satake parameter"), "satake mu")]
     n = int(obj.get("n", len(mu)))
     try:
         return SatakeParam(n, int(_need(obj, "q", "satake parameter")), tuple(mu))
@@ -120,8 +131,7 @@ def encode_whittaker_value(w: WhittakerValue) -> dict:
 # -- ground field and places -------------------------------------------------
 
 def decode_ground(obj) -> GroundField:
-    if not isinstance(obj, dict):
-        raise InputError("ground field must be an object")
+    _obj(obj, "ground field")
     try:
         return GroundField(
             p=int(_need(obj, "p", "ground field")),
@@ -138,7 +148,7 @@ def decode_place(obj, ground: GroundField) -> Place:
             return ground.infinity()
         if "finite" in obj:
             try:
-                return ground.place([int(c) for c in obj["finite"]])
+                return ground.place([int(c) for c in _list(obj["finite"], "finite place")])
             except ValueError as exc:
                 raise InputError(str(exc)) from exc
     raise InputError(f"cannot read a place from {obj!r}")
@@ -155,8 +165,8 @@ def decode_rational(obj, ground: GroundField) -> RationalFunction:
     if isinstance(obj, list):
         return ground.rational([int(c) for c in obj])
     if isinstance(obj, dict):
-        num = [int(c) for c in _need(obj, "num", "rational function")]
-        den = [int(c) for c in obj.get("den", [1])]
+        num = [int(c) for c in _list(_need(obj, "num", "rational function"), "numerator")]
+        den = [int(c) for c in _list(obj.get("den", [1]), "denominator")]
         try:
             return ground.rational(num, den)
         except ZeroDivisionError as exc:
@@ -186,8 +196,7 @@ def encode_divisor(D: Divisor) -> list:
 
 
 def decode_local_element(obj, ground: GroundField) -> LocalElement:
-    if not isinstance(obj, dict):
-        raise InputError("local element must be an object")
+    _obj(obj, "local element")
     place = decode_place(_need(obj, "place", "local element"), ground)
     K = place.residue()
     coeffs = tuple(K.from_int(int(c)) for c in obj.get("coeffs", []))
@@ -205,14 +214,16 @@ def encode_local_element(x: LocalElement) -> dict:
 # -- global specifications ---------------------------------------------------
 
 def decode_local_character(obj, cfg: FieldConfig, place: Place) -> LocalCharacter:
-    if not isinstance(obj, dict):
-        raise InputError("local character must be an object")
+    _obj(obj, "local character")
     val = decode_local_number(_need(obj, "uniformizer_value", "local character"), cfg)
     level = int(obj.get("level", 0))
     unit_values = []
     K = place.residue()
-    for key_codes, value in obj.get("unit_values", []):
-        key = tuple(K.from_int(int(c)) for c in key_codes)
+    for pair in _list(obj.get("unit_values", []), "unit_values"):
+        if len(_list(pair, "unit_values entry")) != 2:
+            raise InputError("unit_values entries are [coset, value] pairs")
+        key_codes, value = pair
+        key = tuple(K.from_int(int(c)) for c in _list(key_codes, "unit coset"))
         unit_values.append((key, decode_local_number(value, cfg)))
     try:
         return LocalCharacter(val, level, tuple(unit_values))
@@ -222,8 +233,8 @@ def decode_local_character(obj, cfg: FieldConfig, place: Place) -> LocalCharacte
 
 def decode_kirillov_table(obj, cfg: FieldConfig, place: Place) -> KirillovTable:
     entries = []
-    for e in obj:
-        rep_codes = e.get("rep", [1])
+    for e in _list(obj, "Kirillov table"):
+        rep_codes = _list(_obj(e, "table entry").get("rep", [1]), "table entry rep")
         K = place.residue()
         rep = LocalElement.from_coeffs(
             place, 0, tuple(K.from_int(int(c)) for c in rep_codes), exact=True)
@@ -240,12 +251,12 @@ def decode_kirillov_table(obj, cfg: FieldConfig, place: Place) -> KirillovTable:
 
 
 def decode_spec(obj, ground: GroundField, cfg: FieldConfig) -> GlobalWhittakerSpec:
-    if not isinstance(obj, dict):
-        raise InputError("specification must be an object")
+    _obj(obj, "specification")
     explicit = []
-    for rec in obj.get("places", []):
+    for rec in _list(obj.get("places", []), "spec places"):
+        rec = _obj(rec, "spec place record")
         place = decode_place(_need(rec, "place", "spec place record"), ground)
-        datum = _need(rec, "datum", "spec place record")
+        datum = _obj(_need(rec, "datum", "spec place record"), "datum")
         if "unramified" in datum:
             S = decode_satake(datum["unramified"], cfg)
             explicit.append((place, UnramifiedDatum(S)))
@@ -257,8 +268,8 @@ def decode_spec(obj, ground: GroundField, cfg: FieldConfig) -> GlobalWhittakerSp
         else:
             raise InputError("datum must contain 'unramified' or 'table'")
     rule = []
-    for deg, pair in obj.get("default_rule", {}).items():
-        if len(pair) != 2:
+    for deg, pair in _obj(obj.get("default_rule", {}), "default_rule").items():
+        if len(_list(pair, "default rule entry")) != 2:
             raise InputError("default rule entries are pairs")
         rule.append((int(deg), tuple(decode_local_number(m, cfg) for m in pair)))
     w = decode_place(obj["w"], ground) if obj.get("w") else None
@@ -275,13 +286,14 @@ def decode_spec(obj, ground: GroundField, cfg: FieldConfig) -> GlobalWhittakerSp
 
 def decode_point(obj, ground: GroundField) -> MirabolicPoint:
     entries = []
-    for rec in obj.get("entries", []):
+    for rec in _list(_obj(obj, "sample point").get("entries", []), "point entries"):
+        rec = _obj(rec, "point entry")
         place = decode_place(_need(rec, "place", "point entry"), ground)
         x = (decode_local_element(rec["x"], ground) if "x" in rec
              else LocalElement.exact_zero(place))
         if x.place != place:
             raise InputError("point x-component at the wrong place")
-        a = rec.get("a", [0, 0])
+        a = _list(rec.get("a", [0, 0]), "torus exponents")
         if len(a) != 2:
             raise InputError("torus exponents are a pair")
         entries.append((place, x, int(a[0]), int(a[1])))
@@ -293,11 +305,13 @@ def decode_point(obj, ground: GroundField) -> MirabolicPoint:
 
 
 def decode_character_family(obj, ground: GroundField, cfg: FieldConfig) -> CharacterFamily:
+    _obj(obj, "character family")
     S = tuple(decode_place(pl, ground) for pl in obj.get("S", []))
     by_degree = tuple((int(d), decode_local_number(v, cfg))
-                      for d, v in obj.get("by_degree", {}).items())
+                      for d, v in _obj(obj.get("by_degree", {}), "by_degree").items())
     explicit = []
-    for rec in obj.get("explicit", []):
+    for rec in _list(obj.get("explicit", []), "character records"):
+        rec = _obj(rec, "character record")
         place = decode_place(_need(rec, "place", "character record"), ground)
         explicit.append((place,
                          decode_local_character(_need(rec, "character", "character record"),

@@ -17,6 +17,10 @@ verified by this module holds termwise for arbitrary pure-tensor data.
 
 Tabulated data is evaluated only at points of the mirabolic subgroup
 times the center; queries outside that domain raise UnsupportedPoint.
+
+A spec pair is evaluated in one pass: once validate_spec_pair has made S, w
+and the tables identical, each point's gamma support and each place's
+expansion of gamma are computed once and serve both specs.
 """
 
 from __future__ import annotations
@@ -60,9 +64,6 @@ class KirillovEntry:
             raise ValueError("coset representative must be a unit")
         if not self.rep.exact_tail and len(self.rep.coeffs) < self.level:
             raise ValueError("representative carries fewer digits than its level")
-
-    def key(self):
-        return (self.j, self.rep.prefix(self.level))
 
     def contains(self, y: LocalElement) -> bool:
         if y.valuation() != self.j:
@@ -319,28 +320,25 @@ def local_value(datum, place: Place, x: LocalElement, a, central: int,
     function is a genuine function of the full torus coordinate.
     """
     a1, a2 = a
-    if isinstance(datum, UnramifiedDatum):
-        psi_val = psi_local(place, x.shift(-a2) if a2 else x, target)
-        if psi_val.is_zero:
-            raise AssertionError("character values are never zero")
+    tabulated = isinstance(datum, TabulatedDatum)
+    if tabulated and a2 != 0:
+        raise UnsupportedPoint(
+            "tabulated data is defined on the mirabolic subgroup (a2 = 0)")
+    psi_val = psi_local(place, x.shift(-a2) if a2 else x, target)
+    if not tabulated:
         wv = whittaker_value(datum.satake, (a1 + central, a2 + central))
         if wv.is_zero:
             return wv.coef, 0
         return psi_val * wv.coef, wv.q_half_exp * place.degree
-    if a2 != 0:
-        raise UnsupportedPoint(
-            "tabulated data is defined on the mirabolic subgroup (a2 = 0)")
-    psi_val = psi_local(place, x, target)
     y = LocalElement.uniformizer_power(place, a1)
     if torus_unit is not None and not torus_unit.is_exact_zero:
         y = torus_unit * y
     f_val = datum.table.lookup(y)
     if f_val.is_zero:
         return f_val, 0
-    central_factor = datum.central.value_at_uniformizer ** central if central else None
     out = psi_val * f_val
-    if central_factor is not None:
-        out = out * central_factor
+    if central:
+        out = out * datum.central.value_at_uniformizer ** central
     return out, 0
 
 
@@ -350,52 +348,56 @@ def _base_places(spec: GlobalWhittakerSpec, point: MirabolicPoint) -> set:
     return set(point.support()) | set(spec.S) | {spec.ground.infinity()}
 
 
+def _pole_bound(spec: GlobalWhittakerSpec, point: MirabolicPoint, pl: Place):
+    """The highest pole order at pl of a gamma with nonzero term: a1 - a2
+    unramified, a1 - min_j tabulated, None if the table is empty."""
+    _, a1, a2 = point.get(pl)
+    datum = spec.datum_at(pl)
+    if not isinstance(datum, TabulatedDatum):
+        return a1 - a2
+    if a2 != 0:
+        raise UnsupportedPoint("tabulated place queried with a2 != 0")
+    min_j = datum.table.min_valuation()
+    return None if min_j is None else a1 - min_j
+
+
 def gamma_support(spec: GlobalWhittakerSpec, point: MirabolicPoint,
                   cap: int = DEFAULT_ENUMERATION_CAP) -> tuple:
     """A finite superset of the gamma with nonzero term, as the nonzero
     part of a Riemann-Roch space built from the local vanishing bounds."""
-    ground = spec.ground
-    relevant = _base_places(spec, point)
     pairs = []
-    for pl in relevant:
-        _, a1, a2 = point.get(pl)
-        datum = spec.datum_at(pl)
-        if isinstance(datum, TabulatedDatum):
-            if a2 != 0:
-                raise UnsupportedPoint("tabulated place queried with a2 != 0")
-            min_j = datum.table.min_valuation()
-            if min_j is None:
-                return ()
-            bound = a1 - min_j
-        else:
-            bound = a1 - a2
-        if bound:
-            pairs.append((pl, bound))
-    D = Divisor.make(ground, pairs)
-    return span_nonzero(ground, rr_space(D), cap)
+    for pl in _base_places(spec, point):
+        bound = _pole_bound(spec, point, pl)
+        if bound is None:
+            return ()
+        pairs.append((pl, bound))
+    D = Divisor.make(spec.ground, pairs)
+    return span_nonzero(spec.ground, rr_space(D), cap)
 
 
-def _gamma_term(spec: GlobalWhittakerSpec, point: MirabolicPoint,
-                gamma: RationalFunction | None, target: PsiTarget):
-    """The product of local values at diag(gamma,1) * point; gamma = None
-    means gamma = 1.  Returns (coefficient, total half exponent)."""
-    config = spec.config
-    relevant = _base_places(spec, point)
+def _gamma_terms(specs: tuple, point: MirabolicPoint,
+                 gamma: RationalFunction | None, target: PsiTarget) -> list:
+    """The product of local values at diag(gamma,1) * point for each spec,
+    as (coefficient, total half exponent); gamma = None means gamma = 1.
+    Each place's geometry is computed once for all specs, so they must
+    share S, w and the tables, the only spec data it reads."""
+    config = specs[0].config
+    relevant = _base_places(specs[0], point)
     if gamma is not None:
-        for pl, _ in gamma.pole_places():
-            relevant.add(pl)
-        for pl, _ in gamma.zero_places():
-            relevant.add(pl)
-    coef = config.one()
-    total_half = 0
+        relevant |= {pl for pl, _ in gamma.pole_places() + gamma.zero_places()}
+    terms = [(config.one(), 0)] * len(specs)   # None once a factor is zero
     for pl in sorted(relevant, key=lambda p: p.sort_key()):
+        live = [i for i, term in enumerate(terms) if term is not None]
+        if not live:
+            break
         x, a1, a2 = point.get(pl)
         c = point.central_at(pl)
-        datum = spec.datum_at(pl)
+        data = {i: specs[i].datum_at(pl) for i in live}
         torus_unit = None
         if gamma is not None:
             ordg = int(gamma.ord_at(pl))
             need = 2 if pl.is_infinity else 0
+            datum = data[live[0]]
             if isinstance(datum, TabulatedDatum):
                 need = max(need, datum.table.max_level() + 1)
             xv = 0 if x.is_zero_like else x.v
@@ -405,12 +407,30 @@ def _gamma_term(spec: GlobalWhittakerSpec, point: MirabolicPoint,
                 x = gexp * x
             torus_unit = gexp.shift(-ordg)
             a1 = a1 + ordg
-        val, half = local_value(datum, pl, x, (a1, a2), c, target, torus_unit)
-        if val.is_zero:
-            return config.zero(), 0
-        coef = coef * val
-        total_half += half
-    return coef, total_half
+        for i in live:
+            val, half = local_value(data[i], pl, x, (a1, a2), c, target, torus_unit)
+            coef, total_half = terms[i]
+            terms[i] = None if val.is_zero else (coef * val, total_half + half)
+    return [term or (config.zero(), 0) for term in terms]
+
+
+def _gamma_term(spec: GlobalWhittakerSpec, point: MirabolicPoint,
+                gamma: RationalFunction | None, target: PsiTarget):
+    """The product of local values at diag(gamma,1) * point; gamma = None
+    means gamma = 1.  Returns (coefficient, total half exponent)."""
+    return _gamma_terms((spec,), point, gamma, target)[0]
+
+
+def _collapsed_sums(specs: tuple, point: MirabolicPoint, gammas,
+                    sqrt_q: LocalNumber, target: PsiTarget) -> list:
+    """For each spec, the sum over gammas of its term at diag(gamma,1) *
+    point, collapsed through the supplied sqrt of q (gamma = None is 1)."""
+    sums = [specs[0].config.zero()] * len(specs)
+    for gamma in gammas:
+        for i, (coef, half) in enumerate(_gamma_terms(specs, point, gamma, target)):
+            if not coef.is_zero:
+                sums[i] = sums[i] + coef * sqrt_q ** half
+    return sums
 
 
 def mirabolic_expand(spec: GlobalWhittakerSpec, point: MirabolicPoint,
@@ -418,26 +438,16 @@ def mirabolic_expand(spec: GlobalWhittakerSpec, point: MirabolicPoint,
                      cap: int = DEFAULT_ENUMERATION_CAP) -> LocalNumber:
     """The finite sum over gamma of the Whittaker term at diag(gamma,1)g,
     collapsed to a plain field element through the supplied sqrt of q."""
-    config = spec.config
     check_sqrt_q(sqrt_q, spec.ground.q)
     support = gamma_support(spec, point, cap)
-    acc = config.zero()
-    for gamma in support:
-        coef, half = _gamma_term(spec, point, gamma, target)
-        if coef.is_zero:
-            continue
-        acc = acc + coef * sqrt_q ** half
-    return acc
+    return _collapsed_sums((spec,), point, support, sqrt_q, target)[0]
 
 
 def whittaker_at(spec: GlobalWhittakerSpec, point: MirabolicPoint,
                  sqrt_q: LocalNumber, target: PsiTarget) -> LocalNumber:
     """The pure-tensor Whittaker function itself at the point."""
     check_sqrt_q(sqrt_q, spec.ground.q)
-    coef, half = _gamma_term(spec, point, None, target)
-    if coef.is_zero:
-        return coef
-    return coef * sqrt_q ** half
+    return _collapsed_sums((spec,), point, (None,), sqrt_q, target)[0]
 
 
 def fourier_coefficient(phi, gamma: RationalFunction, point: MirabolicPoint,
@@ -471,25 +481,15 @@ def invariance_divisor(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     Ker psi_v as soon as m_v >= D(v) shifted by the conductor of psi_v
     (two extra digits at infinity, where dt has its double pole).
     """
-    ground = spec.ground
-    relevant = _base_places(spec, point)
-    if extra is not None:
-        relevant |= set(extra.support())
+    if extra is None:
+        extra = Divisor.zero(spec.ground)
     pairs = []
-    for pl in relevant:
-        _, a1, a2 = point.get(pl)
-        datum = spec.datum_at(pl)
-        if isinstance(datum, TabulatedDatum):
-            min_j = datum.table.min_valuation()
-            bound = a1 - min_j if min_j is not None else 0
-        else:
-            bound = a1 - a2
-        if extra is not None:
-            bound += max(extra.get(pl), 0)
+    for pl in _base_places(spec, point) | set(extra.support()):
+        bound = (_pole_bound(spec, point, pl) or 0) + max(extra.get(pl), 0)
         m_v = bound + (2 if pl.is_infinity else 0)
         if m_v > 0:
             pairs.append((pl, m_v))
-    return Divisor.make(ground, pairs)
+    return Divisor.make(spec.ground, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -577,13 +577,10 @@ def validate_spec_pair(spec1: GlobalWhittakerSpec, spec2: GlobalWhittakerSpec):
             raise SpecMismatch(f"tabulated data differs at {pl!r}")
         if not t1.table.a_valued():
             raise NotIntegral(f"table at {pl!r} is not integrally valued")
-    listed = set(d1) | set(d2)
-    for pl in listed:
+    for pl in set(d1) | set(d2):
         if pl in spec1.S:
             continue
-        s1 = d1[pl].satake if pl in d1 else spec1.datum_at(pl).satake
-        s2 = d2[pl].satake if pl in d2 else spec2.datum_at(pl).satake
-        _check_satake_pair(s1, s2, pl)
+        _check_satake_pair(spec1.datum_at(pl).satake, spec2.datum_at(pl).satake, pl)
     degrees = {deg for deg, _ in spec1.default_rule} | {deg for deg, _ in spec2.default_rule}
     for deg in degrees:
         q = spec1.ground.q ** deg
@@ -607,15 +604,17 @@ def congruence_pipeline(spec1: GlobalWhittakerSpec, spec2: GlobalWhittakerSpec,
                         samples, sqrt_q: LocalNumber, target: PsiTarget,
                         cap: int = DEFAULT_ENUMERATION_CAP) -> PipelineReport:
     """Evaluate both Whittaker products and both expansions at every
-    sample point and record integrality and residue agreement."""
+    sample point and record integrality and residue agreement.  After
+    validate_spec_pair the two specs share one gamma support per point
+    and one geometry per place (_gamma_terms): one pass serves both."""
     validate_spec_pair(spec1, spec2)
     check_sqrt_q(sqrt_q, spec1.ground.q)
+    specs = (spec1, spec2)
     reports = []
     for idx, point in enumerate(samples):
-        w1 = whittaker_at(spec1, point, sqrt_q, target)
-        w2 = whittaker_at(spec2, point, sqrt_q, target)
-        f1 = mirabolic_expand(spec1, point, sqrt_q, target, cap)
-        f2 = mirabolic_expand(spec2, point, sqrt_q, target, cap)
+        w1, w2 = _collapsed_sums(specs, point, (None,), sqrt_q, target)
+        support = gamma_support(spec1, point, cap)
+        f1, f2 = _collapsed_sums(specs, point, support, sqrt_q, target)
         w_cong = (min(w1.valuation(), w2.valuation()) >= 0
                   and congruent_mod_m(w1, w2))
         f_cong = (min(f1.valuation(), f2.valuation()) >= 0

@@ -270,14 +270,36 @@ def replaced(obj, path, value):
      "satake", "InputError"),
     (["pipeline", "--input", json.dumps(replaced(
         PIPE_INPUT, ("spec1", "places", 1, "datum", "table", 0), 5))],
-     "pipeline", None),
+     "pipeline", "InputError"),
+    (["pipeline", "--input", json.dumps(replaced(
+        PIPE_INPUT, ("spec1", "places", 0), 3))],
+     "pipeline", "InputError"),
     (["pipeline", "--input", json.dumps(replaced(
         PIPE_INPUT, ("spec1", "default_rule"), [[1, 1]]))],
-     "pipeline", None),
+     "pipeline", "InputError"),
+    (["pipeline", "--input", json.dumps(replaced(PIPE_INPUT, ("samples",), [5]))],
+     "pipeline", "InputError"),
+    (["pipeline", "--input", json.dumps(replaced(
+        PIPE_INPUT, ("spec1", "places", 1, "datum", "central", "unit_values"), [5]))],
+     "pipeline", "InputError"),
+    (["psi", "--p", "2", "--ell", "3", "--input", json.dumps(replaced(PSI, ("items", 0), 5))],
+     "psi", "InputError"),
+    (["whittaker", "--input", json.dumps(replaced(WHITTAKER, ("weights", 0), 5))],
+     "whittaker", "InputError"),
+    (["satake", "--input", json.dumps(replaced(SATAKE_PAIR, ("params", 0, "mu"), 5))],
+     "satake", "InputError"),
+    (["satake", "--input", json.dumps(replaced(SATAKE_PAIR, ("params",), 5))],
+     "satake", "InputError"),
+    (["rr", "--p", "2", "--input", json.dumps(replaced(DIVISOR, ("divisor", 0, 0, "finite"), 5))],
+     "rr", "InputError"),
+    (["pipeline", "--input", json.dumps(replaced(
+        PIPE_INPUT, ("spec2", "places", 0, "datum", "unramified", "mu", 0, "unit_digits"), 5))],
+     "pipeline", "InputError"),
     (["rr", "--p", "x"], None, "InputError"),
     (["frobnicate", "--p", "2"], None, "InputError"),
-], ids=["zero-denominator", "table-entry-5", "default-rule-list", "bad-flag-value",
-        "unknown-command"])
+], ids=["zero-denominator", "table-entry-5", "place-record-3", "default-rule-list",
+        "sample-point-5", "unit-values-entry-5", "psi-item-5", "weight-5", "mu-5",
+        "params-5", "finite-place-5", "unit-digits-5", "bad-flag-value", "unknown-command"])
 def test_malformed_request_exits_two(capsys, argv, command, error):
     """Malformed input or command line: exit 2 and a JSON record whose
     command is null when the command line did not parse."""

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from elladic import pipeline
 from elladic.errors import (IncompleteData, NotCongruent, SpecMismatch,
                             UnsupportedPoint)
 from elladic.function_field import (Divisor, GroundField, LocalElement,
@@ -268,6 +271,38 @@ def test_pipeline_congruence(rng, target, sqrt2):
     assert rep.ok
     d = rep.to_dict()
     assert d["ok"] and len(d["points"]) == 8
+    # the one pass over the pair gives each spec's own values, digits and
+    # precision included
+    for report, point in zip(rep.points, samples):
+        assert report.w_values == tuple(whittaker_at(s, point, sqrt2, target)
+                                        for s in (spec1, spec2))
+        assert report.phi_values == tuple(mirabolic_expand(s, point, sqrt2, target)
+                                          for s in (spec1, spec2))
+
+
+def test_pipeline_pair_shares_geometry(rng, target, sqrt2, monkeypatch):
+    """The pair costs one gamma support per point and the expansions of
+    one spec, not two."""
+    spec1, spec2 = build_spec_pair(rng)
+    samples = default_sample_points(G2, seed=3, count=4)
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("gamma_support", "expand_at"):
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    congruence_pipeline(spec1, spec2, samples, sqrt2, target)
+    pair = dict(calls)
+    calls.clear()
+    for point in samples:
+        whittaker_at(spec1, point, sqrt2, target)
+        mirabolic_expand(spec1, point, sqrt2, target)
+    assert pair["gamma_support"] == len(samples)
+    assert pair["expand_at"] == calls["expand_at"] > 0
 
 
 def test_pipeline_identical_specs(rng, target, sqrt2):
