@@ -191,9 +191,9 @@ def cmd_whittaker(args, data):
         sq = jsonio.decode_local_number(sqrt_obj, cfg)
     values = []
     for a in weights:
-        a = jsonio._list(a, "weight")
-        w = whittaker_value(S, tuple(int(x) for x in a))
-        rec = {"weight": [int(x) for x in a],
+        a = jsonio._ints(a, "weight")
+        w = whittaker_value(S, tuple(a))
+        rec = {"weight": a,
                "value": jsonio.encode_whittaker_value(w)}
         if sq is not None:
             rec["collapsed"] = jsonio.encode_local_number(collapse(w, sq, S.q))
@@ -204,7 +204,7 @@ def cmd_whittaker(args, data):
 def _whittaker_pair(args, data, cfg, params):
     S1 = jsonio.decode_satake(params[0], cfg)
     S2 = jsonio.decode_satake(params[1], cfg)
-    bound = args.bound if args.bound is not None else int(data.get("bound", 2))
+    bound = args.bound if args.bound is not None else jsonio._int(data.get("bound", 2), "'bound'")
     try:
         rep = check_congruence(S1, S2, bound)
     except (NotIntegral, NotCongruent) as exc:
@@ -279,7 +279,7 @@ def cmd_expand(args, data):
     ground = resolve_ground(args, data)
     r = jsonio.decode_rational(data.get("rational", {}), ground)
     place = jsonio.decode_place(data.get("place", {}), ground)
-    M = int(data.get("precision", 16))
+    M = jsonio._int(data.get("precision", 16), "'precision'")
     le = expand_at(r, place, M)
     return {"rational": jsonio.encode_rational(r),
             "place": jsonio.encode_place(place),
@@ -299,8 +299,9 @@ def cmd_pipeline(args, data):
         sq = jsonio.decode_local_number(sq_obj, cfg)
     samples_obj = data.get("samples", {"seed": args.seed, "count": 20})
     if isinstance(samples_obj, dict):
-        samples = default_sample_points(ground, int(samples_obj.get("seed", args.seed)),
-                                        int(samples_obj.get("count", 20)))
+        samples = default_sample_points(
+            ground, jsonio._int(samples_obj.get("seed", args.seed), "samples seed"),
+            jsonio._int(samples_obj.get("count", 20), "samples count"))
     else:
         samples = tuple(jsonio.decode_point(p, ground)
                         for p in jsonio._list(samples_obj, "'samples'"))

@@ -26,8 +26,8 @@ from functools import lru_cache
 
 from .errors import ConfigMismatch, InsufficientPrecision, TooLarge
 from .gf import (ExtField, GF, fp_add, fp_crt, fp_divmod, fp_factor, fp_gcd,
-                 fp_is_irreducible, fp_mod, fp_monic, fp_mul, fp_neg, fp_sub,
-                 fp_trim, gf_field, is_prime, smallest_irreducible)
+                 fp_is_irreducible, fp_mod, fp_monic, fp_mul, fp_neg, fp_scale,
+                 fp_sub, fp_trim, gf_field, is_prime, smallest_irreducible)
 from .padic import FieldConfig, LocalNumber, pth_roots_of_unity
 
 INF = float("inf")
@@ -64,9 +64,6 @@ class GroundField:
 
     # -- element and polynomial builders -------------------------------------
 
-    def element(self, n: int):
-        return self.field().from_int(n)
-
     def poly(self, ints) -> tuple:
         """Polynomial over F_q from integer codes, ascending degree."""
         F = self.field()
@@ -80,9 +77,6 @@ class GroundField:
 
     def constant(self, n: int) -> "RationalFunction":
         return self.rational((n,))
-
-    def zero_rf(self) -> "RationalFunction":
-        return RationalFunction.make(self, (), self.poly((1,)))
 
     def infinity(self) -> "Place":
         return Place(self, None)
@@ -749,22 +743,26 @@ def rr_space(D: Divisor) -> tuple:
 
 def span_nonzero(ground: GroundField, basis, cap: int = DEFAULT_ENUMERATION_CAP):
     """All nonzero F_q-linear combinations of the basis, in coefficient
-    order; TooLarge when q^dim exceeds the cap."""
+    order, each one numerator sum(c_i N_i) over the common denominator of
+    the basis, reduced once; TooLarge when q^dim exceeds the cap."""
     q = ground.q
     dim = len(basis)
     if q ** dim > cap:
         raise TooLarge(f"{q}^{dim} combinations exceed the cap {cap}")
     F = ground.field()
+    den: tuple = (F.one,)
+    for b in basis:
+        den = fp_mul(F, den, fp_divmod(F, b.den, fp_gcd(F, den, b.den))[0])
+    nums = [fp_mul(F, b.num, fp_divmod(F, den, b.den)[0]) for b in basis]
     out = []
     for code in itertools.product(range(q), repeat=dim):
         if not any(code):
             continue
-        acc = ground.zero_rf()
-        for ci, b in zip(code, basis):
+        num: tuple = ()
+        for ci, n in zip(code, nums):
             if ci:
-                scalar = RationalFunction.make(ground, (F.from_int(ci),), (F.one,))
-                acc = acc + scalar * b
-        out.append(acc)
+                num = fp_add(F, num, fp_scale(F, n, F.from_int(ci)))
+        out.append(RationalFunction.make(ground, num, den))
     return tuple(out)
 
 
@@ -886,12 +884,9 @@ def series_to_poly_mod(x: LocalElement, c: int) -> tuple:
 
 def _smallest_unused_place(ground: GroundField, used) -> Place:
     used = set(used)
-    for deg in range(1, 8):
-        for pl in enumerate_places(ground, deg):
-            if pl.is_infinity or pl.degree < deg:
-                continue
-            if pl not in used:
-                return pl
+    for pl in enumerate_places(ground, 7):
+        if not pl.is_infinity and pl not in used:
+            return pl
     raise RuntimeError("no auxiliary place found (ground field too small?)")
 
 
@@ -946,26 +941,18 @@ def weak_approx(constraints) -> RationalFunction:
             z = target * expand_at(RationalFunction.make(ground, B_poly, one), place, Mv)
             Z = series_to_poly_mod(z, c_v)
             congruences.append((Z, _poly_power(F, place.poly, c_v)))
-        if congruences:
-            A_crt, Pi = fp_crt(F, congruences)
-        else:
-            A_crt, Pi = (), one
-        return A_crt, Pi
+        return fp_crt(F, congruences)
 
+    B0 = one
+    for place, _, _ in finite:
+        B0 = fp_mul(F, B0, _poly_power(F, place.poly, b_exp[place]))
     if inf_constraint is None:
-        B = one
-        for place, _, _ in finite:
-            B = fp_mul(F, B, _poly_power(F, place.poly, b_exp[place]))
-        A_crt, _ = build(B)
-        return RationalFunction.make(ground, A_crt, B)
+        return RationalFunction.make(ground, build(B0)[0], B0)
 
     x_inf, h_inf = inf_constraint
     if not x_inf.is_exact_zero and x_inf.abs_prec() < h_inf:
         raise InsufficientPrecision("infinity target certified below requested precision")
 
-    B0 = one
-    for place, _, _ in finite:
-        B0 = fp_mul(F, B0, _poly_power(F, place.poly, b_exp[place]))
     deg_pi_bound = sum((h + b_exp[pl]) * pl.degree for pl, _, h in finite)
     aux = _smallest_unused_place(ground, [pl for pl, _, _ in finite])
 

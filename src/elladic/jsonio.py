@@ -40,6 +40,18 @@ def _list(x, where: str) -> list:
     return x
 
 
+def _int(x, where: str) -> int:
+    """int(x), with InputError naming the field when x is no integer."""
+    try:
+        return int(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{where} must be an integer, not {x!r}") from exc
+
+
+def _ints(x, where: str) -> list:
+    return [_int(c, f"{where} entry") for c in _list(x, where)]
+
+
 # -- coefficient field -------------------------------------------------------
 
 def decode_field_config(obj) -> FieldConfig:
@@ -47,10 +59,10 @@ def decode_field_config(obj) -> FieldConfig:
     modulus = obj.get("modulus_coeffs", obj.get("modulus"))
     try:
         return FieldConfig(
-            ell=int(_need(obj, "ell", "field config")),
-            d=int(obj.get("d", 1)),
-            modulus=tuple(modulus) if modulus is not None else None,
-            precision=int(obj.get("precision", 32)),
+            ell=_int(_need(obj, "ell", "field config"), "ell"),
+            d=_int(obj.get("d", 1), "d"),
+            modulus=tuple(_ints(modulus, "modulus")) if modulus is not None else None,
+            precision=_int(obj.get("precision", 32), "precision"),
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -70,19 +82,20 @@ def decode_local_number(obj, cfg: FieldConfig) -> LocalNumber:
     if isinstance(obj, dict):
         if obj.get("zero"):
             return cfg.zero()
-        v = int(_need(obj, "valuation", "local number"))
+        v = _int(_need(obj, "valuation", "local number"), "valuation")
         digits = _list(_need(obj, "unit_digits", "local number"), "unit_digits")
         if not digits:
             raise InputError("nonzero local number needs at least one digit vector")
         coeffs = [0] * cfg.d
         scale = 1
         for vec in digits:
-            if len(_list(vec, "digit vector")) != cfg.d:
+            vec = _ints(vec, "digit vector")
+            if len(vec) != cfg.d:
                 raise InputError(f"digit vectors must have length d = {cfg.d}")
             for j, digit in enumerate(vec):
-                if not 0 <= int(digit) < cfg.ell:
+                if not 0 <= digit < cfg.ell:
                     raise InputError("digits must lie in [0, ell)")
-                coeffs[j] += int(digit) * scale
+                coeffs[j] += digit * scale
             scale *= cfg.ell
         prec = min(len(digits), cfg.precision)
         try:
@@ -105,9 +118,9 @@ def decode_satake(obj, cfg: FieldConfig) -> SatakeParam:
     _obj(obj, "satake parameter")
     mu = [decode_local_number(m, cfg)
           for m in _list(_need(obj, "mu", "satake parameter"), "satake mu")]
-    n = int(obj.get("n", len(mu)))
+    n = _int(obj.get("n", len(mu)), "satake n")
     try:
-        return SatakeParam(n, int(_need(obj, "q", "satake parameter")), tuple(mu))
+        return SatakeParam(n, _int(_need(obj, "q", "satake parameter"), "q"), tuple(mu))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -134,9 +147,9 @@ def decode_ground(obj) -> GroundField:
     _obj(obj, "ground field")
     try:
         return GroundField(
-            p=int(_need(obj, "p", "ground field")),
-            f=int(obj.get("f", 1)),
-            modulus=tuple(obj["modulus"]) if "modulus" in obj else None,
+            p=_int(_need(obj, "p", "ground field"), "p"),
+            f=_int(obj.get("f", 1), "f"),
+            modulus=tuple(_ints(obj["modulus"], "modulus")) if "modulus" in obj else None,
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -148,7 +161,7 @@ def decode_place(obj, ground: GroundField) -> Place:
             return ground.infinity()
         if "finite" in obj:
             try:
-                return ground.place([int(c) for c in _list(obj["finite"], "finite place")])
+                return ground.place(_ints(obj["finite"], "finite place"))
             except ValueError as exc:
                 raise InputError(str(exc)) from exc
     raise InputError(f"cannot read a place from {obj!r}")
@@ -163,10 +176,10 @@ def encode_place(pl: Place) -> dict:
 
 def decode_rational(obj, ground: GroundField) -> RationalFunction:
     if isinstance(obj, list):
-        return ground.rational([int(c) for c in obj])
+        return ground.rational(_ints(obj, "polynomial"))
     if isinstance(obj, dict):
-        num = [int(c) for c in _list(_need(obj, "num", "rational function"), "numerator")]
-        den = [int(c) for c in _list(obj.get("den", [1]), "denominator")]
+        num = _ints(_need(obj, "num", "rational function"), "numerator")
+        den = _ints(obj.get("den", [1]), "denominator")
         try:
             return ground.rational(num, den)
         except ZeroDivisionError as exc:
@@ -187,7 +200,7 @@ def decode_divisor(obj, ground: GroundField) -> Divisor:
     for item in obj:
         if not isinstance(item, list) or len(item) != 2:
             raise InputError("divisor entries are [place, multiplicity]")
-        pairs.append((decode_place(item[0], ground), int(item[1])))
+        pairs.append((decode_place(item[0], ground), _int(item[1], "multiplicity")))
     return Divisor.make(ground, pairs)
 
 
@@ -199,8 +212,8 @@ def decode_local_element(obj, ground: GroundField) -> LocalElement:
     _obj(obj, "local element")
     place = decode_place(_need(obj, "place", "local element"), ground)
     K = place.residue()
-    coeffs = tuple(K.from_int(int(c)) for c in obj.get("coeffs", []))
-    return LocalElement.from_coeffs(place, int(obj.get("v", 0)), coeffs,
+    coeffs = tuple(K.from_int(c) for c in _ints(obj.get("coeffs", []), "coeffs"))
+    return LocalElement.from_coeffs(place, _int(obj.get("v", 0), "v"), coeffs,
                                     exact=bool(obj.get("exact", True)))
 
 
@@ -216,14 +229,14 @@ def encode_local_element(x: LocalElement) -> dict:
 def decode_local_character(obj, cfg: FieldConfig, place: Place) -> LocalCharacter:
     _obj(obj, "local character")
     val = decode_local_number(_need(obj, "uniformizer_value", "local character"), cfg)
-    level = int(obj.get("level", 0))
+    level = _int(obj.get("level", 0), "level")
     unit_values = []
     K = place.residue()
     for pair in _list(obj.get("unit_values", []), "unit_values"):
         if len(_list(pair, "unit_values entry")) != 2:
             raise InputError("unit_values entries are [coset, value] pairs")
         key_codes, value = pair
-        key = tuple(K.from_int(int(c)) for c in _list(key_codes, "unit coset"))
+        key = tuple(K.from_int(c) for c in _ints(key_codes, "unit coset"))
         unit_values.append((key, decode_local_number(value, cfg)))
     try:
         return LocalCharacter(val, level, tuple(unit_values))
@@ -234,13 +247,13 @@ def decode_local_character(obj, cfg: FieldConfig, place: Place) -> LocalCharacte
 def decode_kirillov_table(obj, cfg: FieldConfig, place: Place) -> KirillovTable:
     entries = []
     for e in _list(obj, "Kirillov table"):
-        rep_codes = _list(_obj(e, "table entry").get("rep", [1]), "table entry rep")
+        rep_codes = _ints(_obj(e, "table entry").get("rep", [1]), "table entry rep")
         K = place.residue()
         rep = LocalElement.from_coeffs(
-            place, 0, tuple(K.from_int(int(c)) for c in rep_codes), exact=True)
+            place, 0, tuple(K.from_int(c) for c in rep_codes), exact=True)
         try:
-            entries.append(KirillovEntry(int(_need(e, "j", "table entry")),
-                                         int(e.get("level", 0)), rep,
+            entries.append(KirillovEntry(_int(_need(e, "j", "table entry"), "j"),
+                                         _int(e.get("level", 0), "level"), rep,
                                          decode_local_number(_need(e, "value", "table entry"), cfg)))
         except ValueError as exc:
             raise InputError(str(exc)) from exc
@@ -271,7 +284,7 @@ def decode_spec(obj, ground: GroundField, cfg: FieldConfig) -> GlobalWhittakerSp
     for deg, pair in _obj(obj.get("default_rule", {}), "default_rule").items():
         if len(_list(pair, "default rule entry")) != 2:
             raise InputError("default rule entries are pairs")
-        rule.append((int(deg), tuple(decode_local_number(m, cfg) for m in pair)))
+        rule.append((_int(deg, "degree"), tuple(decode_local_number(m, cfg) for m in pair)))
     w = decode_place(obj["w"], ground) if obj.get("w") else None
     try:
         spec = GlobalWhittakerSpec(ground, cfg, tuple(explicit), tuple(rule), w)
@@ -293,11 +306,12 @@ def decode_point(obj, ground: GroundField) -> MirabolicPoint:
              else LocalElement.exact_zero(place))
         if x.place != place:
             raise InputError("point x-component at the wrong place")
-        a = _list(rec.get("a", [0, 0]), "torus exponents")
+        a = _ints(rec.get("a", [0, 0]), "torus exponents")
         if len(a) != 2:
             raise InputError("torus exponents are a pair")
-        entries.append((place, x, int(a[0]), int(a[1])))
-    central = [(decode_place(pl, ground), int(c)) for pl, c in obj.get("central", [])]
+        entries.append((place, x, a[0], a[1]))
+    central = [(decode_place(pl, ground), _int(c, "central exponent"))
+               for pl, c in obj.get("central", [])]
     try:
         return MirabolicPoint(ground, tuple(entries), tuple(central))
     except ValueError as exc:
@@ -307,7 +321,7 @@ def decode_point(obj, ground: GroundField) -> MirabolicPoint:
 def decode_character_family(obj, ground: GroundField, cfg: FieldConfig) -> CharacterFamily:
     _obj(obj, "character family")
     S = tuple(decode_place(pl, ground) for pl in obj.get("S", []))
-    by_degree = tuple((int(d), decode_local_number(v, cfg))
+    by_degree = tuple((_int(d, "by_degree key"), decode_local_number(v, cfg))
                       for d, v in _obj(obj.get("by_degree", {}), "by_degree").items())
     explicit = []
     for rec in _list(obj.get("explicit", []), "character records"):

@@ -256,9 +256,6 @@ class LocalNumber:
     def is_integral(self) -> bool:
         return self.is_zero or self.v >= 0
 
-    def is_unit(self) -> bool:
-        return not self.is_zero and self.v == 0
-
     def reduce(self) -> Residue:
         """Image in the residue field; requires valuation >= 0."""
         if not self.is_zero and self.v < 0:

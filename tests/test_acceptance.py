@@ -5,8 +5,10 @@ asserts both the mathematical content and the wall-clock budget.
 """
 
 import itertools
+import json
 import random
 import time
+from pathlib import Path
 
 from elladic.function_field import (Divisor, GroundField, LocalElement,
                                     PsiTarget, enumerate_places, expand_at,
@@ -331,6 +333,8 @@ def test_criterion_10_end_to_end_pipeline():
     assert len(samples) == 50
     rep = congruence_pipeline(spec1, spec2, samples, sq, target)
     assert rep.ok, [p for p in rep.points if not p.ok][:3]
+    golden = Path(__file__).parent / "golden" / "criterion10.json"
+    assert json.dumps(rep.to_dict(), indent=1) + "\n" == golden.read_text()
     report(10, "end-to-end congruence pipeline", started, 120)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -68,12 +69,24 @@ VALID_REQUESTS = [
     (("expand", "--p", "2"), EXPAND),
     (("pipeline",), PIPE_INPUT),
 ]
+# tests/golden/cli-<name>.json holds the recorded stdout of each request
+VALID_NAMES = ["satake-pair", "satake-integral", "whittaker", "congruence", "rr",
+               "psi", "index", "expand", "pipeline"]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.mark.parametrize("prefix, data", VALID_REQUESTS, ids=VALID_NAMES)
+def test_valid_request_output_is_golden(capsys, request, prefix, data):
+    """Every valid request prints exactly its recorded bytes."""
+    _, out = run(capsys, *prefix, "--input", json.dumps(data))
+    name = request.node.callspec.id
+    assert out == (GOLDEN / f"cli-{name}.json").read_text(), name
 
 
 def test_satake_congruent_pair_exits_zero(capsys):
@@ -295,11 +308,18 @@ def replaced(obj, path, value):
     (["pipeline", "--input", json.dumps(replaced(
         PIPE_INPUT, ("spec2", "places", 0, "datum", "unramified", "mu", 0, "unit_digits"), 5))],
      "pipeline", "InputError"),
+    (["satake", "--input", json.dumps({"field": {"ell": None}, "params": []})],
+     "satake", "InputError"),
+    (["whittaker", "--input", json.dumps(replaced(WHITTAKER, ("weights", 0), [None, 0]))],
+     "whittaker", "InputError"),
+    (["expand", "--p", "2", "--input", json.dumps(replaced(EXPAND, ("precision",), [4]))],
+     "expand", "InputError"),
     (["rr", "--p", "x"], None, "InputError"),
     (["frobnicate", "--p", "2"], None, "InputError"),
 ], ids=["zero-denominator", "table-entry-5", "place-record-3", "default-rule-list",
         "sample-point-5", "unit-values-entry-5", "psi-item-5", "weight-5", "mu-5",
-        "params-5", "finite-place-5", "unit-digits-5", "bad-flag-value", "unknown-command"])
+        "params-5", "finite-place-5", "unit-digits-5", "ell-null", "weight-entry-null",
+        "precision-list", "bad-flag-value", "unknown-command"])
 def test_malformed_request_exits_two(capsys, argv, command, error):
     """Malformed input or command line: exit 2 and a JSON record whose
     command is null when the command line did not parse."""

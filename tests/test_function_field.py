@@ -343,7 +343,46 @@ def test_weak_approx_with_zero_targets():
     assert (y - G2.constant(1)).ord_at(inf) >= 2
 
 
+def span_by_fold(ground, basis):
+    """The span as a fold of RationalFunction arithmetic, one basis
+    element at a time: the reference for span_nonzero."""
+    out = []
+    for code in itertools.product(range(ground.q), repeat=len(basis)):
+        if not any(code):
+            continue
+        acc = RationalFunction.make(ground, (), ground.poly((1,)))
+        for ci, b in zip(code, basis):
+            if ci:
+                acc = acc + ground.constant(ci) * b
+        out.append(acc)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("ground, max_dim", [(G2, 6), (G3, 4), (G4, 3)],
+                         ids=["F2", "F3", "F4"])
+def test_span_nonzero_matches_the_fold(rng, ground, max_dim):
+    """Same functions in the same order as the fold, for Riemann-Roch
+    bases (one denominator) and for bases with unrelated denominators."""
+    places = list(enumerate_places(ground, 2))
+    checked = 0
+    while checked < 12:
+        D = Divisor.make(ground, [(pl, rng.randrange(-2, 4))
+                                  for pl in rng.sample(places, rng.randrange(1, 4))])
+        basis = rr_space(D)
+        if len(basis) <= max_dim:
+            assert span_nonzero(ground, basis) == span_by_fold(ground, basis), D
+            checked += 1
+    for _ in range(12):
+        basis = tuple(random_rational(ground, rng, 3)
+                      for _ in range(rng.randrange(1, min(max_dim, 3) + 1)))
+        assert span_nonzero(ground, basis) == span_by_fold(ground, basis), basis
+
+
 def test_span_nonzero_cap():
     basis = rr_space(Divisor.make(G3, [(G3.infinity(), 6)]))
     with pytest.raises(TooLarge):
         span_nonzero(G3, basis, cap=100)
+    assert len(span_nonzero(G3, basis[:4], cap=81)) == 80
+    with pytest.raises(TooLarge):
+        span_nonzero(G3, basis[:4], cap=80)
+    assert span_nonzero(G3, (), cap=1) == ()
