@@ -265,6 +265,8 @@ def cmd_psi(args, data):
 def cmd_index(args, data):
     ground = resolve_ground(args, data)
     U = jsonio.decode_divisor(data.get("divisor", []), ground)
+    if any(m < 0 for _, m in U.items):
+        raise InputError("'divisor' multiplicities must be >= 0 for an index")
     idx = quotient_index(U)
     exponent = 0
     m = idx
@@ -280,6 +282,8 @@ def cmd_expand(args, data):
     r = jsonio.decode_rational(data.get("rational", {}), ground)
     place = jsonio.decode_place(data.get("place", {}), ground)
     M = jsonio._int(data.get("precision", 16), "'precision'")
+    if M < 1:
+        raise InputError("'precision' must be >= 1")
     le = expand_at(r, place, M)
     return {"rational": jsonio.encode_rational(r),
             "place": jsonio.encode_place(place),
@@ -309,9 +313,13 @@ def cmd_pipeline(args, data):
     out = rep.to_dict()
     out["sample_count"] = len(samples)
     if "central_chars" in data:
-        fam1 = jsonio.decode_character_family(data["central_chars"]["chi1"], ground, cfg)
-        fam2 = jsonio.decode_character_family(data["central_chars"]["chi2"], ground, cfg)
-        ys = [jsonio.decode_rational(y, ground) for y in data["central_chars"].get("samples", [])]
+        chars = jsonio._obj(data["central_chars"], "'central_chars'")
+        fam1 = jsonio.decode_character_family(
+            jsonio._need(chars, "chi1", "'central_chars'"), ground, cfg)
+        fam2 = jsonio.decode_character_family(
+            jsonio._need(chars, "chi2", "'central_chars'"), ground, cfg)
+        ys = [jsonio.decode_rational(y, ground)
+              for y in jsonio._list(chars.get("samples", []), "central_chars samples")]
         crep = central_char_propagate(fam1, fam2, ys)
         out["central"] = {
             "product_failures": list(crep.product_failures),

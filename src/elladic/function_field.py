@@ -131,7 +131,7 @@ class Place:
         return f"Place{tuple(F.to_int(c) for c in self.poly)}"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _residue_field(place: Place) -> ExtField:
     base = place.ground.field()
     if place.is_infinity:
@@ -482,9 +482,12 @@ def _series_quotient(K, num, den, n: int):
     return tuple(out)
 
 
+@lru_cache(maxsize=1024)
 def expand_at(r: RationalFunction, place: Place, M: int = DEFAULT_SERIES_PRECISION) -> LocalElement:
     """Laurent expansion of r at the place, with exact valuation and M
-    coefficients (or an exact tail when the expansion terminates)."""
+    coefficients (or an exact tail when the expansion terminates);
+    memoised per (r, place, M), since every gamma is expanded again at
+    each point and coset it meets."""
     if r.ground != place.ground:
         raise ConfigMismatch("rational function and place over different ground fields")
     if r.is_zero:
@@ -777,10 +780,18 @@ def psi_conductor_divisor(U: Divisor) -> Divisor:
     return Divisor.make(ground, pairs)
 
 
+@lru_cache(maxsize=64)
+def rr_nonzero(D: Divisor, cap: int) -> tuple:
+    """The nonzero elements of L(D), span_nonzero of the rr_space basis,
+    memoised per (D, cap): the gamma supports of many points share a
+    divisor."""
+    return span_nonzero(D.ground, rr_space(D), cap)
+
+
 def psi_kernel_set(U: Divisor, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple:
     """The finite set {gamma in k^x : gamma * U_v in Ker psi_v for all v},
     where U encodes the open subgroup prod p_v^{m_v}."""
-    return span_nonzero(U.ground, rr_space(psi_conductor_divisor(U)), cap)
+    return rr_nonzero(psi_conductor_divisor(U), cap)
 
 
 def quotient_index(U: Divisor) -> int:

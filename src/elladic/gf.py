@@ -181,7 +181,7 @@ def fp_deriv(F, a) -> tuple:
     return fp_trim(F, out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def fp_is_irreducible(F, f) -> bool:
     """Monic tuple f over F (order q); gcd test against X^{q^i} - X."""
     d = len(f) - 1
@@ -243,8 +243,10 @@ def fp_squarefree_parts(F, f):
     return out
 
 
-def fp_factor(F, f):
-    """Full factorization of monic f into [(monic irreducible, mult)].
+@lru_cache(maxsize=256)
+def fp_factor(F, f) -> tuple:
+    """Full factorization of the monic tuple f into ((monic irreducible,
+    mult), ...), memoised per (field, polynomial).
 
     Distinct-degree splitting plus Cantor-Zassenhaus with a deterministic
     trial sequence, so repeated runs agree.  Result sorted for stability.
@@ -253,8 +255,7 @@ def fp_factor(F, f):
     for g, mult in fp_squarefree_parts(F, f):
         for irr in _fp_factor_squarefree(F, g):
             result.append((irr, mult))
-    result.sort()
-    return result
+    return tuple(sorted(result))
 
 
 def _fp_factor_squarefree(F, f):
@@ -599,12 +600,12 @@ class GF(ExtField):
         return (pow(x[0], -1, self.p),)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def gf_field(p: int, deg: int = 1, modulus: IntPoly | None = None) -> GF:
     return GF(p, deg, modulus)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def smallest_irreducible(p: int, d: int) -> IntPoly:
     """First monic irreducible of degree d over Z/p in the fixed
     enumeration order (low coefficients vary fastest)."""

@@ -310,8 +310,11 @@ def decode_point(obj, ground: GroundField) -> MirabolicPoint:
         if len(a) != 2:
             raise InputError("torus exponents are a pair")
         entries.append((place, x, a[0], a[1]))
-    central = [(decode_place(pl, ground), _int(c, "central exponent"))
-               for pl, c in obj.get("central", [])]
+    central = []
+    for pair in _list(obj.get("central", []), "point central"):
+        if len(_list(pair, "point central entry")) != 2:
+            raise InputError("point central entries are [place, exponent] pairs")
+        central.append((decode_place(pair[0], ground), _int(pair[1], "central exponent")))
     try:
         return MirabolicPoint(ground, tuple(entries), tuple(central))
     except ValueError as exc:

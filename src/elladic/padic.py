@@ -399,7 +399,10 @@ class LocalNumber:
                      or (self.v, self.coeffs, self.prec) == (other.v, other.coeffs, other.prec)))
 
     def __hash__(self):
-        return hash((self.config, self.v if not self.is_zero else None, self.coeffs, self.prec))
+        # every exact zero is equal to every other, whatever its v and prec
+        if self.is_zero:
+            return hash((self.config, None))
+        return hash((self.config, self.v, self.coeffs, self.prec))
 
     def __repr__(self):
         if self.is_zero:
@@ -500,7 +503,7 @@ def hensel_root(f: Sequence[LocalNumber], r0: Residue) -> LocalNumber:
     return LocalNumber(cfg, s, tuple((c // shift) % mod for c in x), prec)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _pth_roots_cached(config: FieldConfig, p: int) -> tuple:
     F = config.residue_field()
     if (F.order - 1) % p != 0:

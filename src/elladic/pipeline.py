@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (ConfigMismatch, IncompleteData, NotCongruent,
                      NotIntegral, SpecMismatch, UnsupportedPoint)
@@ -34,8 +35,7 @@ from .function_field import (Adele, DEFAULT_ENUMERATION_CAP, Divisor,
                              GroundField, LocalElement, Place, PsiTarget,
                              RationalFunction, enumerate_places, expand_at,
                              coset_reps, psi_global, psi_local,
-                             quotient_index, rr_space, scale_adele,
-                             span_nonzero)
+                             quotient_index, rr_nonzero, scale_adele)
 from .padic import FieldConfig, LocalNumber, congruent_mod_m
 from .satake import SatakeParam, char_poly, congruent, is_integral
 from .whittaker import check_sqrt_q, whittaker_value
@@ -218,9 +218,17 @@ class GlobalWhittakerSpec:
                     raise ConfigMismatch("table attached to the wrong place")
             else:
                 raise TypeError("unknown datum kind")
+        # degree -> UnramifiedDatum, built once so that datum_at hands out
+        # one shared datum; an attribute, not a field, so __eq__, hash and
+        # repr are unchanged
+        defaults = {}
         for deg, pair in self.default_rule:
             if len(pair) != 2 or any(m.is_zero for m in pair):
                 raise ValueError("default rule entries must be pairs of nonzero values")
+            if deg not in defaults:
+                defaults[deg] = UnramifiedDatum(
+                    SatakeParam(2, self.ground.q ** deg, tuple(pair)))
+        object.__setattr__(self, "_defaults", defaults)
         s_places = self.S
         if self.w is not None and self.w not in s_places:
             raise ValueError("the distinguished place must be tabulated")
@@ -240,10 +248,9 @@ class GlobalWhittakerSpec:
         for pl, d in self.explicit:
             if pl == place:
                 return d
-        for deg, pair in self.default_rule:
-            if deg == place.degree:
-                S = SatakeParam(2, self.ground.q ** place.degree, tuple(pair))
-                return UnramifiedDatum(S)
+        datum = self._defaults.get(place.degree)
+        if datum is not None:
+            return datum
         raise IncompleteData(
             f"no default Satake rule for places of degree {place.degree}")
 
@@ -371,8 +378,7 @@ def gamma_support(spec: GlobalWhittakerSpec, point: MirabolicPoint,
         if bound is None:
             return ()
         pairs.append((pl, bound))
-    D = Divisor.make(spec.ground, pairs)
-    return span_nonzero(spec.ground, rr_space(D), cap)
+    return rr_nonzero(Divisor.make(spec.ground, pairs), cap)
 
 
 def _gamma_terms(specs: tuple, point: MirabolicPoint,
@@ -429,8 +435,15 @@ def _collapsed_sums(specs: tuple, point: MirabolicPoint, gammas,
     for gamma in gammas:
         for i, (coef, half) in enumerate(_gamma_terms(specs, point, gamma, target)):
             if not coef.is_zero:
-                sums[i] = sums[i] + coef * sqrt_q ** half
+                sums[i] = sums[i] + coef * _power(sqrt_q, half)
     return sums
+
+
+@lru_cache(maxsize=64)
+def _power(x: LocalNumber, e: int) -> LocalNumber:
+    """x ** e, memoised: every sum collapses through the same few powers
+    of sqrt(q), and a negative power costs an l-adic inverse."""
+    return x ** e
 
 
 def mirabolic_expand(spec: GlobalWhittakerSpec, point: MirabolicPoint,
@@ -583,10 +596,9 @@ def validate_spec_pair(spec1: GlobalWhittakerSpec, spec2: GlobalWhittakerSpec):
         _check_satake_pair(spec1.datum_at(pl).satake, spec2.datum_at(pl).satake, pl)
     degrees = {deg for deg, _ in spec1.default_rule} | {deg for deg, _ in spec2.default_rule}
     for deg in degrees:
-        q = spec1.ground.q ** deg
         try:
-            s1 = SatakeParam(2, q, dict(spec1.default_rule)[deg])
-            s2 = SatakeParam(2, q, dict(spec2.default_rule)[deg])
+            s1 = spec1._defaults[deg].satake
+            s2 = spec2._defaults[deg].satake
         except KeyError:
             raise SpecMismatch(f"default rules cover different degrees ({deg})")
         _check_satake_pair(s1, s2, f"default rule degree {deg}")

@@ -15,6 +15,7 @@ a = 0 is exactly 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (BadSquareRoot, ConfigMismatch, NotCongruent, NotIntegral,
                      TooLarge)
@@ -135,7 +136,13 @@ def _jacobi_trudi(cfg, h, e_n, a) -> LocalNumber:
 def whittaker_value(S: SatakeParam, a) -> WhittakerValue:
     """Value at the diagonal point with exponents a: zero off dominant
     weights, otherwise (s_a(mu), sum a_j (2j - n - 1))."""
-    a = _as_weight(a)
+    return _whittaker_value(S, _as_weight(a))
+
+
+@lru_cache(maxsize=256)
+def _whittaker_value(S: SatakeParam, a: Weight) -> WhittakerValue:
+    """whittaker_value on a normalized weight, memoised: the global
+    verifier asks for the same few (parameter, weight) pairs many times."""
     if len(a) != S.n:
         raise ValueError("weight length must equal the parameter rank")
     if not is_dominant(a):

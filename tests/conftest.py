@@ -1,9 +1,12 @@
 """Shared builders for the test suite; everything is seeded."""
 
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import elladic
 from elladic.errors import PrecisionLoss
 from elladic.padic import FieldConfig
 from elladic.satake import SatakeParam
@@ -21,6 +24,21 @@ def same_value(x, y) -> bool:
         return (x - y).is_zero
     except PrecisionLoss:
         return True
+
+
+def elladic_caches() -> list:
+    """Every functools cache defined in an elladic module."""
+    caches = []
+    for info in pkgutil.iter_modules(elladic.__path__):
+        module = importlib.import_module(f"elladic.{info.name}")
+        caches += [obj for obj in vars(module).values()
+                   if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__]
+    return caches
+
+
+def clear_elladic_caches():
+    for cache in elladic_caches():
+        cache.cache_clear()
 
 
 def unit_int(rng: random.Random, ell: int, depth: int = 4) -> int:

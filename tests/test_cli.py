@@ -314,12 +314,26 @@ def replaced(obj, path, value):
      "whittaker", "InputError"),
     (["expand", "--p", "2", "--input", json.dumps(replaced(EXPAND, ("precision",), [4]))],
      "expand", "InputError"),
+    (["pipeline", "--input", json.dumps(replaced(
+        PIPE_INPUT, ("samples",), [{"entries": [], "central": 5}]))],
+     "pipeline", "InputError"),
+    (["pipeline", "--input", json.dumps(replaced(
+        PIPE_INPUT, ("samples",), [{"entries": [], "central": [[{"finite": [0, 1]}]]}]))],
+     "pipeline", "InputError"),
+    (["pipeline", "--input", json.dumps({**PIPE_INPUT, "samples": [], "central_chars": 5})],
+     "pipeline", "InputError"),
+    (["index", "--p", "3", "--input", json.dumps(replaced(DIVISOR, ("divisor", 0, 1), -2))],
+     "index", "InputError"),
+    (["expand", "--p", "2", "--input", json.dumps(replaced(EXPAND, ("precision",), 0))],
+     "expand", "InputError"),
     (["rr", "--p", "x"], None, "InputError"),
     (["frobnicate", "--p", "2"], None, "InputError"),
 ], ids=["zero-denominator", "table-entry-5", "place-record-3", "default-rule-list",
         "sample-point-5", "unit-values-entry-5", "psi-item-5", "weight-5", "mu-5",
         "params-5", "finite-place-5", "unit-digits-5", "ell-null", "weight-entry-null",
-        "precision-list", "bad-flag-value", "unknown-command"])
+        "precision-list", "point-central-5", "point-central-entry-short",
+        "central-chars-5", "index-negative-multiplicity", "expand-precision-0",
+        "bad-flag-value", "unknown-command"])
 def test_malformed_request_exits_two(capsys, argv, command, error):
     """Malformed input or command line: exit 2 and a JSON record whose
     command is null when the command line did not parse."""

@@ -22,6 +22,31 @@ def test_no_assert_as_a_runtime_check():
     assert SOURCES and not found, found
 
 
+def _unbounded_cache(node) -> bool:
+    """functools.cache, or lru_cache with maxsize None."""
+    if isinstance(node, ast.ImportFrom) and node.module == "functools":
+        return any(alias.name == "cache" for alias in node.names)
+    if isinstance(node, ast.Attribute) and node.attr == "cache":
+        return isinstance(node.value, ast.Name) and node.value.id == "functools"
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "lru_cache":
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            return any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
+    return False
+
+
+def test_every_cache_is_bounded():
+    """Caches are shared for the life of the process, so each has a
+    finite maxsize."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if _unbounded_cache(node)]
+    assert SOURCES and not found, found
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps():
     """perfbench/tracing.py wraps public functions by name; a rename or a
     deletion would otherwise break only the traced benchmark run."""
@@ -29,14 +54,14 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    originals = (function_field.span_nonzero, function_field.rr_space,
+    originals = (function_field.span_nonzero, function_field.expand_at,
                  pipeline.gamma_support)
     tracer = tracing.Tracer()
     tracer.install()
     try:
         assert function_field.span_nonzero is not originals[0]
-        assert pipeline.span_nonzero is function_field.span_nonzero
+        assert pipeline.expand_at is function_field.expand_at is not originals[1]
     finally:
         tracer.remove()
-    assert (function_field.span_nonzero, function_field.rr_space,
+    assert (function_field.span_nonzero, function_field.expand_at,
             pipeline.gamma_support) == originals

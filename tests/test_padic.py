@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from elladic.errors import (ConfigMismatch, NoSimpleRoot, NotIntegral,
                             PrecisionLoss, UnsupportedDegree)
-from elladic.padic import (FieldConfig, canonical_compare, congruent_mod_m,
-                           hensel_root, pth_roots_of_unity, sqrt_unit)
+from elladic.padic import (FieldConfig, LocalNumber, canonical_compare,
+                           congruent_mod_m, hensel_root, pth_roots_of_unity,
+                           sqrt_unit)
 
 CFG5 = FieldConfig(5, precision=4)
 CFG7 = FieldConfig(7, precision=8)
@@ -236,3 +237,26 @@ def test_serialization_digit_vectors_roundtrip():
             rebuilt[j] += digit * scale
         scale *= 3
     assert tuple(rebuilt) == x.coeffs
+
+
+# exact zeros of every recorded v and prec, and units at every precision over
+# a small range, so that equal pairs with different histories are frequent
+MIXED_PRECISION = st.one_of(
+    st.builds(lambda v, prec: LocalNumber(CFG5, v, (), prec),
+              st.integers(-3, 3), st.integers(1, CFG5.precision)),
+    st.builds(lambda v, c, prec: CFG5.unit(v, (c,), prec),
+              st.integers(0, 1), st.sampled_from((1, 2, 6, 26, 126)),
+              st.integers(1, CFG5.precision)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(MIXED_PRECISION, MIXED_PRECISION)
+def test_equal_numbers_hash_equal(a, b):
+    """LocalNumbers are cache keys, so a == b must give hash(a) == hash(b)."""
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_every_exact_zero_hashes_alike():
+    a, b = LocalNumber(CFG5, 0, (), 4), LocalNumber(CFG5, 3, (), 2)
+    assert a == b and hash(a) == hash(b) == hash(CFG5.zero())

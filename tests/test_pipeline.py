@@ -20,7 +20,7 @@ from elladic.pipeline import (CharacterFamily, GlobalWhittakerSpec,
                               whittaker_at)
 from elladic.pipeline import _gamma_term
 from elladic.satake import SatakeParam
-from conftest import random_unit
+from conftest import clear_elladic_caches, random_unit
 
 G2 = GroundField(2)
 CFG = FieldConfig(7, precision=12)
@@ -282,7 +282,7 @@ def test_pipeline_congruence(rng, target, sqrt2):
 
 def test_pipeline_pair_shares_geometry(rng, target, sqrt2, monkeypatch):
     """The pair costs one gamma support per point and the expansions of
-    one spec, not two."""
+    one spec, not two, with cold caches and with warm ones alike."""
     spec1, spec2 = build_spec_pair(rng)
     samples = default_sample_points(G2, seed=3, count=4)
     calls = Counter()
@@ -293,16 +293,25 @@ def test_pipeline_pair_shares_geometry(rng, target, sqrt2, monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
+    def counts():
+        """Calls made by the pair, then by spec1 alone."""
+        calls.clear()
+        congruence_pipeline(spec1, spec2, samples, sqrt2, target)
+        pair = dict(calls)
+        calls.clear()
+        for point in samples:
+            whittaker_at(spec1, point, sqrt2, target)
+            mirabolic_expand(spec1, point, sqrt2, target)
+        return pair, dict(calls)
+
     for name in ("gamma_support", "expand_at"):
         monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
-    congruence_pipeline(spec1, spec2, samples, sqrt2, target)
-    pair = dict(calls)
-    calls.clear()
-    for point in samples:
-        whittaker_at(spec1, point, sqrt2, target)
-        mirabolic_expand(spec1, point, sqrt2, target)
+    clear_elladic_caches()
+    cold = counts()
+    assert counts() == cold
+    pair, single = cold
     assert pair["gamma_support"] == len(samples)
-    assert pair["expand_at"] == calls["expand_at"] > 0
+    assert pair["expand_at"] == single["expand_at"] > 0
 
 
 def test_pipeline_identical_specs(rng, target, sqrt2):
