@@ -174,7 +174,9 @@ def cmd_satake(args, data):
 def cmd_whittaker(args, data):
     cfg = resolve_field(args, data)
     params = jsonio._list(data.get("params", []), "'params'")
-    if len(params) >= 2:
+    if len(params) > 2:
+        raise InputError("'params' must list one or two Satake parameters")
+    if len(params) == 2:
         return _whittaker_pair(args, data, cfg, params)
     obj = data.get("param") or (params[0] if params else None)
     if obj is None:
@@ -202,9 +204,11 @@ def cmd_whittaker(args, data):
 
 
 def _whittaker_pair(args, data, cfg, params):
+    bound = args.bound if args.bound is not None else jsonio._int(data.get("bound", 2), "'bound'")
+    if bound < 0:
+        raise InputError("'bound' must be >= 0")
     S1 = jsonio.decode_satake(params[0], cfg)
     S2 = jsonio.decode_satake(params[1], cfg)
-    bound = args.bound if args.bound is not None else jsonio._int(data.get("bound", 2), "'bound'")
     try:
         rep = check_congruence(S1, S2, bound)
     except (NotIntegral, NotCongruent) as exc:

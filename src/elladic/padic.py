@@ -15,7 +15,8 @@ Precision policy:
   same certified precision (x + (-x), x - x, or two independently built
   copies of the same digits);
 * any other cancellation of all certified digits raises PrecisionLoss;
-  nothing is ever silently flushed to zero.
+  nothing is ever silently flushed to zero.  certified_sum applies this
+  to the total of a sum, not to its partial sums.
 
 All values are immutable; every operation is a pure function, so values
 can be shared freely across threads or tasks.
@@ -412,6 +413,37 @@ class LocalNumber:
                     f" + O({self.config.ell}^{self.v + self.prec}))")
         return (f"LocalNumber({self.config.ell}^{self.v} * {self.coeffs}"
                 f" + O({self.config.ell}^{self.v + self.prec}))")
+
+
+def certified_sum(config: FieldConfig, terms: list) -> LocalNumber:
+    """terms[0] + terms[1] + ..., certified once at the end.
+
+    The chained + comes first, so the total is digit for digit that of the
+    chain whenever the chain returns.  When a partial sum cancels all its
+    certified digits, the total is computed again in one step from every
+    term, to the least absolute precision among them, and PrecisionLoss is
+    raised only when that total cancels as well.
+    """
+    try:
+        return sum(terms, config.zero())
+    except PrecisionLoss:
+        pass
+    terms = [t for t in terms if not t.is_zero]
+    ell = config.ell
+    top = min(t.v + t.prec for t in terms)
+    base = min(t.v for t in terms)
+    rel = top - base
+    summed = [0] * config.d
+    for t in terms:
+        scale = ell ** (t.v - base)
+        for j, c in enumerate(t.coeffs):
+            summed[j] += c * scale
+    summed = [c % ell ** rel for c in summed]
+    if not any(summed):
+        raise PrecisionLoss(f"cancellation below l^{top}: sum not certifiably nonzero")
+    s = min(_int_val(c, ell, rel) for c in summed)
+    return LocalNumber(config, base + s, tuple((c // ell ** s) % ell ** (rel - s) for c in summed),
+                       rel - s)
 
 
 def _int_val(n: int, ell: int, cap: int) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigMismatch, NoMatching, NotIntegral
 from .gf import prime_power_decomposition
-from .padic import FieldConfig, LocalNumber
+from .padic import FieldConfig, LocalNumber, certified_sum
 
 
 @dataclass(frozen=True)
@@ -155,14 +155,12 @@ def complete_homogeneous(S: SatakeParam, k: int) -> LocalNumber:
 
 
 def complete_homogeneous_table(S: SatakeParam, kmax: int) -> list:
-    """[h_0, ..., h_kmax]; h_k = sum_{i=1..min(k,n)} (-1)^{i-1} e_i h_{k-i}."""
+    """[h_0, ..., h_kmax]; h_k = sum_{i=1..min(k,n)} (-1)^{i-1} e_i h_{k-i},
+    each a certified_sum, since its partial sums can cancel exactly."""
     cfg = S.config
     e = elementary_symmetric_all(S)
     h = [cfg.one()]
     for k in range(1, kmax + 1):
-        acc = cfg.zero()
-        for i in range(1, min(k, S.n) + 1):
-            term = e[i] * h[k - i]
-            acc = acc + term if i % 2 else acc - term
-        h.append(acc)
+        h.append(certified_sum(cfg, [e[i] * h[k - i] if i % 2 else -(e[i] * h[k - i])
+                                     for i in range(1, min(k, S.n) + 1)]))
     return h

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .errors import (BadSquareRoot, ConfigMismatch, NotCongruent, NotIntegral,
                      TooLarge)
-from .padic import LocalNumber
+from .padic import LocalNumber, certified_sum
 from .satake import (SatakeParam, char_poly, complete_homogeneous_table,
                      congruent, elementary_symmetric_all, is_integral)
 
@@ -108,29 +109,45 @@ def schur_value(S: SatakeParam, a) -> LocalNumber:
         raise ValueError("weight length must equal the parameter rank")
     if not is_dominant(a):
         raise ValueError("schur_value requires a dominant weight")
-    c = a[n - 1]
-    h = complete_homogeneous_table(S, a[0] - c + n - 1)
-    e_n = elementary_symmetric_all(S)[n] if c else None
-    return _jacobi_trudi(S.config, h, e_n, a)
+    return _schur_evaluator(S, a[0] - a[n - 1] + n - 1)(a.a)
 
 
-def _jacobi_trudi(cfg, h, e_n, a) -> LocalNumber:
-    """s_a from the table h = [h_0, h_1, ...] and e_n = prod mu_i: the
-    determinant det(h_{lambda_i - i + j}) of the partition lambda = a - c,
-    times e_n^c with c the last entry of a (e_n is unused when c = 0)."""
-    n = len(a)
-    c = a[n - 1]
-    lam = [a[i] - c for i in range(n)]
-    zero = cfg.zero()
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            idx = lam[i] - (i + 1) + (j + 1)
-            row.append(h[idx] if idx >= 0 else zero)
-        rows.append(row)
-    det = _det(cfg, rows)
-    return det if c == 0 else det * e_n ** c
+def _schur_evaluator(S: SatakeParam, kmax: int):
+    """schur_value of S as a function of dominant a with a_1 - a_n + n - 1
+    <= kmax.  The h table, e_n, each power of e_n and each minor (see
+    _minor) are computed once, shared by the weights it is called on."""
+    n = S.n
+    h = complete_homogeneous_table(S, kmax)
+    e_n = elementary_symmetric_all(S)[n]
+    minors, powers = {}, {}
+
+    def value(a):
+        c = a[n - 1]
+        d = _minor(h, minors, tuple(a[i] - c - i for i in range(n)))
+        if c == 0:
+            return d
+        if c not in powers:
+            powers[c] = e_n ** c
+        return d * powers[c]
+
+    return value
+
+
+def _minor(h, minors, starts):
+    """det(h_{s_i + j}) for row starts s_i, zero below h_0: _det's
+    first-column expansion memoised in minors, each alternating sum a
+    certified_sum (so _det's digits wherever _det returns).  A module
+    function, not a closure, so a finished sweep leaves no reference cycle."""
+    if len(starts) == 1:
+        return h[starts[0]] if starts[0] >= 0 else h[0].config.zero()
+    if starts not in minors:
+        terms = []
+        for i, s in enumerate(starts):
+            if s >= 0 and not h[s].is_zero:
+                term = h[s] * _minor(h, minors, tuple(t + 1 for t in starts[:i] + starts[i + 1:]))
+                terms.append(term if i % 2 == 0 else -term)
+        minors[starts] = certified_sum(h[0].config, terms)
+    return minors[starts]
 
 
 def whittaker_value(S: SatakeParam, a) -> WhittakerValue:
@@ -203,16 +220,12 @@ def schur_oracle(S: SatakeParam, a) -> LocalNumber:
     if sum(lam) > ORACLE_MAX_WEIGHT:
         raise TooLarge(f"oracle limited to |shape| <= {ORACLE_MAX_WEIGHT}")
     cfg = S.config
-    rows = [r for r in lam if r > 0]
     total = cfg.zero()
-    if not rows:
-        total = cfg.one()
-    else:
-        for filling in _ssyt_fillings(rows, n):
-            term = cfg.one()
-            for entry in filling:
-                term = term * S.mu[entry - 1]
-            total = total + term
+    for filling in _ssyt_fillings([r for r in lam if r > 0], n):
+        term = cfg.one()
+        for entry in filling:
+            term = term * S.mu[entry - 1]
+        total = total + term
     if c == 0:
         return total
     e_n = elementary_symmetric_all(S)[n]
@@ -280,17 +293,7 @@ class CongruenceReport:
 def dominant_weights(n: int, bound: int):
     """All non-increasing integer vectors of length n with entries in
     [-bound, bound], in lexicographic order."""
-
-    def rec(prefix, lo_allowed):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        hi = prefix[-1] if prefix else bound
-        for x in range(-bound, hi + 1):
-            yield from rec(prefix + [x], lo_allowed)
-
-    ordered = sorted(rec([], -bound))
-    return ordered
+    return sorted(c[::-1] for c in combinations_with_replacement(range(-bound, bound + 1), n))
 
 
 def check_congruence(S1: SatakeParam, S2: SatakeParam, bound: int) -> CongruenceReport:
@@ -298,10 +301,13 @@ def check_congruence(S1: SatakeParam, S2: SatakeParam, bound: int) -> Congruence
     box [-bound, bound]^n.
 
     Preconditions: equal rank and q, both characteristic polynomials
-    integral with equal reductions.  For each weight the checker demands
-    integral coefficients on both sides, equal q-half-exponents and equal
-    residues; any failure is recorded as a violation.
+    integral with equal reductions, and bound >= 0.  For each weight the
+    checker demands integral coefficients on both sides, equal
+    q-half-exponents and equal residues; any failure is recorded as a
+    violation.
     """
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
     if S1.config != S2.config:
         raise ConfigMismatch("parameters use different configurations")
     if S1.n != S2.n or S1.q != S2.q:
@@ -313,26 +319,19 @@ def check_congruence(S1: SatakeParam, S2: SatakeParam, bound: int) -> Congruence
         raise NotCongruent("characteristic polynomials have different reductions")
 
     n = S1.n
-    hmax = 2 * bound + n - 1
-    h1 = complete_homogeneous_table(S1, hmax)
-    h2 = complete_homogeneous_table(S2, hmax)
-    e1 = elementary_symmetric_all(S1)[n]
-    e2 = elementary_symmetric_all(S2)[n]
-    cfg = S1.config
+    kmax = 2 * bound + n - 1
+    schur1, schur2 = _schur_evaluator(S1, kmax), _schur_evaluator(S2, kmax)
 
+    weights = dominant_weights(n, bound)
     violations = []
-    checked = 0
-    for a in dominant_weights(n, bound):
-        checked += 1
+    for a in weights:
         m = half_exponent(Weight(a))
-        c1 = _jacobi_trudi(cfg, h1, e1, a)
-        c2 = _jacobi_trudi(cfg, h2, e2, a)
+        c1, c2 = schur1(a), schur2(a)
         v1, v2 = c1.valuation(), c2.valuation()
         if v1 < 0 or v2 < 0:
             violations.append(Violation(a, "non-integral",
                                         f"valuations {v1}, {v2}"))
-            continue
-        if c1.reduce() != c2.reduce():
+        elif c1.reduce() != c2.reduce():
             violations.append(Violation(a, "residue-mismatch",
                                         f"{c1.reduce()} vs {c2.reduce()} at m={m}"))
-    return CongruenceReport(checked, tuple(violations))
+    return CongruenceReport(len(weights), tuple(violations))

@@ -326,6 +326,13 @@ def replaced(obj, path, value):
      "index", "InputError"),
     (["expand", "--p", "2", "--input", json.dumps(replaced(EXPAND, ("precision",), 0))],
      "expand", "InputError"),
+    (["congruence", "--bound", "-1", "--input", json.dumps(CONGRUENCE)],
+     "congruence", "InputError"),
+    (["whittaker", "--input", json.dumps({**CONGRUENCE, "bound": -2})],
+     "whittaker", "InputError"),
+    (["whittaker", "--input", json.dumps(replaced(
+        CONGRUENCE, ("params",), CONGRUENCE["params"] + [{"q": 3, "mu": [4, 4]}]))],
+     "whittaker", "InputError"),
     (["rr", "--p", "x"], None, "InputError"),
     (["frobnicate", "--p", "2"], None, "InputError"),
 ], ids=["zero-denominator", "table-entry-5", "place-record-3", "default-rule-list",
@@ -333,6 +340,7 @@ def replaced(obj, path, value):
         "params-5", "finite-place-5", "unit-digits-5", "ell-null", "weight-entry-null",
         "precision-list", "point-central-5", "point-central-entry-short",
         "central-chars-5", "index-negative-multiplicity", "expand-precision-0",
+        "congruence-bound-negative", "whittaker-bound-negative", "whittaker-params-3",
         "bad-flag-value", "unknown-command"])
 def test_malformed_request_exits_two(capsys, argv, command, error):
     """Malformed input or command line: exit 2 and a JSON record whose

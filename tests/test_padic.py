@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from elladic.errors import (ConfigMismatch, NoSimpleRoot, NotIntegral,
                             PrecisionLoss, UnsupportedDegree)
 from elladic.padic import (FieldConfig, LocalNumber, canonical_compare,
-                           congruent_mod_m, hensel_root, pth_roots_of_unity,
-                           sqrt_unit)
+                           certified_sum, congruent_mod_m, hensel_root,
+                           pth_roots_of_unity, sqrt_unit)
 
 CFG5 = FieldConfig(5, precision=4)
 CFG7 = FieldConfig(7, precision=8)
@@ -105,6 +105,48 @@ def test_sum_hitting_the_cap_raises_cleanly():
     # the inputs certify only four, so no digit of the result is provable
     with pytest.raises(PrecisionLoss):
         (CFG5.integer(1) + CFG5.integer(234)) + CFG5.integer(390)
+
+
+def test_certified_sum_carries_an_exact_cancellation():
+    # 1 + (-1 known mod 5^2) cancels all certified digits; the next term
+    # is then known mod 5^2 only, and the total is certified
+    terms = [CFG5.integer(1), CFG5.unit(0, (24,), prec=2), CFG5.integer(6)]
+    with pytest.raises(PrecisionLoss):
+        terms[0] + terms[1]
+    total = certified_sum(CFG5, terms)
+    assert (total.v, total.coeffs, total.prec) == (0, (6,), 2)
+    with pytest.raises(PrecisionLoss):
+        certified_sum(CFG5, terms[:2] + [CFG5.integer(25)])
+
+
+# units of both signs at every precision, so that partial sums cancel,
+# exactly and across precisions
+SUMMANDS = st.lists(st.builds(lambda v, c, prec: CFG5.unit(v, (c,), prec),
+                              st.integers(0, 2), st.sampled_from((1, 6, 24, 26, 599, 601, 624)),
+                              st.integers(1, CFG5.precision)), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SUMMANDS)
+def test_certified_sum_is_the_chained_sum_or_certifies_it(terms):
+    """Where chained + returns, certified_sum gives it digit for digit;
+    where a partial sum cancels, it raises PrecisionLoss or returns a value
+    that the exact sum of the terms' digits agrees with."""
+    try:
+        chained = sum(terms, CFG5.zero())
+    except PrecisionLoss:
+        chained = None
+    try:
+        total = certified_sum(CFG5, terms)
+    except PrecisionLoss:
+        assert chained is None
+        return
+    if chained is not None:
+        assert total.coeffs == chained.coeffs
+        assert total.is_zero or (total.v, total.prec) == (chained.v, chained.prec)
+    elif not total.is_zero:
+        exact = sum(5 ** t.v * t.coeffs[0] for t in terms)
+        assert (exact - 5 ** total.v * total.coeffs[0]) % 5 ** (total.v + total.prec) == 0
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,12 +1,14 @@
 import itertools
+import math
 
 import pytest
 
 from elladic.errors import ConfigMismatch, NoMatching, NotIntegral
 from elladic.padic import FieldConfig
 from elladic.satake import (SatakeParam, char_poly, complete_homogeneous,
-                            congruent, elementary_symmetric, is_integral,
-                            match_residues, reduce_char_poly)
+                            complete_homogeneous_table, congruent,
+                            elementary_symmetric, is_integral, match_residues,
+                            reduce_char_poly)
 from conftest import random_unit
 
 CFG5 = FieldConfig(5, precision=8)
@@ -111,6 +113,19 @@ def test_complete_homogeneous_examples():
     assert complete_homogeneous(ones, 2) == CFG5.integer(3)
     s = S(CFG5, 3, 3, 2)
     assert complete_homogeneous(s, 1) == elementary_symmetric(s, 1)
+
+
+def test_complete_homogeneous_certifies_a_cancelling_partial_sum():
+    # entries 2, 3, 21, 24 at four digits: a partial sum of the recurrence
+    # cancels all its digits, yet every h_k agrees with the exact sum of
+    # monomials to the precision it claims, valuation included
+    cfg = FieldConfig(5, precision=4)
+    xs = (2, 3, 21, 24)
+    h = complete_homogeneous_table(SatakeParam(4, 2, tuple(cfg.integer(x) for x in xs)), 5)
+    for k, x in enumerate(h):
+        exact = sum(math.prod(c) for c in itertools.combinations_with_replacement(xs, k))
+        assert exact % 5 ** x.v == 0 and exact // 5 ** x.v % 5 != 0
+        assert (exact - 5 ** x.v * x.coeffs[0]) % 5 ** (x.v + x.prec) == 0
 
 
 def test_complete_homogeneous_against_monomial_oracle(rng):

@@ -1,10 +1,17 @@
+from fractions import Fraction
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elladic.errors import (BadSquareRoot, ConfigMismatch, NotCongruent,
-                            NotIntegral, TooLarge)
+                            NotIntegral, PrecisionLoss, TooLarge)
 from elladic.padic import FieldConfig, sqrt_unit
-from elladic.satake import SatakeParam, elementary_symmetric
-from elladic.whittaker import (Weight, WhittakerValue, check_congruence,
+from elladic.satake import (SatakeParam, complete_homogeneous_table,
+                            elementary_symmetric, elementary_symmetric_all)
+from elladic.whittaker import (CongruenceReport, Violation, Weight, WhittakerValue,
+                               _det, _schur_evaluator, check_congruence,
                                collapse, dominant_weights, half_exponent,
                                is_dominant, schur_bialternant, schur_oracle,
                                schur_value, whittaker_value)
@@ -12,6 +19,8 @@ from conftest import perturbed_pair, random_unit_satake, same_value
 
 CFG7 = FieldConfig(7, precision=8)
 CFG5 = FieldConfig(5, precision=8)
+CONFIGS = {(ell, d): FieldConfig(ell, d=d, precision=8)
+           for ell in (3, 5, 7, 11) for d in (1, 2)}
 
 
 def S(cfg, q, *mu_ints):
@@ -154,10 +163,179 @@ def test_integrality_of_all_values_for_unit_parameters(rng):
         assert w.is_zero or w.coef.valuation() >= 0
 
 
+def brute_dominant(n, bound):
+    """The dominant weights of the box, filtered from every vector of it."""
+    return [a for a in product(range(-bound, bound + 1), repeat=n)
+            if is_dominant(Weight(a))]
+
+
 def test_dominant_weights_enumeration():
     ws = dominant_weights(2, 1)
     assert ws == [(-1, -1), (0, -1), (0, 0), (1, -1), (1, 0), (1, 1)]
     assert len(dominant_weights(4, 4)) == 495
+    for n in range(1, 5):
+        for bound in range(5):
+            assert dominant_weights(n, bound) == brute_dominant(n, bound)
+
+
+# ---------------------------------------------------------------------------
+# the shared Schur table against the per-weight Jacobi-Trudi path
+# ---------------------------------------------------------------------------
+
+def reference_schur(S, h, a):
+    """s_a(mu) one weight at a time: the explicit Jacobi-Trudi rows
+    h_{lambda_i - i + j} (zero below h_0) of lambda = a - c through the
+    cofactor determinant _det, times e_n ** c with c the last entry."""
+    n, c = S.n, a[-1]
+    zero = S.config.zero()
+    rows = [[h[a[i] - c - i + j] if a[i] - c - i + j >= 0 else zero
+             for j in range(n)] for i in range(n)]
+    det = _det(S.config, rows)
+    return det if c == 0 else det * elementary_symmetric_all(S)[n] ** c
+
+
+def reference_schur_value(S, a):
+    return reference_schur(S, complete_homogeneous_table(S, a[0] - a[-1] + S.n - 1), a)
+
+
+def reference_sweep(S1, S2, bound):
+    """check_congruence's report over the per-weight path, as a dict."""
+    n = S1.n
+    tables = [complete_homogeneous_table(S, 2 * bound + n - 1) for S in (S1, S2)]
+    weights = brute_dominant(n, bound)
+    violations = []
+    for a in weights:
+        m = half_exponent(Weight(a))
+        c1, c2 = (reference_schur(S, h, a) for S, h in zip((S1, S2), tables))
+        v1, v2 = c1.valuation(), c2.valuation()
+        if v1 < 0 or v2 < 0:
+            violations.append(Violation(a, "non-integral", f"valuations {v1}, {v2}"))
+        elif c1.reduce() != c2.reduce():
+            violations.append(Violation(a, "residue-mismatch",
+                                        f"{c1.reduce()} vs {c2.reduce()} at m={m}"))
+    return CongruenceReport(len(weights), tuple(violations)).to_dict()
+
+
+def outcome(f, *args):
+    """(v, coeffs, prec) of f(*args), "zero" for an exact zero, or the
+    name of the precision error it raised."""
+    try:
+        x = f(*args)
+    except PrecisionLoss as exc:
+        return type(exc).__name__
+    return "zero" if x.is_zero else (x.v, x.coeffs, x.prec)
+
+
+def _det_exact(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** i * row[0] * _det_exact([r[1:] for j, r in enumerate(rows) if j != i])
+               for i, row in enumerate(rows))
+
+
+def exact_schur(S, a):
+    """s_a of the entries' digits read as rationals (d = 1): Jacobi-Trudi
+    over Fraction, where nothing cancels below a precision."""
+    ell, n, c = S.config.ell, S.n, a[-1]
+    e = [Fraction(1)]
+    for m in S.mu:
+        x = Fraction(ell) ** m.v * m.coeffs[0]
+        e = [(e[r] if r < len(e) else 0) + (x * e[r - 1] if r else 0) for r in range(len(e) + 1)]
+    h = [Fraction(1)]
+    for k in range(1, a[0] - c + n):
+        h.append(sum((-1) ** (i - 1) * e[i] * h[k - i] for i in range(1, min(k, n) + 1)))
+    rows = [[h[a[i] - c - i + j] if a[i] - c - i + j >= 0 else 0 for j in range(n)]
+            for i in range(n)]
+    return _det_exact(rows) * e[n] ** c
+
+
+def certifies(x, exact, ell):
+    """The nonzero x agrees with the rational exact to x's absolute precision."""
+    diff = exact - Fraction(ell) ** x.v * x.coeffs[0]
+    v = 0
+    while diff and diff.numerator % ell == 0:
+        diff /= ell
+        v += 1
+    while diff and diff.denominator % ell == 0:
+        diff *= ell
+        v -= 1
+    return not diff or v >= x.v + x.prec
+
+
+def matches_reference(f, S, a, want):
+    """f(a) has the per-weight outcome want.  Where want is a PrecisionLoss
+    from a partial sum that cancels exactly, f may return a value instead
+    (see padic.certified_sum), which must agree with exact arithmetic
+    (checked for d = 1)."""
+    got = outcome(f, a)
+    if want != "PrecisionLoss" or got == "PrecisionLoss":
+        return got == want
+    return S.config.d > 1 or (got != "zero" and certifies(f(a), exact_schur(S, a), S.config.ell))
+
+
+ENTRY_KINDS = ("unit", "shared-residue", "reduced-prec", "valuation")
+
+
+@st.composite
+def satake_boxes(draw):
+    """(S, bound) with rank 1..4 and bound 0..4 over Q_{l^d}, l in
+    3, 5, 7, 11 and d in 1, 2.  Each entry is a random unit, a unit with
+    the residue that all such entries share, a unit of reduced precision,
+    or an element of nonzero valuation."""
+    cfg = CONFIGS[draw(st.sampled_from(sorted(CONFIGS)))]
+    ell, d = cfg.ell, cfg.d
+    digits = st.lists(st.integers(0, ell ** cfg.precision - 1), min_size=d, max_size=d)
+    residue = draw(st.lists(st.integers(0, ell - 1), min_size=d, max_size=d)
+                   .filter(any))
+
+    def entry(kind):
+        coeffs = draw(digits)
+        if kind == "shared-residue":
+            coeffs = [r + ell * x for r, x in zip(residue, coeffs)]
+        elif not any(x % ell for x in coeffs):
+            coeffs[0] += 1
+        prec = draw(st.integers(1, cfg.precision)) if kind == "reduced-prec" else None
+        v = draw(st.sampled_from((-2, -1, 1, 2))) if kind == "valuation" else 0
+        return cfg.unit(v, coeffs, prec)
+
+    n = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(ENTRY_KINDS), min_size=n, max_size=n))
+    q = draw(st.sampled_from([q for q in (2, 3, 4, 5) if q % ell]))
+    return SatakeParam(n, q, tuple(entry(k) for k in kinds)), draw(st.integers(0, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(satake_boxes())
+def test_schur_table_is_the_per_weight_path_digit_for_digit(box):
+    """Every weight of the box gets the same (v, coeffs, prec), or the same
+    exact zero, from the shared table of the sweep and from schur_value as
+    from the per-weight path, wherever that path returns."""
+    S, bound = box
+    weights = brute_dominant(S.n, bound)
+    for a in weights:
+        assert matches_reference(lambda a: schur_value(S, a), S, a,
+                                 outcome(reference_schur_value, S, a))
+    kmax = 2 * bound + S.n - 1
+    try:
+        h = complete_homogeneous_table(S, kmax)
+    except PrecisionLoss:
+        with pytest.raises(PrecisionLoss):
+            _schur_evaluator(S, kmax)
+        return
+    table = _schur_evaluator(S, kmax)
+    for a in weights:
+        assert matches_reference(table, S, a, outcome(reference_schur, S, h, a))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(CONFIGS)), st.integers(1, 4), st.integers(0, 4),
+       st.randoms(use_true_random=False))
+def test_congruent_pairs_pass_as_in_the_per_weight_sweep(key, n, bound, rng):
+    cfg = CONFIGS[key]
+    s1, s2 = perturbed_pair(cfg, rng, n, rng.choice([q for q in (2, 3, 4, 5) if q % cfg.ell]))
+    rep = check_congruence(s1, s2, bound)
+    assert rep.ok
+    assert rep.to_dict() == reference_sweep(s1, s2, bound)
 
 
 def test_check_congruence_self():
@@ -182,6 +360,8 @@ def test_check_congruence_preconditions():
     bad = SatakeParam(2, 3, (CFG5.ell_power(-1), CFG5.one()))
     with pytest.raises(NotIntegral):
         check_congruence(bad, bad, 2)
+    with pytest.raises(ValueError):
+        check_congruence(s1, s1, -1)
 
 
 def test_check_congruence_flags_nonunit_boundary():
@@ -194,6 +374,21 @@ def test_check_congruence_flags_nonunit_boundary():
     kinds = {v.kind for v in rep.violations}
     assert kinds == {"non-integral"}
     assert all(v.weight[-1] < 0 for v in rep.violations)
+
+
+def test_coinciding_entries_keep_the_sweep_certified():
+    # four equal entries: expanding s_(6,6,2,0), two terms are equal in
+    # value but recorded at different precisions, so their partial sum
+    # cancels exactly and the per-weight path raises; the determinant is
+    # 3^3 times a unit, and the shared table certifies it
+    cfg = FieldConfig(3, precision=16)
+    s1, s2 = S(cfg, 5, 17, 17, 17, 17), S(cfg, 5, 272, 119, 731, 731)
+    a = (2, 2, -2, -4)
+    with pytest.raises(PrecisionLoss):
+        reference_schur_value(s1, a)
+    got = schur_value(s1, a)
+    assert got.v == 3 and certifies(got, exact_schur(s1, a), 3)
+    assert check_congruence(s1, s2, 4).ok
 
 
 def test_check_congruence_random_pairs(rng):
