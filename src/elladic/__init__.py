@@ -12,4 +12,4 @@ Subpackages:
 
 __version__ = "0.1.0"
 
-from .padic import FieldConfig, LocalNumber, Residue  # noqa: F401
+from .padic import FieldConfig, LocalNumber  # noqa: F401

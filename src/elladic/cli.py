@@ -177,6 +177,8 @@ def cmd_whittaker(args, data):
     if len(params) > 2:
         raise InputError("'params' must list one or two Satake parameters")
     if len(params) == 2:
+        if "param" in data or "weights" in data:
+            raise InputError("'param' and 'weights' apply to one parameter, not to two 'params'")
         return _whittaker_pair(args, data, cfg, params)
     obj = data.get("param") or (params[0] if params else None)
     if obj is None:
@@ -390,12 +392,13 @@ def _selftest_valuation(rng):
 
 def _selftest_residue(rng):
     cfg = FieldConfig(7, precision=10)
+    F = cfg.residue_field()
     for _ in range(60):
         x = cfg.integer(rng.randrange(1, 7 ** 6))
         y = cfg.integer(rng.randrange(1, 7 ** 6))
-        if (x + y).reduce() != x.reduce() + y.reduce():
+        if (x + y).reduce() != F.add(x.reduce(), y.reduce()):
             return False
-        if (x * y).reduce() != x.reduce() * y.reduce():
+        if (x * y).reduce() != F.mul(x.reduce(), y.reduce()):
             return False
     return True
 

@@ -544,6 +544,12 @@ class PsiTarget:
         return self.powers[a % self.ground.p]
 
 
+def psi_conductor(place: Place) -> int:
+    """The least m with psi_v trivial on p_v^m: 2 at infinity, where dt
+    has its double pole, and 0 elsewhere."""
+    return 2 if place.is_infinity else 0
+
+
 def residue_trace(place: Place, x: LocalElement):
     """Tr_{kappa(v)/F_p}(res_v(x dt)) as an int mod p.
 
@@ -629,17 +635,15 @@ class Adele:
 def principal_adele(r: RationalFunction) -> Adele:
     """The diagonal image of r, carried on its poles and infinity, with
     enough precision to evaluate the residue character: absolute precision
-    2 at infinity (where dt has its double pole) and 0 elsewhere, plus a
-    margin of two digits."""
+    psi_conductor plus a margin of two digits."""
     ground = r.ground
     places = {pl for pl, _ in r.pole_places()} | {ground.infinity()}
     comps = []
     for pl in places:
-        needed = 2 if pl.is_infinity else 0
         ordv = r.ord_at(pl)
         if ordv is INF:
             continue
-        M = max(1, int(needed - ordv) + 2)
+        M = max(1, int(psi_conductor(pl) - ordv) + 2)
         comps.append((pl, expand_at(r, pl, M)))
     return Adele.make(ground, comps)
 
@@ -651,9 +655,8 @@ def scale_adele(a: Adele, r: RationalFunction) -> Adele:
         return Adele.zero(a.ground)
     comps = []
     for pl, x in a.items:
-        needed = 2 if pl.is_infinity else 0
         ordv = int(r.ord_at(pl))
-        M = max(1, int(needed - x.v - ordv) + 2)
+        M = max(1, int(psi_conductor(pl) - x.v - ordv) + 2)
         comps.append((pl, x * expand_at(r, pl, M)))
     return Adele.make(a.ground, comps)
 
@@ -776,7 +779,7 @@ def psi_conductor_divisor(U: Divisor) -> Divisor:
     ground = U.ground
     inf = ground.infinity()
     pairs = [(pl, m) for pl, m in U.items if not pl.is_infinity]
-    pairs.append((inf, U.get(inf) - 2))
+    pairs.append((inf, U.get(inf) - psi_conductor(inf)))
     return Divisor.make(ground, pairs)
 
 

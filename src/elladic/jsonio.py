@@ -134,7 +134,7 @@ def encode_char_poly(P: CharPoly) -> dict:
 
 
 def encode_residue_poly(res) -> list:
-    return [list(r.coeffs) for r in res]
+    return [list(r) for r in res]
 
 
 def encode_whittaker_value(w: WhittakerValue) -> dict:

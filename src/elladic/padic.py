@@ -75,17 +75,10 @@ class FieldConfig:
         return LocalNumber(self, 0, (), self.precision)
 
     def one(self) -> "LocalNumber":
-        return self.integer(1)
+        return self.ell_power(0)
 
     def integer(self, n: int) -> "LocalNumber":
-        if n == 0:
-            return self.zero()
-        v = 0
-        while n % self.ell == 0:
-            n //= self.ell
-            v += 1
-        unit = (n % self.ell ** self.precision,) + (0,) * (self.d - 1)
-        return LocalNumber(self, v, unit, self.precision)
+        return self.rational(n, 1)
 
     def rational(self, num: int, den: int) -> "LocalNumber":
         if den == 0:
@@ -118,76 +111,6 @@ class FieldConfig:
 
     def ell_power(self, v: int) -> "LocalNumber":
         return LocalNumber(self, v, (1,) + (0,) * (self.d - 1), self.precision)
-
-    def residue(self, coeffs) -> "Residue":
-        if isinstance(coeffs, int):
-            coeffs = self.residue_field().from_int(coeffs)
-        cs = tuple(c % self.ell for c in coeffs)
-        if len(cs) != self.d:
-            raise ValueError(f"expected {self.d} residue coefficients")
-        return Residue(self, cs)
-
-
-@dataclass(frozen=True, order=True)
-class Residue:
-    """An element of the residue field F_{l^d}.
-
-    Residues of a common configuration sort lexicographically by
-    coefficient vector, which is the canonical order used everywhere
-    a deterministic tie-break is needed.
-    """
-
-    config: FieldConfig
-    coeffs: tuple
-
-    def __post_init__(self):
-        if any(not 0 <= c < self.config.ell for c in self.coeffs):
-            raise ValueError("residue coefficients not reduced")
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def _gf(self):
-        return self.config.residue_field()
-
-    def _check(self, other: "Residue"):
-        if self.config != other.config:
-            raise ConfigMismatch("residues from different field configurations")
-
-    def __add__(self, other):
-        self._check(other)
-        return Residue(self.config, self._gf().add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Residue(self.config, self._gf().sub(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return Residue(self.config, self._gf().neg(self.coeffs))
-
-    def __mul__(self, other):
-        self._check(other)
-        return Residue(self.config, self._gf().mul(self.coeffs, other.coeffs))
-
-    def inv(self) -> "Residue":
-        return Residue(self.config, self._gf().inv(self.coeffs))
-
-    def __pow__(self, e: int):
-        return Residue(self.config, self._gf().pow(self.coeffs, e))
-
-    def __repr__(self):
-        if self.config.d == 1:
-            return f"Residue({self.coeffs[0]} mod {self.config.ell})"
-        return f"Residue{self.coeffs} mod ({self.config.ell}, M)"
-
-
-def canonical_compare(a: Residue, b: Residue) -> int:
-    """Total order on residues: -1, 0 or 1 by coefficient vector."""
-    if a.config != b.config:
-        raise ConfigMismatch("cannot compare residues across configurations")
-    if a.coeffs == b.coeffs:
-        return 0
-    return -1 if a.coeffs < b.coeffs else 1
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +180,14 @@ class LocalNumber:
     def is_integral(self) -> bool:
         return self.is_zero or self.v >= 0
 
-    def reduce(self) -> Residue:
-        """Image in the residue field; requires valuation >= 0."""
+    def reduce(self) -> tuple:
+        """Image in the residue field, an element of config.residue_field();
+        requires valuation >= 0."""
         if not self.is_zero and self.v < 0:
             raise NotIntegral(f"valuation {self.v} < 0 has no residue")
         if self.is_zero or self.v > 0:
-            return Residue(self.config, (0,) * self.config.d)
-        return Residue(self.config, tuple(c % self.config.ell for c in self.coeffs))
+            return (0,) * self.config.d
+        return tuple(c % self.config.ell for c in self.coeffs)
 
     def digit_vectors(self) -> list:
         """Base-l digit vectors of the unit, one length-d vector per digit
@@ -302,28 +226,11 @@ class LocalNumber:
             return other
         if other.is_zero:
             return self
-        cfg = self.config
         # structural cancellation: identical representations of opposite sign
         if (self.v == other.v and self.prec == other.prec
                 and other.coeffs == (-self).coeffs):
-            return cfg.zero()
-        abs_prec = min(self.v + self.prec, other.v + other.prec)
-        base = min(self.v, other.v)
-        rel = abs_prec - base
-        mod = cfg.ell ** rel
-        sa = cfg.ell ** (self.v - base)
-        sb = cfg.ell ** (other.v - base)
-        summed = tuple((ca * sa + cb * sb) % mod
-                       for ca, cb in zip(self.coeffs, other.coeffs))
-        if not any(summed):
-            raise PrecisionLoss(
-                f"cancellation below l^{abs_prec}: result not certifiably nonzero")
-        s = min(_int_val(c, cfg.ell, rel) for c in summed)
-        shift = cfg.ell ** s
-        new_prec = rel - s
-        new_mod = cfg.ell ** new_prec
-        coeffs = tuple((c // shift) % new_mod for c in summed)
-        return LocalNumber(cfg, base + s, coeffs, new_prec)
+            return self.config.zero()
+        return _digit_sum(self.config, (self, other))
 
     __radd__ = __add__
 
@@ -427,38 +334,37 @@ def certified_sum(config: FieldConfig, terms: list) -> LocalNumber:
     try:
         return sum(terms, config.zero())
     except PrecisionLoss:
-        pass
-    terms = [t for t in terms if not t.is_zero]
-    ell = config.ell
-    top = min(t.v + t.prec for t in terms)
-    base = min(t.v for t in terms)
-    rel = top - base
-    summed = [0] * config.d
+        return _digit_sum(config, [t for t in terms if not t.is_zero])
+
+
+def _digit_sum(cfg: FieldConfig, terms) -> LocalNumber:
+    """The sum of nonzero terms in one step, to the least absolute
+    precision among them, renormalised to a unit times a power of l;
+    PrecisionLoss when every certified digit cancels."""
+    ell = cfg.ell
+    base = min([t.v for t in terms])
+    top = min([t.v + t.prec for t in terms])
+    mod = ell ** (top - base)
+    summed = [0] * cfg.d
     for t in terms:
         scale = ell ** (t.v - base)
-        for j, c in enumerate(t.coeffs):
-            summed[j] += c * scale
-    summed = [c % ell ** rel for c in summed]
-    if not any(summed):
-        raise PrecisionLoss(f"cancellation below l^{top}: sum not certifiably nonzero")
-    s = min(_int_val(c, ell, rel) for c in summed)
-    return LocalNumber(config, base + s, tuple((c // ell ** s) % ell ** (rel - s) for c in summed),
-                       rel - s)
-
-
-def _int_val(n: int, ell: int, cap: int) -> int:
-    if n == 0:
-        return cap
-    v = 0
-    while n % ell == 0 and v < cap:
-        n //= ell
-        v += 1
-    return v
+        summed = [s + c * scale for s, c in zip(summed, t.coeffs)]
+    shift = math.gcd(mod, *summed)   # l^s, s the least valuation of a sum
+    if shift == mod:
+        raise PrecisionLoss(f"cancellation below l^{top}: result not certifiably nonzero")
+    s = 0
+    while ell ** s < shift:
+        s += 1
+    new_mod = mod // shift
+    return LocalNumber(cfg, base + s, tuple([(c // shift) % new_mod for c in summed]),
+                       top - base - s)
 
 
 def congruent_mod_m(x: LocalNumber, y: LocalNumber) -> bool:
     """True when x and y are both integral with equal residues, i.e. the
     difference lies in the maximal ideal."""
+    if x.config != y.config:
+        raise ConfigMismatch("residues from different field configurations")
     return x.reduce() == y.reduce()
 
 
@@ -477,8 +383,9 @@ def _poly_eval_unit(cfg: FieldConfig, coeffs_int, x, k: int):
     return acc
 
 
-def hensel_root(f: Sequence[LocalNumber], r0: Residue) -> LocalNumber:
-    """Lift the simple residue root r0 of f to a root to full precision.
+def hensel_root(f: Sequence[LocalNumber], r0: tuple) -> LocalNumber:
+    """Lift the simple residue root r0, an element of the residue field,
+    of f to a root to full precision.
 
     f is a coefficient sequence, ascending degree, with integral
     coefficients.  Raises NoSimpleRoot unless f(r0) = 0 and f'(r0) != 0 in
@@ -493,11 +400,13 @@ def hensel_root(f: Sequence[LocalNumber], r0: Residue) -> LocalNumber:
         raise NotIntegral("Hensel lifting requires integral coefficients")
 
     F = cfg.residue_field()
-    fbar = tuple(c.reduce().coeffs for c in f)
-    if not F.is_zero(fp_eval(F, fbar, r0.coeffs)):
+    fbar = tuple(c.reduce() for c in f)
+    if not F.is_zero(fp_eval(F, fbar, r0)):
         raise NoSimpleRoot("residue is not a root")
-    if F.is_zero(fp_eval(F, fp_deriv(F, fbar), r0.coeffs)):
+    if F.is_zero(fp_eval(F, fp_deriv(F, fbar), r0)):
         raise NoSimpleRoot("residue root is not simple")
+    if f[0].is_zero and not any(r0):
+        return cfg.zero()   # the simple root over 0 is 0 itself
 
     N = cfg.precision
     mod_full = cfg.ell ** N
@@ -513,7 +422,7 @@ def hensel_root(f: Sequence[LocalNumber], r0: Residue) -> LocalNumber:
     for i in range(1, len(coeffs_int)):
         dcoeffs_int.append(tuple((i * c) % mod_full for c in coeffs_int[i]))
 
-    x = r0.coeffs  # initial lift, correct mod l
+    x = r0  # initial lift, correct mod l
     k = 1
     while k < N:
         k = min(2 * k, N)
@@ -523,16 +432,8 @@ def hensel_root(f: Sequence[LocalNumber], r0: Residue) -> LocalNumber:
         dfx = _poly_eval_unit(cfg, [tuple(c % mod for c in cc) for cc in dcoeffs_int], xk, k)
         corr = _umul(cfg, fx, _uinv(cfg, dfx, k), k)
         x = tuple((a - b) % mod for a, b in zip(xk, corr))
-
-    s = min(_int_val(c, cfg.ell, N) for c in x)
-    if s >= N:
-        if f[0].is_zero and not any(r0.coeffs):
-            return cfg.zero()
-        raise PrecisionLoss("Hensel root vanished to working precision")
-    shift = cfg.ell ** s
-    prec = N - s
-    mod = cfg.ell ** prec
-    return LocalNumber(cfg, s, tuple((c // shift) % mod for c in x), prec)
+    # x is known mod l^N: the one-term digit sum makes it a unit times l^s
+    return _digit_sum(cfg, [LocalNumber(cfg, 0, x, N)])
 
 
 @lru_cache(maxsize=64)
@@ -546,13 +447,12 @@ def _pth_roots_cached(config: FieldConfig, p: int) -> tuple:
     zeta_bar = F.pow(g, (F.order - 1) // p)
     residues = sorted({F.pow(zeta_bar, j) for j in range(p)})
     poly = [config.integer(-1)] + [config.zero()] * (p - 1) + [config.one()]
-    roots = tuple(hensel_root(poly, Residue(config, r)) for r in residues)
-    return roots
+    return tuple(hensel_root(poly, r) for r in residues)
 
 
 def pth_roots_of_unity(config: FieldConfig, p: int) -> tuple:
-    """All p-th roots of unity in the configured field, in a canonical
-    order (sorted by residue).  Requires p prime with p | l^d - 1."""
+    """All p-th roots of unity in the configured field, sorted by residue
+    coefficient tuple.  Requires p prime with p | l^d - 1."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return _pth_roots_cached(config, p)
@@ -563,7 +463,7 @@ def sqrt_unit(config: FieldConfig, n: int) -> LocalNumber:
 
     Only odd l is supported: at l = 2 the derivative of X^2 - n is never a
     unit, so simple-root lifting does not apply.  The root whose residue
-    is smallest in canonical order is returned.
+    comes first in the residue field's to_int order is returned.
     """
     if config.ell == 2:
         raise UnsupportedDegree("square roots in unramified 2-adic fields are unsupported")
@@ -574,6 +474,6 @@ def sqrt_unit(config: FieldConfig, n: int) -> LocalNumber:
     for cand in F.elements():
         if F.mul(cand, cand) == target:
             poly = [config.integer(-n), config.zero(), config.one()]
-            return hensel_root(poly, Residue(config, cand))
+            return hensel_root(poly, cand)
     raise UnsupportedDegree(
         f"{n} is not a square in F_{F.order}; use an even residue degree d")

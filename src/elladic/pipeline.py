@@ -34,7 +34,7 @@ from .errors import (ConfigMismatch, IncompleteData, NotCongruent,
 from .function_field import (Adele, DEFAULT_ENUMERATION_CAP, Divisor,
                              GroundField, LocalElement, Place, PsiTarget,
                              RationalFunction, enumerate_places, expand_at,
-                             coset_reps, psi_global, psi_local,
+                             coset_reps, psi_conductor, psi_global, psi_local,
                              quotient_index, rr_nonzero, scale_adele)
 from .padic import FieldConfig, LocalNumber, congruent_mod_m
 from .satake import SatakeParam, char_poly, congruent, is_integral
@@ -389,8 +389,12 @@ def _gamma_terms(specs: tuple, point: MirabolicPoint,
     share S, w and the tables, the only spec data it reads."""
     config = specs[0].config
     relevant = _base_places(specs[0], point)
+    orders = {}   # the order of gamma at its poles, its zeros and infinity
     if gamma is not None:
-        relevant |= {pl for pl, _ in gamma.pole_places() + gamma.zero_places()}
+        orders = {pl: -m for pl, m in gamma.pole_places()}
+        orders.update(gamma.zero_places())
+        orders[specs[0].ground.infinity()] = len(gamma.den) - len(gamma.num)
+        relevant |= set(orders)
     terms = [(config.one(), 0)] * len(specs)   # None once a factor is zero
     for pl in sorted(relevant, key=lambda p: p.sort_key()):
         live = [i for i, term in enumerate(terms) if term is not None]
@@ -401,8 +405,8 @@ def _gamma_terms(specs: tuple, point: MirabolicPoint,
         data = {i: specs[i].datum_at(pl) for i in live}
         torus_unit = None
         if gamma is not None:
-            ordg = int(gamma.ord_at(pl))
-            need = 2 if pl.is_infinity else 0
+            ordg = orders.get(pl, 0)
+            need = psi_conductor(pl)
             datum = data[live[0]]
             if isinstance(datum, TabulatedDatum):
                 need = max(need, datum.table.max_level() + 1)
@@ -499,7 +503,7 @@ def invariance_divisor(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     pairs = []
     for pl in _base_places(spec, point) | set(extra.support()):
         bound = (_pole_bound(spec, point, pl) or 0) + max(extra.get(pl), 0)
-        m_v = bound + (2 if pl.is_infinity else 0)
+        m_v = bound + psi_conductor(pl)
         if m_v > 0:
             pairs.append((pl, m_v))
     return Divisor.make(spec.ground, pairs)
@@ -572,7 +576,7 @@ def _val_json(v):
 def _residue_json(x: LocalNumber):
     if not x.is_zero and x.v < 0:
         return None
-    return list(x.reduce().coeffs)
+    return list(x.reduce())
 
 
 def validate_spec_pair(spec1: GlobalWhittakerSpec, spec2: GlobalWhittakerSpec):

@@ -126,8 +126,8 @@ def congruent(P1: CharPoly, P2: CharPoly) -> bool:
 def match_residues(S1: SatakeParam, S2: SatakeParam):
     """A permutation sigma with reduce(mu1[i]) = reduce(mu2[sigma[i]]).
 
-    Requires both parameter sets integral.  Ties among equal residues are
-    broken by canonical order, so the output is deterministic.  Raises
+    Requires both parameter sets integral.  Entries pair up in sorted
+    residue order (ties by index), so the output is deterministic.  Raises
     NoMatching when the residue multisets differ.
     """
     if S1.config != S2.config:
@@ -137,8 +137,8 @@ def match_residues(S1: SatakeParam, S2: SatakeParam):
     for S in (S1, S2):
         if not S.is_integral():
             raise NotIntegral("residue matching requires integral parameters")
-    r1 = sorted(range(S1.n), key=lambda i: S1.mu[i].reduce().coeffs)
-    r2 = sorted(range(S2.n), key=lambda i: S2.mu[i].reduce().coeffs)
+    r1 = sorted(range(S1.n), key=lambda i: S1.mu[i].reduce())
+    r2 = sorted(range(S2.n), key=lambda i: S2.mu[i].reduce())
     sigma = [0] * S1.n
     for i1, i2 in zip(r1, r2):
         if S1.mu[i1].reduce() != S2.mu[i2].reduce():

@@ -52,6 +52,15 @@ WHITTAKER = {"field": {"ell": 7}, "param": {"q": 3, "mu": [1, 1]},
              "weights": [[0, 0], [0, 1], [2, 0]]}
 CONGRUENCE = {"field": {"ell": 5},
               "params": [{"q": 3, "mu": [1, 2]}, {"q": 3, "mu": [6, 27]}]}
+# e_2 = 49 and 98 are not units: two non-integral weights and, at (1, -1),
+# residues 3 and 0 mod 7
+CONGRUENCE_VIOLATION = {"field": {"ell": 7},
+                        "params": [{"q": 2, "mu": [7, 7]}, {"q": 2, "mu": [7, 14]}]}
+# residues in F_9: each reduction is a list of length-2 coefficient vectors
+SATAKE_PAIR_D2 = {"field": {"ell": 3, "d": 2, "precision": 4},
+                  "params": [{"q": 2, "mu": [{"valuation": 0, "unit_digits": [[1, 2], [0, 1]]}, 2]},
+                             {"q": 2, "mu": [{"valuation": 0, "unit_digits": [[1, 2], [2, 2]]},
+                                             {"valuation": 0, "unit_digits": [[2, 0], [1, 0]]}]}]}
 DIVISOR = {"divisor": [[{"finite": [0, 1]}, 2]]}
 PSI = {"items": [{"gamma": {"num": [1, 1, 1], "den": [0, 1]}}]}
 EXPAND = {"rational": {"num": [1], "den": [0, 1]}, "place": {"finite": [0, 1]},
@@ -63,6 +72,8 @@ VALID_REQUESTS = [
     (("satake",), SATAKE_INTEGRAL),
     (("whittaker",), WHITTAKER),
     (("congruence", "--bound", "3"), CONGRUENCE),
+    (("congruence", "--bound", "1"), CONGRUENCE_VIOLATION),
+    (("satake",), SATAKE_PAIR_D2),
     (("rr", "--p", "2"), DIVISOR),
     (("psi", "--p", "2", "--ell", "3"), PSI),
     (("index", "--p", "3"), DIVISOR),
@@ -70,8 +81,9 @@ VALID_REQUESTS = [
     (("pipeline",), PIPE_INPUT),
 ]
 # tests/golden/cli-<name>.json holds the recorded stdout of each request
-VALID_NAMES = ["satake-pair", "satake-integral", "whittaker", "congruence", "rr",
-               "psi", "index", "expand", "pipeline"]
+VALID_NAMES = ["satake-pair", "satake-integral", "whittaker", "congruence",
+               "congruence-violation", "satake-pair-d2", "rr", "psi", "index", "expand",
+               "pipeline"]
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -333,6 +345,9 @@ def replaced(obj, path, value):
     (["whittaker", "--input", json.dumps(replaced(
         CONGRUENCE, ("params",), CONGRUENCE["params"] + [{"q": 3, "mu": [4, 4]}]))],
      "whittaker", "InputError"),
+    (["whittaker", "--input", json.dumps({**CONGRUENCE, "param": WHITTAKER["param"],
+                                          "weights": WHITTAKER["weights"]})],
+     "whittaker", "InputError"),
     (["rr", "--p", "x"], None, "InputError"),
     (["frobnicate", "--p", "2"], None, "InputError"),
 ], ids=["zero-denominator", "table-entry-5", "place-record-3", "default-rule-list",
@@ -341,7 +356,7 @@ def replaced(obj, path, value):
         "precision-list", "point-central-5", "point-central-entry-short",
         "central-chars-5", "index-negative-multiplicity", "expand-precision-0",
         "congruence-bound-negative", "whittaker-bound-negative", "whittaker-params-3",
-        "bad-flag-value", "unknown-command"])
+        "whittaker-pair-with-weights", "bad-flag-value", "unknown-command"])
 def test_malformed_request_exits_two(capsys, argv, command, error):
     """Malformed input or command line: exit 2 and a JSON record whose
     command is null when the command line did not parse."""
