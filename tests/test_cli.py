@@ -65,6 +65,36 @@ DIVISOR = {"divisor": [[{"finite": [0, 1]}, 2]]}
 PSI = {"items": [{"gamma": {"num": [1, 1, 1], "den": [0, 1]}}]}
 EXPAND = {"rational": {"num": [1], "den": [0, 1]}, "place": {"finite": [0, 1]},
           "precision": 4}
+# explicit sample points and central characters, in the shape of the
+# cli_requests benchmark generator: reaches central_char_propagate and
+# weak_approx
+PIPE_CENTRAL = {
+    **PIPE_INPUT,
+    "samples": [
+        {"entries": [{"place": {"finite": [1, 1, 1]},
+                      "x": {"place": {"finite": [1, 1, 1]}, "v": -1, "coeffs": [3]},
+                      "a": [1, 0]}], "central": []},
+        {"entries": [{"place": {"finite": [0, 1]},
+                      "x": {"place": {"finite": [0, 1]}, "v": 1, "coeffs": [1]},
+                      "a": [-1, 0]}], "central": []}],
+    "central_chars": {
+        "chi1": {"S": [{"finite": [1, 1]}], "by_degree": {str(d): 3 ** d for d in range(1, 9)},
+                 "explicit": [{"place": {"finite": [1, 1]},
+                               "character": {"uniformizer_value": 3}}]},
+        "chi2": {"S": [{"finite": [1, 1]}], "by_degree": {str(d): 24 ** d for d in range(1, 9)},
+                 "explicit": [{"place": {"finite": [1, 1]},
+                               "character": {"uniformizer_value": 24}}]},
+        "samples": [{"num": [1, 1], "den": [1, 0, 1]},
+                    {"num": [0, 1, 1], "den": [1, 1, 0, 1]}, [1, 0, 0, 1]]},
+}
+# a degree-2 place over F_4, where kappa(v) = F_16 and the integer code order
+# of an element differs from the order of its digit tuple; the four residues
+# give psi values 1, 1, zeta and zeta, which pins the trace to F_2
+F4_PLACE = {"finite": [2, 1, 1]}
+PSI_F4 = {"items": [{"place": F4_PLACE, "x": {"place": F4_PLACE, "v": -1, "coeffs": [c]}}
+                    for c in (1, 5, 9, 14)]}
+EXPAND_F4 = {"rational": {"num": [1, 2, 3], "den": [3, 1, 1]}, "place": F4_PLACE,
+             "precision": 6}
 
 # every valid request above: the command line before --input, and the input
 VALID_REQUESTS = [
@@ -79,11 +109,15 @@ VALID_REQUESTS = [
     (("index", "--p", "3"), DIVISOR),
     (("expand", "--p", "2"), EXPAND),
     (("pipeline",), PIPE_INPUT),
+    (("selftest", "--seed", "3"), {}),
+    (("pipeline",), PIPE_CENTRAL),
+    (("psi", "--p", "2", "--f", "2", "--ell", "5"), PSI_F4),
+    (("expand", "--p", "2", "--f", "2"), EXPAND_F4),
 ]
 # tests/golden/cli-<name>.json holds the recorded stdout of each request
 VALID_NAMES = ["satake-pair", "satake-integral", "whittaker", "congruence",
                "congruence-violation", "satake-pair-d2", "rr", "psi", "index", "expand",
-               "pipeline"]
+               "pipeline", "selftest", "pipeline-central", "psi-f4", "expand-f4"]
 GOLDEN = Path(__file__).parent / "golden"
 
 
