@@ -396,9 +396,8 @@ def _selftest_residue(rng):
     for _ in range(60):
         x = cfg.integer(rng.randrange(1, 7 ** 6))
         y = cfg.integer(rng.randrange(1, 7 ** 6))
-        if (x + y).reduce() != F.add(x.reduce(), y.reduce()):
-            return False
-        if (x * y).reduce() != F.mul(x.reduce(), y.reduce()):
+        (a,), (b,) = x.reduce(), y.reduce()
+        if (x + y).reduce() != (F.add(a, b),) or (x * y).reduce() != (F.mul(a, b),):
             return False
     return True
 

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConfigMismatch, InsufficientPrecision, TooLarge
-from .gf import (ExtField, GF, fp_add, fp_crt, fp_divmod, fp_factor, fp_gcd,
+from .gf import (ext_field, fp_add, fp_crt, fp_divmod, fp_factor, fp_gcd,
                  fp_is_irreducible, fp_mod, fp_monic, fp_mul, fp_neg, fp_scale,
-                 fp_sub, fp_trim, gf_field, is_prime, smallest_irreducible)
+                 fp_sub, fp_trim, gf_field, is_prime, smallest_irreducible,
+                 to_digits)
 from .padic import FieldConfig, LocalNumber, pth_roots_of_unity
 
 INF = float("inf")
@@ -59,7 +60,7 @@ class GroundField:
     def q(self) -> int:
         return self.p ** self.f
 
-    def field(self) -> GF:
+    def field(self):
         return gf_field(self.p, self.f, self.modulus)
 
     # -- element and polynomial builders -------------------------------------
@@ -67,7 +68,7 @@ class GroundField:
     def poly(self, ints) -> tuple:
         """Polynomial over F_q from integer codes, ascending degree."""
         F = self.field()
-        return fp_trim(F, tuple(F.from_int(c) for c in ints))
+        return fp_trim(tuple(F.from_int(c) for c in ints))
 
     def rational(self, num_ints, den_ints=(1,)) -> "RationalFunction":
         return RationalFunction.make(self, self.poly(num_ints), self.poly(den_ints))
@@ -88,21 +89,31 @@ class GroundField:
 @dataclass(frozen=True)
 class Place:
     """A closed point of the projective line: a monic irreducible of
-    F_q[t], or None for the place at infinity."""
+    F_q[t], or None for the place at infinity.
+
+    Each place carries its residue field, F_q itself at infinity and at
+    degree 1, and the class theta of t in it, so that u = t - theta."""
 
     ground: GroundField
     poly: tuple | None
 
     def __post_init__(self):
+        F = self.ground.field()
+        K, theta = F, 0
         if self.poly is not None:
-            F = self.ground.field()
-            object.__setattr__(self, "poly", fp_trim(F, tuple(self.poly)))
+            object.__setattr__(self, "poly", fp_trim(tuple(self.poly)))
             if len(self.poly) < 2:
                 raise ValueError("a finite place needs a polynomial of degree >= 1")
-            if self.poly[-1] != F.one:
+            if self.poly[-1] != 1:
                 raise ValueError("place polynomial must be monic")
             if not fp_is_irreducible(F, self.poly):
                 raise ValueError("place polynomial must be irreducible")
+            if len(self.poly) == 2:
+                theta = F.neg(self.poly[0])
+            else:
+                K, theta = ext_field(F, self.poly), F.order   # the code of s
+        object.__setattr__(self, "_residue", K)
+        object.__setattr__(self, "theta", theta)
 
     @property
     def is_infinity(self) -> bool:
@@ -112,14 +123,13 @@ class Place:
     def degree(self) -> int:
         return 1 if self.is_infinity else len(self.poly) - 1
 
-    def residue(self) -> ExtField:
-        return _residue_field(self)
+    def residue(self):
+        return self._residue
 
     def sort_key(self):
         if self.is_infinity:
             return (0,)
-        F = self.ground.field()
-        return (1, self.degree, tuple(F.to_int(c) for c in self.poly))
+        return (1, self.degree, self.poly)
 
     def __lt__(self, other: "Place"):
         return self.sort_key() < other.sort_key()
@@ -127,16 +137,7 @@ class Place:
     def __repr__(self):
         if self.is_infinity:
             return "Place(infinity)"
-        F = self.ground.field()
-        return f"Place{tuple(F.to_int(c) for c in self.poly)}"
-
-
-@lru_cache(maxsize=256)
-def _residue_field(place: Place) -> ExtField:
-    base = place.ground.field()
-    if place.is_infinity:
-        return ExtField(base, (base.zero, base.one))
-    return ExtField(base, place.poly)
+        return f"Place{self.poly}"
 
 
 def enumerate_places(ground: GroundField, max_degree: int):
@@ -145,7 +146,7 @@ def enumerate_places(ground: GroundField, max_degree: int):
     F = ground.field()
     for deg in range(1, max_degree + 1):
         for code in itertools.product(range(ground.q), repeat=deg):
-            poly = tuple(F.from_int(c) for c in reversed(code)) + (F.one,)
+            poly = tuple(reversed(code)) + (1,)
             if fp_is_irreducible(F, poly):
                 yield Place(ground, poly)
 
@@ -162,11 +163,11 @@ class RationalFunction:
     @classmethod
     def make(cls, ground: GroundField, num, den) -> "RationalFunction":
         F = ground.field()
-        num, den = fp_trim(F, tuple(num)), fp_trim(F, tuple(den))
+        num, den = fp_trim(tuple(num)), fp_trim(tuple(den))
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            return cls(ground, (), (F.one,))
+            return cls(ground, (), (1,))
         g = fp_gcd(F, num, den)
         if len(g) > 1:
             num = fp_divmod(F, num, g)[0]
@@ -257,10 +258,7 @@ class RationalFunction:
         return tuple((Place(self.ground, f), m) for f, m in fp_factor(F, num))
 
     def __repr__(self):
-        F = self.ground.field()
-        n = [F.to_int(c) for c in self.num]
-        d = [F.to_int(c) for c in self.den]
-        return f"RationalFunction({n}/{d} over F_{self.ground.q})"
+        return f"RationalFunction({list(self.num)}/{list(self.den)} over F_{self.ground.q})"
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +293,7 @@ class LocalElement:
 
     @classmethod
     def uniformizer_power(cls, place: Place, j: int) -> "LocalElement":
-        K = place.residue()
-        return cls(place, j, (K.one,), True)
+        return cls(place, j, (1,), True)
 
     @property
     def is_exact_zero(self) -> bool:
@@ -320,17 +317,16 @@ class LocalElement:
     def coefficient(self, i: int):
         """Laurent coefficient at u^i; raises when i is past the certified
         range."""
-        K = self.place.residue()
         if not self.coeffs:
             if self.exact_tail or i < self.v:
-                return K.zero
+                return 0
             raise InsufficientPrecision(f"coefficient {i} beyond certified 0 mod u^{self.v}")
         if i < self.v:
-            return K.zero
+            return 0
         if i < self.v + len(self.coeffs):
             return self.coeffs[i - self.v]
         if self.exact_tail:
-            return K.zero
+            return 0
         raise InsufficientPrecision(
             f"coefficient {i} beyond precision O(u^{self.v + len(self.coeffs)})")
 
@@ -388,14 +384,15 @@ class LocalElement:
             n = int(min(self.abs_prec() + other.v, other.abs_prec() + self.v)
                     - (self.v + other.v))
             exact = False
-        out = [K.zero] * n
+        out = [0] * n
+        add, mul = K.add, K.mul
         for i, ci in enumerate(self.coeffs):
-            if K.is_zero(ci):
+            if not ci:
                 continue
             for j, cj in enumerate(other.coeffs):
                 if i + j >= n:
                     break
-                out[i + j] = K.add(out[i + j], K.mul(ci, cj))
+                out[i + j] = add(out[i + j], mul(ci, cj))
         return make_local(self.place, self.v + other.v, tuple(out), exact)
 
     def inverse(self, length: int | None = None) -> "LocalElement":
@@ -413,7 +410,7 @@ class LocalElement:
         else:
             n = len(self.coeffs)
         return LocalElement(self.place, -self.v,
-                            _series_quotient(K, (K.one,), self.coeffs, n), False)
+                            _series_quotient(K, (1,), self.coeffs, n), False)
 
     def prefix(self, n: int) -> tuple:
         """First n unit coefficients (index v..v+n-1), padded exactly."""
@@ -438,9 +435,8 @@ class LocalElement:
 
 
 def make_local(place: Place, v: int, coeffs: tuple, exact_tail: bool) -> LocalElement:
-    K = place.residue()
     i = 0
-    while i < len(coeffs) and K.is_zero(coeffs[i]):
+    while i < len(coeffs) and not coeffs[i]:
         i += 1
     if i == len(coeffs):
         if exact_tail:
@@ -449,7 +445,7 @@ def make_local(place: Place, v: int, coeffs: tuple, exact_tail: bool) -> LocalEl
     coeffs = coeffs[i:]
     if exact_tail:
         j = len(coeffs)
-        while j and K.is_zero(coeffs[j - 1]):
+        while j and not coeffs[j - 1]:
             j -= 1
         coeffs = coeffs[:j]
     return LocalElement(place, v + i, coeffs, exact_tail)
@@ -460,25 +456,27 @@ def make_local(place: Place, v: int, coeffs: tuple, exact_tail: bool) -> LocalEl
 # ---------------------------------------------------------------------------
 
 def _shifted_poly(poly, place: Place):
-    """Coefficients of A(theta + u) over the residue field, exact."""
-    K = place.residue()
-    theta = K.gen()
-    acc: tuple = ()
+    """Coefficients of A(theta + u) over the residue field, exact: Horner
+    steps acc <- acc * (theta + u) + c, whose top coefficient stays the
+    nonzero lead of A."""
+    K, theta = place.residue(), place.theta
+    add, mul = K.add, K.mul
+    acc: list = []
     for c in reversed(poly):
-        acc = fp_mul(K, acc, (theta, K.one))
-        acc = fp_add(K, acc, (K.from_base(c),))
+        acc = [add(mul(theta, a), b) for a, b in zip(acc + [0], [c] + acc)]
     return acc
 
 
 def _series_quotient(K, num, den, n: int):
     """First n coefficients of num/den as power series over K; den[0] != 0."""
     d0_inv = K.inv(den[0])
+    sub, mul = K.sub, K.mul
     out = []
     for k in range(n):
-        acc = num[k] if k < len(num) else K.zero
+        acc = num[k] if k < len(num) else 0
         for i in range(1, min(k, len(den) - 1) + 1):
-            acc = K.sub(acc, K.mul(den[i], out[k - i]))
-        out.append(K.mul(acc, d0_inv))
+            acc = sub(acc, mul(den[i], out[k - i]))
+        out.append(mul(acc, d0_inv))
     return tuple(out)
 
 
@@ -496,15 +494,14 @@ def expand_at(r: RationalFunction, place: Place, M: int = DEFAULT_SERIES_PRECISI
         raise ValueError("M must be >= 1")
     K = place.residue()
     if place.is_infinity:
-        num = tuple(K.from_base(c) for c in reversed(r.num))
-        den = tuple(K.from_base(c) for c in reversed(r.den))
+        num, den = r.num[::-1], r.den[::-1]
         v = (len(r.den) - 1) - (len(r.num) - 1)
         ord_n = ord_d = 0
     else:
         num = _shifted_poly(r.num, place)
         den = _shifted_poly(r.den, place)
-        ord_n = next(i for i, c in enumerate(num) if not K.is_zero(c))
-        ord_d = next(i for i, c in enumerate(den) if not K.is_zero(c))
+        ord_n = next(i for i, c in enumerate(num) if c)
+        ord_d = next(i for i, c in enumerate(den) if c)
         num, den = num[ord_n:], den[ord_d:]
         v = ord_n - ord_d
     if len(den) == 1:
@@ -559,10 +556,8 @@ def residue_trace(place: Place, x: LocalElement):
     """
     K = place.residue()
     if place.is_infinity:
-        c = K.neg(x.coefficient(1))
-    else:
-        c = x.coefficient(-1)
-    return place.ground.field().trace_to_base(K.trace_to_base(c))
+        return K.trace(K.neg(x.coefficient(1)))
+    return K.trace(x.coefficient(-1))
 
 
 def psi_local(place: Place, x: LocalElement, target: PsiTarget) -> LocalNumber:
@@ -710,7 +705,7 @@ class Divisor:
 # ---------------------------------------------------------------------------
 
 def _poly_power(F, poly, e: int):
-    out = (F.one,)
+    out = (1,)
     for _ in range(e):
         out = fp_mul(F, out, poly)
     return out
@@ -725,8 +720,8 @@ def rr_space(D: Divisor) -> tuple:
     """
     ground = D.ground
     F = ground.field()
-    bplus: tuple = (F.one,)
-    c: tuple = (F.one,)
+    bplus: tuple = (1,)
+    c: tuple = (1,)
     n_inf = 0
     for pl, m in D.items:
         if pl.is_infinity:
@@ -742,7 +737,7 @@ def rr_space(D: Divisor) -> tuple:
         return ()
     basis = []
     for i in range(deg_d + 1):
-        num = fp_mul(F, c, (F.zero,) * i + (F.one,))
+        num = fp_mul(F, c, (0,) * i + (1,))
         basis.append(RationalFunction.make(ground, num, bplus))
     return tuple(basis)
 
@@ -756,7 +751,7 @@ def span_nonzero(ground: GroundField, basis, cap: int = DEFAULT_ENUMERATION_CAP)
     if q ** dim > cap:
         raise TooLarge(f"{q}^{dim} combinations exceed the cap {cap}")
     F = ground.field()
-    den: tuple = (F.one,)
+    den: tuple = (1,)
     for b in basis:
         den = fp_mul(F, den, fp_divmod(F, b.den, fp_gcd(F, den, b.den))[0])
     nums = [fp_mul(F, b.num, fp_divmod(F, den, b.den)[0]) for b in basis]
@@ -767,7 +762,7 @@ def span_nonzero(ground: GroundField, basis, cap: int = DEFAULT_ENUMERATION_CAP)
         num: tuple = ()
         for ci, n in zip(code, nums):
             if ci:
-                num = fp_add(F, num, fp_scale(F, n, F.from_int(ci)))
+                num = fp_add(F, num, fp_scale(F, n, ci))
         out.append(RationalFunction.make(ground, num, den))
     return tuple(out)
 
@@ -830,16 +825,16 @@ def coset_reps(U: Divisor, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple:
     supp.sort(key=lambda kv: kv[0].sort_key())
     if not supp:
         return (Adele.zero(ground),)
-    Fq = ground.field()
 
     position_choices = []
     for pi, (pl, m) in enumerate(supp):
         K = pl.residue()
         for digit in range(m):
             if pi == 0 and digit == 0:
-                choices = [e for e in K.elements() if Fq.is_zero(e[0])]
+                # the residues whose base coordinate (lowest base-q digit) is 0
+                choices = range(0, K.order, ground.q)
             else:
-                choices = list(K.elements())
+                choices = K.elements()
             position_choices.append((pl, digit, choices))
 
     reps = []
@@ -849,8 +844,7 @@ def coset_reps(U: Divisor, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple:
             per_place.setdefault(pl, {})[digit] = value
         comps = []
         for pl, m in supp:
-            K = pl.residue()
-            coeffs = tuple(per_place[pl].get(i, K.zero) for i in range(m))
+            coeffs = tuple(per_place[pl].get(i, 0) for i in range(m))
             comps.append((pl, LocalElement.from_coeffs(pl, 0, coeffs, exact=True)))
         reps.append(Adele.make(ground, comps))
     if len(reps) != index:
@@ -874,22 +868,22 @@ def series_to_poly_mod(x: LocalElement, c: int) -> tuple:
         raise ValueError("digit extraction requires an integral element")
     ground = place.ground
     F = ground.field()
-    K = place.residue()
     deg = place.degree
-    p_rf = RationalFunction.make(ground, place.poly, (F.one,))
+    p_rf = RationalFunction.make(ground, place.poly, (1,))
     p_inv = expand_at(p_rf, place, c + 2).inverse(c + 2)
     cur = x
     result: tuple = ()
-    p_power: tuple = (F.one,)
+    p_power: tuple = (1,)
     for _ in range(c):
         if cur.is_exact_zero:
             break
         # the digit is the image of cur in the residue field
-        digit = K.zero if (cur.is_zero_like or cur.v >= 1) else cur.coefficient(0)
-        if not K.is_zero(digit):
-            lift = fp_trim(F, digit)  # class of s becomes a polynomial in t
+        digit = 0 if (cur.is_zero_like or cur.v >= 1) else cur.coefficient(0)
+        if digit:
+            # the class of s becomes a polynomial in t
+            lift = fp_trim(to_digits(digit, ground.q, deg))
             result = fp_add(F, result, fp_mul(F, lift, p_power))
-            cur = cur - expand_at(RationalFunction.make(ground, lift, (F.one,)),
+            cur = cur - expand_at(RationalFunction.make(ground, lift, (1,)),
                                   place, deg + 1)
         cur = cur * p_inv
         p_power = fp_mul(F, p_power, place.poly)
@@ -933,7 +927,7 @@ def weak_approx(constraints) -> RationalFunction:
             finite.append((place, target, int(h)))
 
     F = ground.field()
-    one: tuple = (F.one,)
+    one: tuple = (1,)
 
     # pole allowance and congruence data at the finite places
     b_exp: dict = {}
@@ -996,17 +990,16 @@ def weak_approx(constraints) -> RationalFunction:
         w = x_inf * expand_at(RationalFunction.make(ground, B, one), inf_pl, Mw)
         k_max = -int(w.valuation()) if not w.is_zero_like else -1
 
-    Kinf = inf_pl.residue()
     coeffs_high = {}
     for k in range(j0, max(k_max, j0 - 1) + 1):
-        c = w.coefficient(-k) if not w.is_exact_zero else Kinf.zero
-        if not Kinf.is_zero(c):
-            coeffs_high[k] = c[0]  # kappa(inf) is F_q wrapped one level
+        c = w.coefficient(-k) if not w.is_exact_zero else 0
+        if c:
+            coeffs_high[k] = c   # kappa(inf) is F_q
 
     A_high: tuple = ()
     if coeffs_high:
         top = max(coeffs_high)
-        A_high = fp_trim(F, tuple(coeffs_high.get(i, F.zero) for i in range(top + 1)))
+        A_high = fp_trim(tuple(coeffs_high.get(i, 0) for i in range(top + 1)))
 
     rem = fp_mod(F, fp_sub(F, A_crt, A_high), Pi)
     A = fp_add(F, A_high, rem)

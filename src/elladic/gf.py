@@ -1,17 +1,27 @@
 """Small finite fields and polynomial arithmetic over them.
 
-One field protocol and one polynomial layer:
+Every element of every field here is its integer code, the code that
+jsonio reads and writes:
 
-* field objects form a tower rooted at PrimeField(p) (Z/p, int
-  elements); ExtField(base, modulus) is base[s]/(modulus) with elements
-  fixed-length tuples of base elements, and GF(p, deg) is the ExtField
-  F_{p^deg} over PrimeField(p) with integer fast paths for its hot
-  element operations;
-* generic polynomial helpers (fp_*) parameterised by any field object.
+* GF(p) is Z/p, with int elements in [0, p) and plain % p arithmetic;
+* ExtField(base, modulus) is base[s]/(modulus); the element
+  c_0 + c_1 s + ... + c_(d-1) s^(d-1) is the code sum c_i q^i over the
+  base codes c_i, q the base order.  A base element keeps its code, and 0
+  and 1 are the codes 0 and 1 in every field;
+* gf_field(p, f) is F_{p^f}: GF(p) for f = 1, else the ExtField over GF(p)
+  of the smallest irreducible modulus (or of a given one);
+* generic polynomial helpers (fp_*) over any of these field objects.
 
-Everything here is exact and deterministic.  Fields are desk-scale: the
-code assumes orders small enough that trial division and exhaustive
-searches finish instantly.
+An ExtField builds its tables lazily, on its first multiplication: the
+log and antilog tables of the smallest multiplicative generator in code
+order, a Zech-log table for addition (for p = 2 addition is xor of the
+codes and needs none) and the table of the trace to F_p.  They are built
+once per field object, with the polynomial product over the base.
+Fields of order above MAX_TABLE_ORDER raise TooLarge there instead.
+
+The residues of padic stay digit tuples over Z/l; to_digits and
+from_digits convert at the few places where they meet a residue field.
+Everything here is exact and deterministic.
 """
 
 from __future__ import annotations
@@ -19,9 +29,9 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import InputError
+from .errors import InputError, TooLarge
 
-IntPoly = tuple  # ints mod p, ascending degree
+MAX_TABLE_ORDER = 2 ** 16
 
 
 def is_prime(n: int) -> bool:
@@ -39,26 +49,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_power_decomposition(q: int):
-    """Return (p, f) with q = p^f, or None if q is not a prime power."""
-    if q < 2:
-        return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            return (q, 1) if q > 1 else None
-        if q % p:
-            continue
-        f = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            f += 1
-        return (p, f) if m == 1 else None
-    return None
-
-
 def factorize_int(n: int) -> dict:
-    """Prime factorization by trial division; {prime: multiplicity}."""
+    """Prime factorization by trial division; {prime: multiplicity}, and
+    {} for n < 2."""
     out: dict = {}
     m = n
     d = 2
@@ -72,29 +65,49 @@ def factorize_int(n: int) -> dict:
     return out
 
 
+def prime_power_decomposition(q: int):
+    """Return (p, f) with q = p^f, or None if q is not a prime power."""
+    factors = factorize_int(q)
+    return next(iter(factors.items())) if len(factors) == 1 else None
+
+
+def to_digits(n: int, base: int, length: int) -> tuple:
+    """The length least significant base-`base` digits of n, lowest first."""
+    out = []
+    for _ in range(length):
+        n, r = divmod(n, base)
+        out.append(r)
+    return tuple(out)
+
+
+def from_digits(digits, base: int) -> int:
+    n = 0
+    for c in reversed(digits):
+        n = n * base + c
+    return n
+
+
 # ---------------------------------------------------------------------------
 # polynomials over an arbitrary field object
 # ---------------------------------------------------------------------------
 # A "field object" F provides: zero, one, order, char(), deg_over_prime(),
-# is_zero, add, sub, neg, mul, inv, pow, and from_int and to_int (integer
-# codes below the order).  PrimeField, ExtField and GF below are the field
-# objects; ExtField and GF also list their elements() in code order.
-# Polynomials are tuples of F-elements, ascending degree, trailing zeros
-# stripped, () = 0.
+# add, sub, neg, mul, inv, pow, trace (to F_p), generator(), elements() and
+# from_int and to_int (integer codes below the order).  GF and ExtField are
+# the field objects.  Polynomials are tuples of codes, ascending degree,
+# trailing zeros stripped, () = 0.
 
-def fp_trim(F, c) -> tuple:
-    c = tuple(c)
+def fp_trim(c) -> tuple:
     n = len(c)
-    while n and F.is_zero(c[n - 1]):
+    while n and not c[n - 1]:
         n -= 1
-    return c[:n]
+    return tuple(c[:n])
 
 
 def fp_add(F, a, b) -> tuple:
     n = max(len(a), len(b))
-    za = a + (F.zero,) * (n - len(a))
-    zb = b + (F.zero,) * (n - len(b))
-    return fp_trim(F, tuple(F.add(x, y) for x, y in zip(za, zb)))
+    za = a + (0,) * (n - len(a))
+    zb = b + (0,) * (n - len(b))
+    return fp_trim(tuple(F.add(x, y) for x, y in zip(za, zb)))
 
 
 def fp_neg(F, a) -> tuple:
@@ -108,16 +121,17 @@ def fp_sub(F, a, b) -> tuple:
 def fp_mul(F, a, b) -> tuple:
     if not a or not b:
         return ()
-    out = [F.zero] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
+    add, mul = F.add, F.mul
     for i, ca in enumerate(a):
-        if not F.is_zero(ca):
+        if ca:
             for j, cb in enumerate(b):
-                out[i + j] = F.add(out[i + j], F.mul(ca, cb))
-    return fp_trim(F, out)
+                out[i + j] = add(out[i + j], mul(ca, cb))
+    return fp_trim(out)
 
 
 def fp_scale(F, a, c) -> tuple:
-    return fp_trim(F, tuple(F.mul(x, c) for x in a))
+    return fp_trim(tuple(F.mul(x, c) for x in a))
 
 
 def fp_divmod(F, a, b):
@@ -125,14 +139,15 @@ def fp_divmod(F, a, b):
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
     db, inv_lead = len(b) - 1, F.inv(b[-1])
-    q = [F.zero] * max(len(a) - db, 0)
+    q = [0] * max(len(a) - db, 0)
+    sub, mul = F.sub, F.mul
     for i in range(len(a) - 1 - db, -1, -1):
-        c = F.mul(a[i + db], inv_lead)
-        if not F.is_zero(c):
+        c = mul(a[i + db], inv_lead)
+        if c:
             q[i] = c
             for j, cb in enumerate(b):
-                a[i + j] = F.sub(a[i + j], F.mul(c, cb))
-    return fp_trim(F, q), fp_trim(F, a)
+                a[i + j] = sub(a[i + j], mul(c, cb))
+    return fp_trim(q), fp_trim(a)
 
 
 def fp_mod(F, a, b) -> tuple:
@@ -152,7 +167,7 @@ def fp_gcd(F, a, b) -> tuple:
 
 
 def fp_powmod(F, a, e: int, mod) -> tuple:
-    result = (F.one,)
+    result = (1,)
     base = fp_mod(F, a, mod)
     while e:
         if e & 1:
@@ -163,22 +178,16 @@ def fp_powmod(F, a, e: int, mod) -> tuple:
 
 
 def fp_eval(F, a, x):
-    acc = F.zero
+    acc = 0
     for c in reversed(a):
         acc = F.add(F.mul(acc, x), c)
     return acc
 
 
 def fp_deriv(F, a) -> tuple:
+    # i mod p is the code of the integer i in any field of characteristic p
     p = F.char()
-    out = []
-    for i in range(1, len(a)):
-        c = a[i]
-        s = F.zero
-        for _ in range(i % p):
-            s = F.add(s, c)
-        out.append(s)
-    return fp_trim(F, out)
+    return fp_trim(tuple(F.mul(a[i], i % p) for i in range(1, len(a))))
 
 
 @lru_cache(maxsize=4096)
@@ -190,7 +199,7 @@ def fp_is_irreducible(F, f) -> bool:
     if d == 1:
         return True
     q = F.order
-    x = (F.zero, F.one)
+    x = (0, 1)
     xq = x
     for _ in range(d):
         xq = fp_powmod(F, xq, q, f)
@@ -200,14 +209,9 @@ def fp_is_irreducible(F, f) -> bool:
         xe = x
         for _ in range(d // r):
             xe = fp_powmod(F, xe, q, f)
-        if fp_gcd(F, fp_sub(F, xe, x), f) != (F.one,):
+        if fp_gcd(F, fp_sub(F, xe, x), f) != (1,):
             return False
     return True
-
-
-def _fp_pth_root(F, c):
-    # x -> x^p is bijective on F_q; the inverse is x -> x^(q/p)
-    return F.pow(c, F.order // F.char())
 
 
 def fp_squarefree_parts(F, f):
@@ -220,8 +224,9 @@ def fp_squarefree_parts(F, f):
             return
         dg = fp_deriv(F, g)
         if not dg:
-            # g = h(x^p); take p-th roots of coefficients
-            h = tuple(_fp_pth_root(F, g[i]) for i in range(0, len(g), p))
+            # g = h(x^p); take p-th roots of coefficients: x -> x^p is
+            # bijective on F_q, with inverse x -> x^(q/p)
+            h = tuple(F.pow(g[i], F.order // p) for i in range(0, len(g), p))
             rec(h, mult * p)
             return
         w = fp_gcd(F, g, dg)
@@ -249,19 +254,24 @@ def fp_factor(F, f) -> tuple:
     mult), ...), memoised per (field, polynomial).
 
     Distinct-degree splitting plus Cantor-Zassenhaus with a deterministic
-    trial sequence, so repeated runs agree.  Result sorted for stability.
+    trial sequence, so repeated runs agree.  The factors are sorted by
+    their coefficients' digit tuples over Z/p, lexicographically: the
+    order of the coefficient vectors, which is not the order of the codes
+    once F_q is an extension.
     """
     result = []
     for g, mult in fp_squarefree_parts(F, f):
         for irr in _fp_factor_squarefree(F, g):
             result.append((irr, mult))
-    return tuple(sorted(result))
+    p, d = F.char(), F.deg_over_prime()
+    return tuple(sorted(result, key=lambda fm: (
+        tuple(to_digits(c, p, d) for c in fm[0]), fm[1])))
 
 
 def _fp_factor_squarefree(F, f):
     q = F.order
     out = []
-    x = (F.zero, F.one)
+    x = (0, 1)
     xq = x
     d = 0
     rest = fp_monic(F, f)
@@ -288,16 +298,11 @@ def _fp_split_equal_degree(F, f, d):
     counter = 1
     while True:
         counter += 1
-        c = counter
-        coeffs = []
-        for _ in range(n):
-            c, r = divmod(c, q)
-            coeffs.append(F.from_int(r))
-        a = fp_trim(F, coeffs)
+        a = fp_trim(to_digits(counter, q, n))
         if len(a) < 1:
             continue
         if q % 2 == 1:
-            b = fp_sub(F, fp_powmod(F, a, (q ** d - 1) // 2, f), (F.one,))
+            b = fp_sub(F, fp_powmod(F, a, (q ** d - 1) // 2, f), (1,))
         else:
             # char 2: trace map sum a^(2^i)
             b = a
@@ -315,10 +320,10 @@ def _fp_split_equal_degree(F, f, d):
 def fp_crt(F, congruences):
     """Solve x = r_i mod m_i for pairwise coprime moduli; returns x."""
     x: tuple = ()
-    m: tuple = (F.one,)
+    m: tuple = (1,)
     for r, mod in congruences:
         g, u, _ = fp_xgcd(F, m, mod)
-        if g != (F.one,):
+        if g != (1,):
             raise InputError("CRT moduli are not coprime")
         # x' = x + m * u * (r - x) mod m*mod
         delta = fp_mod(F, fp_sub(F, r, x), mod)
@@ -331,8 +336,8 @@ def fp_crt(F, congruences):
 def fp_xgcd(F, a, b):
     """g, u, v with u*a + v*b = g, g monic."""
     r0, r1 = a, b
-    s0, s1 = (F.one,), ()
-    t0, t1 = (), (F.one,)
+    s0, s1 = (1,), ()
+    t0, t1 = (), (1,)
     while r1:
         qt, rem = fp_divmod(F, r0, r1)
         r0, r1 = r1, rem
@@ -348,42 +353,49 @@ def fp_xgcd(F, a, b):
 # the field tower: Z/p, F_{p^f}, residue fields
 # ---------------------------------------------------------------------------
 
-class PrimeField:
+class _CodedField:
+    """What every field here shares: its elements are the codes
+    0 .. order - 1, with 0 and 1 the codes of zero and one."""
+
+    __slots__ = ()
+    zero = 0
+    one = 1
+
+    def char(self):
+        return self.p
+
+    def from_int(self, n: int) -> int:
+        return n % self.order
+
+    def to_int(self, x: int) -> int:
+        return x
+
+    def elements(self):
+        return range(self.order)
+
+
+class GF(_CodedField):
     """Z/p with int elements: the root of every field tower here."""
 
-    __slots__ = ("p", "order", "zero", "one")
+    __slots__ = ("p", "order")
 
     def __init__(self, p: int):
         if not is_prime(p):
             raise InputError(f"{p} is not prime")
         self.p = p
         self.order = p
-        self.zero = 0
-        self.one = 1
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.p == other.p
+        return isinstance(other, GF) and self.p == other.p
 
     def __hash__(self):
         return hash(self.p)
 
     def __repr__(self):
-        return f"PrimeField({self.p})"
-
-    def char(self):
-        return self.p
+        return f"GF({self.p})"
 
     def deg_over_prime(self):
         return 1
-
-    def from_int(self, n: int) -> int:
-        return n % self.p
-
-    def to_int(self, x: int) -> int:
-        return x
-
-    def is_zero(self, x) -> bool:
-        return not x
 
     def add(self, x, y) -> int:
         return (x + y) % self.p
@@ -392,10 +404,10 @@ class PrimeField:
         return (x - y) % self.p
 
     def neg(self, x) -> int:
-        return (-x) % self.p
+        return -x % self.p
 
     def mul(self, x, y) -> int:
-        return (x * y) % self.p
+        return x * y % self.p
 
     def inv(self, x) -> int:
         if not x:
@@ -407,29 +419,38 @@ class PrimeField:
             x, e = self.inv(x), -e
         return pow(x, e, self.p)
 
+    def trace(self, x) -> int:
+        return x
 
-class ExtField:
-    """F[s]/(modulus) for a field object F and irreducible monic modulus.
+    def generator(self) -> int:
+        """Smallest multiplicative generator (primitive root)."""
+        n = self.p - 1
+        return next(m for m in range(1, self.p)
+                    if all(pow(m, n // r, self.p) != 1 for r in factorize_int(n)))
 
-    Used for residue fields of places, where the base is F_q and the
-    modulus is the place's defining polynomial, and (as GF) for F_{p^f}
-    itself over Z/p.  Elements are tuples of base elements of fixed length
-    deg(modulus).
+
+class ExtField(_CodedField):
+    """base[s]/(modulus) for a field object base and a monic irreducible
+    modulus over it, with int-coded elements and lazy tables.
+
+    Used for F_{p^f} over GF(p) and for the residue fields of places,
+    where the base is F_q and the modulus is the place's polynomial.
+    Instances are shared (see ext_field), so each table is built once.
     """
 
-    __slots__ = ("base", "modulus", "deg", "order", "zero", "one", "_gen")
+    __slots__ = ("base", "modulus", "deg", "order", "p", "_gen",
+                 "_log", "_exp", "_zech", "_trace")
 
     def __init__(self, base, modulus):
         modulus = tuple(modulus)
-        if len(modulus) < 2 or modulus[-1] != base.one:
+        if len(modulus) < 2 or modulus[-1] != 1:
             raise InputError("extension modulus must be monic of degree >= 1")
         self.base = base
         self.modulus = modulus
         self.deg = len(modulus) - 1
         self.order = base.order ** self.deg
-        self.zero = (base.zero,) * self.deg
-        self.one = (base.one,) + (base.zero,) * (self.deg - 1)
-        self._gen = None
+        self.p = base.char()
+        self._gen = self._log = self._exp = self._zech = self._trace = None
 
     def __eq__(self, other):
         return (isinstance(other, ExtField)
@@ -441,175 +462,146 @@ class ExtField:
     def __repr__(self):
         return f"ExtField({self.base!r}, deg={self.deg})"
 
-    def char(self):
-        return self.base.char()
-
     def deg_over_prime(self):
         return self.deg * self.base.deg_over_prime()
 
-    def _pad(self, c):
-        return tuple(c) + (self.base.zero,) * (self.deg - len(c))
+    def _poly(self, x) -> tuple:
+        """x as a polynomial in s over the base."""
+        return fp_trim(to_digits(x, self.base.order, self.deg))
 
-    def from_base(self, b):
-        return (b,) + (self.base.zero,) * (self.deg - 1)
+    def generator(self) -> int:
+        """Smallest multiplicative generator in code order, found with the
+        polynomial product over the base."""
+        if self._gen is None:
+            n = self.order - 1
+            exps = [n // r for r in factorize_int(n)]
+            self._gen = next(
+                m for m in range(1, self.order)
+                if all(fp_powmod(self.base, self._poly(m), e, self.modulus) != (1,)
+                       for e in exps))
+        return self._gen
 
-    def from_int(self, n: int):
-        n %= self.order
-        digits = []
-        for _ in range(self.deg):
-            n, r = divmod(n, self.base.order)
-            digits.append(self.base.from_int(r))
-        return tuple(digits)
+    def _build(self) -> list:
+        """Build the log, antilog, Zech-log and trace tables; returns log."""
+        if self.order > MAX_TABLE_ORDER:
+            raise TooLarge(f"F_{self.order} is above the field order limit {MAX_TABLE_ORDER}")
+        base, q, p, n = self.base, self.base.order, self.p, self.order - 1
+        g = self._poly(self.generator())
+        exp, log = [0] * (2 * n), [0] * self.order
+        x = (1,)
+        for k in range(n):
+            c = from_digits(x, q)
+            exp[k] = exp[k + n] = c
+            log[c] = k
+            x = fp_mod(base, fp_mul(base, x, g), self.modulus)
+        if p != 2:
+            # zech[k] = log(1 + g^k), -1 where 1 + g^k = 0; adding 1 to a
+            # code adds 1 to its lowest base-p digit
+            self._zech = [log[c1] if c1 else -1
+                          for c1 in (c - c % p + (c + 1) % p for c in exp[:n])]
+        self._exp, self._log = exp, log
+        # the trace is F_p-linear in the base-p digits of the code: fill
+        # the codes [e p^k, (e + 1) p^k) from [0, p^k) and Tr(p^k)
+        D = self.deg_over_prime()
+        trace = [0]
+        for k in range(D):
+            y, tk = p ** k, 0
+            for _ in range(D):
+                tk, y = self.add(tk, y), self.pow(y, p)
+            trace += [(t + e * tk) % p for e in range(1, p) for t in trace]
+        self._trace = trace
+        return log
 
-    def to_int(self, x) -> int:
-        n = 0
-        for c in reversed(x):
-            n = n * self.base.order + self.base.to_int(c)
-        return n
+    def add(self, x, y) -> int:
+        if self.p == 2:
+            return x ^ y
+        if not x:
+            return y
+        if not y:
+            return x
+        log = self._log
+        if log is None:
+            log = self._build()
+        lx = log[x]
+        z = self._zech[log[y] - lx]
+        return self._exp[lx + z] if z >= 0 else 0
 
-    def gen(self):
-        """The class of s (a root of the modulus)."""
-        if self.deg == 1:
-            return (self.base.neg(self.modulus[0]),)
-        return self._pad((self.base.zero, self.base.one))
+    def neg(self, x) -> int:
+        if self.p == 2 or not x:
+            return x
+        log = self._log
+        if log is None:
+            log = self._build()
+        # -1 = g^(n/2) for odd p
+        return self._exp[log[x] + (self.order - 1) // 2]
 
-    def is_zero(self, x) -> bool:
-        return all(self.base.is_zero(c) for c in x)
+    def sub(self, x, y) -> int:
+        if self.p == 2:
+            return x ^ y
+        return self.add(x, self.neg(y))
 
-    def add(self, x, y):
-        return tuple(self.base.add(a, b) for a, b in zip(x, y))
+    def mul(self, x, y) -> int:
+        if not x or not y:
+            return 0
+        log = self._log
+        if log is None:
+            log = self._build()
+        return self._exp[log[x] + log[y]]
 
-    def sub(self, x, y):
-        return tuple(self.base.sub(a, b) for a, b in zip(x, y))
-
-    def neg(self, x):
-        return tuple(self.base.neg(a) for a in x)
-
-    def mul(self, x, y):
-        if self.deg == 1:
-            return (self.base.mul(x[0], y[0]),)
-        prod = fp_mul(self.base, fp_trim(self.base, x), fp_trim(self.base, y))
-        return self._pad(fp_mod(self.base, prod, self.modulus))
-
-    def inv(self, x):
-        if self.is_zero(x):
+    def inv(self, x) -> int:
+        if not x:
             raise ZeroDivisionError("inverse of zero field element")
-        if self.deg == 1:
-            return (self.base.inv(x[0]),)
-        g, u, _ = fp_xgcd(self.base, fp_trim(self.base, x), self.modulus)
-        if g != (self.base.one,):
-            raise ZeroDivisionError("element is not invertible (modulus reducible?)")
-        return self._pad(u)
+        log = self._log
+        if log is None:
+            log = self._build()
+        return self._exp[self.order - 1 - log[x]]
 
-    def pow(self, x, e: int):
-        if e < 0:
-            x, e = self.inv(x), -e
-        result = self.one
-        base = x
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+    def pow(self, x, e: int) -> int:
+        if not x:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero field element")
+            return 0 if e else 1
+        log = self._log
+        if log is None:
+            log = self._build()
+        return self._exp[log[x] * e % (self.order - 1)]
 
-    def trace_to_base(self, x):
-        """Tr to the base field: sum of x^(q^i), returned as a base element."""
-        acc = self.zero
-        y = x
-        for _ in range(self.deg):
-            acc = self.add(acc, y)
-            y = self.pow(y, self.base.order)
-        if not all(self.base.is_zero(c) for c in acc[1:]):
-            raise RuntimeError("trace landed outside the base field")
-        return acc[0]
-
-    def elements(self):
-        """All elements in to_int order (deterministic)."""
-        for n in range(self.order):
-            yield self.from_int(n)
-
-    def generator(self):
-        """Smallest multiplicative generator in to_int order."""
-        if self._gen is not None:
-            return self._gen
-        n = self.order - 1
-        primes = list(factorize_int(n))
-        for m in range(1, self.order):
-            x = self.from_int(m)
-            if all(self.pow(x, n // r) != self.one for r in primes):
-                self._gen = x
-                return x
-        raise RuntimeError("no generator found (impossible for a field)")
+    def trace(self, x) -> int:
+        """Tr to F_p, as an int mod p."""
+        if self._trace is None:
+            self._build()
+        return self._trace[x]
 
 
-class GF(ExtField):
-    """The field F_{p^deg} as ExtField(PrimeField(p), modulus).
-
-    Elements are tuples of ints mod p of fixed length ``deg``.  The hot
-    element operations (is_zero, add, sub, neg, and mul and inv at degree
-    1) work on the ints directly; everything else is the generic ExtField
-    code.  Instances are immutable after construction and may be shared
-    freely.
-    """
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int, deg: int = 1, modulus: IntPoly | None = None):
-        base = PrimeField(p)
-        if deg < 1:
-            raise InputError("degree must be >= 1")
-        if modulus is None:
-            modulus = smallest_irreducible(p, deg)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != deg + 1 or modulus[-1] != 1:
-            raise InputError("modulus must be monic of the stated degree")
-        if not fp_is_irreducible(base, modulus):
-            raise InputError("modulus is reducible")
-        super().__init__(base, modulus)
-        self.p = p
-
-    def __repr__(self):
-        return f"GF({self.p}^{self.deg})" if self.deg > 1 else f"GF({self.p})"
-
-    def is_zero(self, x) -> bool:
-        return not any(x)
-
-    def add(self, x, y) -> tuple:
-        p = self.p
-        return tuple((a + b) % p for a, b in zip(x, y))
-
-    def sub(self, x, y) -> tuple:
-        p = self.p
-        return tuple((a - b) % p for a, b in zip(x, y))
-
-    def neg(self, x) -> tuple:
-        p = self.p
-        return tuple((-a) % p for a in x)
-
-    def mul(self, x, y) -> tuple:
-        if self.deg == 1:
-            return ((x[0] * y[0]) % self.p,)
-        return super().mul(x, y)
-
-    def inv(self, x) -> tuple:
-        if self.deg > 1:
-            return super().inv(x)
-        if not x[0]:
-            raise ZeroDivisionError("inverse of zero field element")
-        return (pow(x[0], -1, self.p),)
+@lru_cache(maxsize=256)
+def ext_field(base, modulus) -> ExtField:
+    """The shared ExtField of (base, modulus), so that equal fields share
+    one set of tables."""
+    return ExtField(base, modulus)
 
 
 @lru_cache(maxsize=64)
-def gf_field(p: int, deg: int = 1, modulus: IntPoly | None = None) -> GF:
-    return GF(p, deg, modulus)
+def gf_field(p: int, deg: int = 1, modulus: tuple | None = None):
+    """F_{p^deg}: GF(p) for deg 1, else ExtField(GF(p), modulus) for a
+    monic irreducible modulus of degree deg (the smallest by default)."""
+    base = GF(p)
+    if deg < 1:
+        raise InputError("degree must be >= 1")
+    if modulus is None:
+        modulus = smallest_irreducible(p, deg)
+    modulus = tuple(c % p for c in modulus)
+    if len(modulus) != deg + 1 or modulus[-1] != 1:
+        raise InputError("modulus must be monic of the stated degree")
+    if not fp_is_irreducible(base, modulus):
+        raise InputError("modulus is reducible")
+    return base if deg == 1 else ext_field(base, modulus)
 
 
 @lru_cache(maxsize=64)
-def smallest_irreducible(p: int, d: int) -> IntPoly:
+def smallest_irreducible(p: int, d: int) -> tuple:
     """First monic irreducible of degree d over Z/p in the fixed
     enumeration order (low coefficients vary fastest)."""
-    F = PrimeField(p)
+    F = GF(p)
     for tail in itertools.product(range(p), repeat=d):
         f = tuple(reversed(tail)) + (1,)
         if fp_is_irreducible(F, f):

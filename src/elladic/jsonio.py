@@ -52,6 +52,16 @@ def _ints(x, where: str) -> list:
     return [_int(c, f"{where} entry") for c in _list(x, where)]
 
 
+def _codes(x, where: str, field) -> list:
+    """_ints(x), each the code of an element of the field: in [0, order)."""
+    codes = _ints(x, where)
+    for c in codes:
+        if not 0 <= c < field.order:
+            raise InputError(f"{where} entry {c} is not an element code of "
+                             f"F_{field.order}: codes lie in [0, {field.order})")
+    return codes
+
+
 # -- coefficient field -------------------------------------------------------
 
 def decode_field_config(obj) -> FieldConfig:
@@ -161,7 +171,7 @@ def decode_place(obj, ground: GroundField) -> Place:
             return ground.infinity()
         if "finite" in obj:
             try:
-                return ground.place(_ints(obj["finite"], "finite place"))
+                return ground.place(_codes(obj["finite"], "finite place", ground.field()))
             except ValueError as exc:
                 raise InputError(str(exc)) from exc
     raise InputError(f"cannot read a place from {obj!r}")
@@ -170,16 +180,16 @@ def decode_place(obj, ground: GroundField) -> Place:
 def encode_place(pl: Place) -> dict:
     if pl.is_infinity:
         return {"infinity": True}
-    F = pl.ground.field()
-    return {"finite": [F.to_int(c) for c in pl.poly]}
+    return {"finite": list(pl.poly)}
 
 
 def decode_rational(obj, ground: GroundField) -> RationalFunction:
+    F = ground.field()
     if isinstance(obj, list):
-        return ground.rational(_ints(obj, "polynomial"))
+        return ground.rational(_codes(obj, "polynomial", F))
     if isinstance(obj, dict):
-        num = _ints(_need(obj, "num", "rational function"), "numerator")
-        den = _ints(obj.get("den", [1]), "denominator")
+        num = _codes(_need(obj, "num", "rational function"), "numerator", F)
+        den = _codes(obj.get("den", [1]), "denominator", F)
         try:
             return ground.rational(num, den)
         except ZeroDivisionError as exc:
@@ -188,9 +198,7 @@ def decode_rational(obj, ground: GroundField) -> RationalFunction:
 
 
 def encode_rational(r: RationalFunction) -> dict:
-    F = r.ground.field()
-    return {"num": [F.to_int(c) for c in r.num],
-            "den": [F.to_int(c) for c in r.den]}
+    return {"num": list(r.num), "den": list(r.den)}
 
 
 def decode_divisor(obj, ground: GroundField) -> Divisor:
@@ -211,17 +219,14 @@ def encode_divisor(D: Divisor) -> list:
 def decode_local_element(obj, ground: GroundField) -> LocalElement:
     _obj(obj, "local element")
     place = decode_place(_need(obj, "place", "local element"), ground)
-    K = place.residue()
-    coeffs = tuple(K.from_int(c) for c in _ints(obj.get("coeffs", []), "coeffs"))
+    coeffs = _codes(obj.get("coeffs", []), "coeffs", place.residue())
     return LocalElement.from_coeffs(place, _int(obj.get("v", 0), "v"), coeffs,
                                     exact=bool(obj.get("exact", True)))
 
 
 def encode_local_element(x: LocalElement) -> dict:
-    K = x.place.residue()
     return {"place": encode_place(x.place), "v": x.v,
-            "coeffs": [K.to_int(c) for c in x.coeffs],
-            "exact": x.exact_tail}
+            "coeffs": list(x.coeffs), "exact": x.exact_tail}
 
 
 # -- global specifications ---------------------------------------------------
@@ -236,7 +241,7 @@ def decode_local_character(obj, cfg: FieldConfig, place: Place) -> LocalCharacte
         if len(_list(pair, "unit_values entry")) != 2:
             raise InputError("unit_values entries are [coset, value] pairs")
         key_codes, value = pair
-        key = tuple(K.from_int(c) for c in _ints(key_codes, "unit coset"))
+        key = tuple(_codes(key_codes, "unit coset", K))
         unit_values.append((key, decode_local_number(value, cfg)))
     try:
         return LocalCharacter(val, level, tuple(unit_values))
@@ -247,10 +252,9 @@ def decode_local_character(obj, cfg: FieldConfig, place: Place) -> LocalCharacte
 def decode_kirillov_table(obj, cfg: FieldConfig, place: Place) -> KirillovTable:
     entries = []
     for e in _list(obj, "Kirillov table"):
-        rep_codes = _ints(_obj(e, "table entry").get("rep", [1]), "table entry rep")
-        K = place.residue()
-        rep = LocalElement.from_coeffs(
-            place, 0, tuple(K.from_int(c) for c in rep_codes), exact=True)
+        rep_codes = _codes(_obj(e, "table entry").get("rep", [1]), "table entry rep",
+                           place.residue())
+        rep = LocalElement.from_coeffs(place, 0, rep_codes, exact=True)
         try:
             entries.append(KirillovEntry(_int(_need(e, "j", "table entry"), "j"),
                                          _int(e.get("level", 0), "level"), rep,

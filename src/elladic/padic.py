@@ -31,7 +31,8 @@ from typing import Sequence
 
 from .errors import (BadSquareRoot, ConfigMismatch, NoSimpleRoot, NotIntegral,
                      PrecisionLoss, UnsupportedDegree)
-from .gf import GF, fp_deriv, fp_eval, gf_field, is_prime, smallest_irreducible
+from .gf import (fp_deriv, fp_eval, from_digits, gf_field, is_prime,
+                 smallest_irreducible, to_digits)
 
 INFINITY = math.inf
 
@@ -63,10 +64,12 @@ class FieldConfig:
             object.__setattr__(self, "modulus", smallest_irreducible(self.ell, self.d))
         else:
             object.__setattr__(self, "modulus", tuple(c % self.ell for c in self.modulus))
-        # GF validates monicness and irreducibility
+        # gf_field validates monicness and irreducibility
         gf_field(self.ell, self.d, self.modulus)
 
-    def residue_field(self) -> GF:
+    def residue_field(self):
+        """F_{l^d}, whose integer codes are the residue digit tuples read
+        in base l (from_digits)."""
         return gf_field(self.ell, self.d, self.modulus)
 
     # -- constructors -------------------------------------------------------
@@ -139,8 +142,8 @@ def _umul(cfg: FieldConfig, a, b, k: int) -> tuple:
 
 def _uinv(cfg: FieldConfig, a, k: int) -> tuple:
     """Inverse of a unit mod (l^k, modulus), by lifting the residue inverse."""
-    F = cfg.residue_field()
-    z = F.inv(tuple(c % cfg.ell for c in a))
+    ell = cfg.ell
+    z = to_digits(cfg.residue_field().inv(from_digits([c % ell for c in a], ell)), ell, cfg.d)
     known = 1
     while known < k:
         known = min(2 * known, k)
@@ -181,8 +184,9 @@ class LocalNumber:
         return self.is_zero or self.v >= 0
 
     def reduce(self) -> tuple:
-        """Image in the residue field, an element of config.residue_field();
-        requires valuation >= 0."""
+        """Image in the residue field as its coefficient tuple over Z/l
+        (from_digits gives its code in config.residue_field()); requires
+        valuation >= 0."""
         if not self.is_zero and self.v < 0:
             raise NotIntegral(f"valuation {self.v} < 0 has no residue")
         if self.is_zero or self.v > 0:
@@ -384,8 +388,8 @@ def _poly_eval_unit(cfg: FieldConfig, coeffs_int, x, k: int):
 
 
 def hensel_root(f: Sequence[LocalNumber], r0: tuple) -> LocalNumber:
-    """Lift the simple residue root r0, an element of the residue field,
-    of f to a root to full precision.
+    """Lift the simple residue root r0, a residue coefficient tuple as
+    reduce() returns, of f to a root to full precision.
 
     f is a coefficient sequence, ascending degree, with integral
     coefficients.  Raises NoSimpleRoot unless f(r0) = 0 and f'(r0) != 0 in
@@ -399,11 +403,12 @@ def hensel_root(f: Sequence[LocalNumber], r0: tuple) -> LocalNumber:
     if any(not c.is_integral() for c in f):
         raise NotIntegral("Hensel lifting requires integral coefficients")
 
-    F = cfg.residue_field()
-    fbar = tuple(c.reduce() for c in f)
-    if not F.is_zero(fp_eval(F, fbar, r0)):
+    F, ell = cfg.residue_field(), cfg.ell
+    fbar = tuple(from_digits(c.reduce(), ell) for c in f)
+    r0_code = from_digits(r0, ell)
+    if fp_eval(F, fbar, r0_code):
         raise NoSimpleRoot("residue is not a root")
-    if F.is_zero(fp_eval(F, fp_deriv(F, fbar), r0)):
+    if not fp_eval(F, fp_deriv(F, fbar), r0_code):
         raise NoSimpleRoot("residue root is not simple")
     if f[0].is_zero and not any(r0):
         return cfg.zero()   # the simple root over 0 is 0 itself
@@ -445,7 +450,7 @@ def _pth_roots_cached(config: FieldConfig, p: int) -> tuple:
             f"choose d a multiple of the order of {config.ell} mod {p}")
     g = F.generator()
     zeta_bar = F.pow(g, (F.order - 1) // p)
-    residues = sorted({F.pow(zeta_bar, j) for j in range(p)})
+    residues = sorted({to_digits(F.pow(zeta_bar, j), config.ell, config.d) for j in range(p)})
     poly = [config.integer(-1)] + [config.zero()] * (p - 1) + [config.one()]
     return tuple(hensel_root(poly, r) for r in residues)
 
@@ -470,10 +475,10 @@ def sqrt_unit(config: FieldConfig, n: int) -> LocalNumber:
     if n % config.ell == 0:
         raise BadSquareRoot(f"{n} is not an l-unit")
     F = config.residue_field()
-    target = F.from_int(n % config.ell)
+    target = n % config.ell
     for cand in F.elements():
         if F.mul(cand, cand) == target:
             poly = [config.integer(-n), config.zero(), config.one()]
-            return hensel_root(poly, cand)
+            return hensel_root(poly, to_digits(cand, config.ell, config.d))
     raise UnsupportedDegree(
         f"{n} is not a square in F_{F.order}; use an even residue degree d")

@@ -656,7 +656,7 @@ def default_sample_points(ground: GroundField, seed: int, count: int = 50) -> tu
             K = pl.residue()
             v = rng.randint(-1, 1)
             ncoef = rng.randint(1, 3)
-            coeffs = tuple(K.from_int(rng.randrange(K.order)) for _ in range(ncoef))
+            coeffs = tuple(rng.randrange(K.order) for _ in range(ncoef))
             x = LocalElement.from_coeffs(pl, v, coeffs, exact=True)
             a1 = rng.randint(-2, 2)
             entries.append((pl, x, a1, 0))
@@ -789,11 +789,9 @@ def central_char_propagate(fam1: CharacterFamily, fam2: CharacterFamily,
             levels.append(chi.level)
         m_w = max(max(levels), 1)
         test_elements = [LocalElement.uniformizer_power(w0, 1)]
-        K = w0.residue()
-        nonone = next((e for e in K.elements()
-                       if not K.is_zero(e) and e != K.one), None)
-        if nonone is not None:
-            test_elements.append(LocalElement.from_coeffs(w0, 0, (nonone,), exact=True))
+        if w0.residue().order > 2:
+            # the residue of code 2, the first that is neither 0 nor 1
+            test_elements.append(LocalElement.from_coeffs(w0, 0, (2,), exact=True))
         for x in test_elements:
             constraints = []
             for v in fam1.S:

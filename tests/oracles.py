@@ -1,12 +1,17 @@
-"""Independent Schur evaluators, the cross-checks of whittaker.schur_value.
+"""Independent reference implementations the production code is checked
+against.
 
-The classical bialternant quotient and a semistandard-tableau enumeration
-share nothing with the production Jacobi-Trudi table; det is the plain
-cofactor determinant both the bialternant and the per-weight reference
-sweep of test_whittaker expand.
+* Schur evaluators, the cross-checks of whittaker.schur_value: the
+  classical bialternant quotient and a semistandard-tableau enumeration
+  share nothing with the production Jacobi-Trudi table; det is the plain
+  cofactor determinant both the bialternant and the per-weight reference
+  sweep of test_whittaker expand.
+* TupleField, the polynomial-arithmetic finite field that the int-coded
+  tables of elladic.gf.ExtField are checked against.
 """
 
 from elladic.errors import TooLarge
+from elladic.gf import factorize_int
 from elladic.satake import SatakeParam, elementary_symmetric_all
 from elladic.whittaker import is_dominant
 
@@ -102,3 +107,84 @@ def _ssyt_fillings(shape, n):
         grid.pop((r, col), None)
 
     yield from fill(0)
+
+
+class TupleField:
+    """base[s]/(modulus) with elements the coefficient tuples over the
+    base, multiplied as polynomials and reduced by the monic modulus.
+
+    The base is elladic.gf.GF(p) or another TupleField, and the modulus a
+    tuple of base elements.  Codes are those of elladic.gf: sum c_i q^i
+    over the base codes.  The inverse is x^(order - 2), so no table, log
+    or Euclid is shared with the code under test.
+    """
+
+    def __init__(self, base, modulus):
+        self.base, self.modulus = base, tuple(modulus)
+        self.deg = len(self.modulus) - 1
+        self.order = base.order ** self.deg
+        self.zero = (base.zero,) * self.deg
+        self.one = (base.one,) + (base.zero,) * (self.deg - 1)
+
+    def char(self):
+        return self.base.char()
+
+    def deg_over_prime(self):
+        return self.deg * self.base.deg_over_prime()
+
+    def from_int(self, n):
+        digits = []
+        for _ in range(self.deg):
+            n, r = divmod(n, self.base.order)
+            digits.append(self.base.from_int(r))
+        return tuple(digits)
+
+    def to_int(self, x):
+        n = 0
+        for c in reversed(x):
+            n = n * self.base.order + self.base.to_int(c)
+        return n
+
+    def add(self, x, y):
+        return tuple(map(self.base.add, x, y))
+
+    def sub(self, x, y):
+        return tuple(map(self.base.sub, x, y))
+
+    def neg(self, x):
+        return tuple(map(self.base.neg, x))
+
+    def mul(self, x, y):
+        B, d = self.base, self.deg
+        prod = [B.zero] * (2 * d - 1)
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                prod[i + j] = B.add(prod[i + j], B.mul(a, b))
+        for i in range(2 * d - 2, d - 1, -1):
+            c = prod[i]
+            for j in range(d + 1):
+                prod[i - d + j] = B.sub(prod[i - d + j], B.mul(c, self.modulus[j]))
+        return tuple(prod[:d])
+
+    def pow(self, x, e):
+        if e < 0:
+            x, e = self.inv(x), -e
+        result = self.one
+        while e:
+            if e & 1:
+                result = self.mul(result, x)
+            x = self.mul(x, x)
+            e >>= 1
+        return result
+
+    def inv(self, x):
+        if x == self.zero:
+            raise ZeroDivisionError("inverse of zero field element")
+        return self.pow(x, self.order - 2)
+
+    def generator(self):
+        """Smallest multiplicative generator in code order."""
+        n = self.order - 1
+        return next(m for m in range(1, self.order)
+                    if all(self.pow(self.from_int(m), n // r) != self.one
+                           for r in factorize_int(n)))

@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elladic import jsonio
 from elladic.cli import main
+from elladic.errors import InputError
+from elladic.function_field import GroundField
+from elladic.padic import FieldConfig
 
 PIPE_INPUT = {
     "ground": {"p": 2, "f": 1},
@@ -398,6 +402,54 @@ def test_malformed_request_exits_two(capsys, argv, command, error):
     assert code == 2
     assert record["command"] == command
     assert error is None or record["error"] == error
+
+
+G2, G4, CFG7 = GroundField(2), GroundField(2, 2), FieldConfig(7, precision=4)
+T_PLACE = {"finite": [0, 1]}
+
+
+@pytest.mark.parametrize("decode, obj, field", [
+    (jsonio.decode_rational, {"num": [2], "den": [1]}, "F_2"),
+    (jsonio.decode_rational, {"num": [1], "den": [0, 1, 2]}, "F_2"),
+    (jsonio.decode_rational, [1, -1], "F_2"),
+    (jsonio.decode_place, {"finite": [2, 1]}, "F_2"),
+    (jsonio.decode_local_element, {"place": T_PLACE, "coeffs": [2]}, "F_2"),
+    (jsonio.decode_local_element, {"place": T_PLACE, "coeffs": [1, -1]}, "F_2"),
+    (lambda obj, G: jsonio.decode_local_character(obj, CFG7, G.place([0, 1])),
+     {"uniformizer_value": 3, "level": 1, "unit_values": [[[3], 1]]}, "F_2"),
+    (lambda obj, G: jsonio.decode_kirillov_table(obj, CFG7, G.place([0, 1])),
+     [{"j": 0, "level": 1, "rep": [2], "value": 1}], "F_2"),
+    (jsonio.decode_rational, {"num": [4]}, "F_4"),
+    (jsonio.decode_local_element, {"place": {"finite": [2, 1, 1]}, "coeffs": [16]}, "F_16"),
+], ids=["num-2", "den-2", "poly-minus-1", "place-2", "coeffs-2", "coeffs-minus-1",
+        "unit-coset-3", "kirillov-rep-2", "f4-num-4", "f16-coeffs-16"])
+def test_out_of_range_element_codes_are_input_errors(decode, obj, field):
+    """An element code outside [0, order) is refused, naming the field,
+    instead of being reduced to another element."""
+    ground = G4 if field != "F_2" else G2
+    with pytest.raises(InputError, match=f"{field}:"):
+        decode(obj, ground)
+
+
+def expand_at_place(poly):
+    return ["expand", "--p", "2", "--input",
+            json.dumps({"rational": {"num": [1, 1], "den": [0, 1]},
+                        "place": {"finite": poly}, "precision": 4})]
+
+
+def test_residue_field_order_limit(capsys):
+    """A degree-17 place over F_2 has a residue field of order 131,072,
+    above gf.MAX_TABLE_ORDER: expanding there exits 3 with a TooLarge
+    record.  A degree-16 place, at the limit, still expands."""
+    deg16 = [1, 0, 1, 1, 0, 1] + [0] * 10 + [1]     # t^16 + t^5 + t^3 + t^2 + 1
+    deg17 = [1, 0, 0, 1] + [0] * 13 + [1]           # t^17 + t^3 + 1
+    code, record = run_failing(capsys, *expand_at_place(deg17))
+    assert code == 3
+    assert record["error"] == "TooLarge" and "131072" in record["message"]
+    code, out = run(capsys, *expand_at_place(deg16))
+    assert code == 0
+    expansion = json.loads(out)["result"]["expansion"]
+    assert expansion["v"] == 0 and len(expansion["coeffs"]) == 4
 
 
 def test_flags_may_precede_the_command(capsys):

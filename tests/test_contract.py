@@ -39,7 +39,9 @@ def _unbounded_cache(node) -> bool:
 
 def test_every_cache_is_bounded():
     """Caches are shared for the life of the process, so each has a
-    finite maxsize."""
+    finite maxsize.  The finite-field tables are bounded too: ext_field
+    keeps at most 256 fields, and each field's tables hold at most
+    2 * gf.MAX_TABLE_ORDER entries, since a larger field raises TooLarge."""
     found = [f"{path.name}:{node.lineno}"
              for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text(), str(path)))

@@ -77,12 +77,11 @@ def test_expansion_respects_multiplication(rng):
 
 def test_expansion_at_higher_degree_place():
     pl = G2.place([1, 1, 1])
-    K = pl.residue()
     le = expand_at(G2.t(), pl, 4)
     # t = theta + u: constant coefficient is the residue class of t
     assert le.v == 0
-    assert le.coeffs[0] == K.gen()
-    assert le.coeffs[1] == K.one
+    assert le.coeffs[0] == pl.theta == 2    # the class of s, coded q^1
+    assert le.coeffs[1] == 1
 
 
 def test_local_element_arithmetic():
@@ -93,7 +92,7 @@ def test_local_element_arithmetic():
     prod = x * y
     assert prod.v == 0 and prod.coefficient(0) == K.one
     for i in range(1, 4):
-        assert K.is_zero(prod.coefficient(i))
+        assert prod.coefficient(i) == 0
     assert (x - x).is_exact_zero
     with pytest.raises(ConfigMismatch):
         x + LocalElement.exact_zero(G3.infinity()) + x  # mixed places
@@ -229,7 +228,7 @@ def brute_force_index(U: Divisor) -> int:
                 for digit in range(m):
                     val = combo[idx]
                     if digit == 0:
-                        val = K.add(val, K.from_base(c))
+                        val = K.add(val, c)
                     shifted.append(val)
                     idx += 1
             orbit.add(tuple(shifted))
@@ -271,10 +270,9 @@ def test_coset_reps_distinct_modulo_constants():
                 for pl, m in U.items:
                     K = pl.residue()
                     d = r1.get(pl) - r2.get(pl)
-                    cc = K.from_base(Fq.from_int(c))
-                    d = d - LocalElement.from_coeffs(pl, 0, (cc,), exact=True)
+                    d = d - LocalElement.from_coeffs(pl, 0, (c,), exact=True)
                     for digit in range(m):
-                        if not K.is_zero(d.coefficient(digit)):
+                        if d.coefficient(digit):
                             diff_ok = False
                 assert not diff_ok
 

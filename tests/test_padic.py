@@ -49,8 +49,9 @@ def test_reduce_is_ring_homomorphism(rng):
     for _ in range(100):
         x = CFG7.integer(rng.randrange(1, 7 ** 6))
         y = CFG7.integer(rng.randrange(1, 7 ** 6))
-        assert (x + y).reduce() == F.add(x.reduce(), y.reduce())
-        assert (x * y).reduce() == F.mul(x.reduce(), y.reduce())
+        (a,), (b,) = x.reduce(), y.reduce()
+        assert (x + y).reduce() == (F.add(a, b),)
+        assert (x * y).reduce() == (F.mul(a, b),)
 
 
 def test_unit_times_inverse_reduces_to_one(rng):

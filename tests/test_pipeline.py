@@ -85,7 +85,7 @@ def test_local_character_evaluation():
     K = quad.residue()
     ram = LocalCharacter(CFG.integer(3), 1, (((K.one,), CFG.one()),))
     assert ram.evaluate(LocalElement.uniformizer_power(quad, 1)) == CFG.integer(3)
-    theta_unit = LocalElement.from_coeffs(quad, 0, (K.gen(),), exact=True)
+    theta_unit = LocalElement.from_coeffs(quad, 0, (quad.theta,), exact=True)
     with pytest.raises(IncompleteData):
         ram.evaluate(theta_unit)
 

@@ -169,7 +169,7 @@ def test_reduction_equals_product_of_residue_roots(rng):
         # expand prod (X - reduce(mu_i)) over the residue field
         poly = [F.one]
         for m in s.mu:
-            root = m.reduce()
+            (root,) = m.reduce()
             nxt = [F.zero] * (len(poly) + 1)
             for i, c in enumerate(poly):
                 nxt[i + 1] = F.add(nxt[i + 1], c)
@@ -179,7 +179,7 @@ def test_reduction_equals_product_of_residue_roots(rng):
         # c_1..c_n with c_r attached to X^{n-r}
         red = reduce_char_poly(char_poly(s))
         for r in range(1, n + 1):
-            assert red[r - 1] == poly[n - r]
+            assert red[r - 1] == (poly[n - r],)
 
 
 def test_char_poly_vanishes_at_roots(rng):
