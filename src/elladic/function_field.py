@@ -55,6 +55,9 @@ class GroundField:
         else:
             object.__setattr__(self, "modulus", tuple(c % self.p for c in self.modulus))
         gf_field(self.p, self.f, self.modulus)
+        # built once: an attribute, not a field, so __eq__, hash and repr
+        # are unchanged
+        object.__setattr__(self, "_infinity", Place(self, None))
 
     @property
     def q(self) -> int:
@@ -67,8 +70,7 @@ class GroundField:
 
     def poly(self, ints) -> tuple:
         """Polynomial over F_q from integer codes, ascending degree."""
-        F = self.field()
-        return fp_trim(tuple(F.from_int(c) for c in ints))
+        return fp_trim(element_codes(ints, self.field()))
 
     def rational(self, num_ints, den_ints=(1,)) -> "RationalFunction":
         return RationalFunction.make(self, self.poly(num_ints), self.poly(den_ints))
@@ -80,10 +82,20 @@ class GroundField:
         return self.rational((n,))
 
     def infinity(self) -> "Place":
-        return Place(self, None)
+        return self._infinity
 
     def place(self, ints) -> "Place":
         return Place(self, self.poly(ints))
+
+
+def element_codes(codes, K) -> tuple:
+    """The codes as a tuple, each checked to name an element of K."""
+    codes = tuple(codes)
+    for c in codes:
+        if not 0 <= c < K.order:
+            raise ValueError(f"{c} is not an element code of F_{K.order}: "
+                             f"codes lie in [0, {K.order})")
+    return codes
 
 
 @dataclass(frozen=True)
@@ -289,7 +301,7 @@ class LocalElement:
 
     @classmethod
     def from_coeffs(cls, place: Place, v: int, coeffs, exact: bool = True) -> "LocalElement":
-        return make_local(place, v, tuple(coeffs), exact)
+        return make_local(place, v, element_codes(coeffs, place.residue()), exact)
 
     @classmethod
     def uniformizer_power(cls, place: Place, j: int) -> "LocalElement":
@@ -451,6 +463,31 @@ def make_local(place: Place, v: int, coeffs: tuple, exact_tail: bool) -> LocalEl
     return LocalElement(place, v + i, coeffs, exact_tail)
 
 
+def product_coefficient(a: LocalElement, b: LocalElement, i: int):
+    """(a * b).coefficient(i) in O(len), without forming a * b: it raises
+    InsufficientPrecision exactly where the product's coefficient would."""
+    a._check(b)
+    if a.is_exact_zero or b.is_exact_zero:
+        return 0
+    v = a.v + b.v
+    if i < v:
+        return 0
+    if not a.coeffs or not b.coeffs:
+        raise InsufficientPrecision(f"coefficient {i} beyond certified 0 mod u^{v}")
+    k = i - v
+    na, nb = len(a.coeffs), len(b.coeffs)
+    if not (a.exact_tail and b.exact_tail):
+        n = min(na if not a.exact_tail else INF, nb if not b.exact_tail else INF)
+        if k >= n:
+            raise InsufficientPrecision(f"coefficient {i} beyond precision O(u^{v + n})")
+    K = a.place.residue()
+    add, mul = K.add, K.mul
+    acc = 0
+    for j in range(max(0, k - nb + 1), min(k, na - 1) + 1):
+        acc = add(acc, mul(a.coeffs[j], b.coeffs[k - j]))
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # expansion of rational functions
 # ---------------------------------------------------------------------------
@@ -547,17 +584,18 @@ def psi_conductor(place: Place) -> int:
     return 2 if place.is_infinity else 0
 
 
-def residue_trace(place: Place, x: LocalElement):
-    """Tr_{kappa(v)/F_p}(res_v(x dt)) as an int mod p.
+def residue_trace(place: Place, x: LocalElement, y: LocalElement | None = None):
+    """Tr_{kappa(v)/F_p}(res_v(x y dt)) as an int mod p; y = None means 1,
+    and x y is not formed.
 
     dt = du at finite places, dt = -u^{-2} du at infinity, so the residue
     reads off the coefficient at index -1 (finite) or minus the one at
     index +1 (infinity).
     """
     K = place.residue()
-    if place.is_infinity:
-        return K.trace(K.neg(x.coefficient(1)))
-    return K.trace(x.coefficient(-1))
+    i = 1 if place.is_infinity else -1
+    c = x.coefficient(i) if y is None else product_coefficient(x, y, i)
+    return K.trace(K.neg(c) if place.is_infinity else c)
 
 
 def psi_local(place: Place, x: LocalElement, target: PsiTarget) -> LocalNumber:

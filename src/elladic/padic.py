@@ -208,7 +208,7 @@ class LocalNumber:
 
     def _coerce(self, other):
         if isinstance(other, LocalNumber):
-            if other.config != self.config:
+            if other.config is not self.config and other.config != self.config:
                 raise ConfigMismatch("operands use different field configurations")
             return other
         if isinstance(other, int):

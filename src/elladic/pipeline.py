@@ -21,13 +21,18 @@ times the center; queries outside that domain raise UnsupportedPoint.
 A spec pair is evaluated in one pass: once validate_spec_pair has made S, w
 and the tables identical, each point's gamma support and each place's
 expansion of gamma are computed once and serve both specs.
+
+psi is one character of A/k, so in a gamma term the product over places
+of psi_v(x_v) is psi_0 of the sum of the residue traces: one trace sum
+per term, read as one psi value.  The traces, like the tabulated factors,
+serve both specs; only the unramified Whittaker values are per spec.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (ConfigMismatch, IncompleteData, NotCongruent,
                      NotIntegral, SpecMismatch, UnsupportedPoint)
@@ -35,9 +40,10 @@ from .function_field import (Adele, DEFAULT_ENUMERATION_CAP, Divisor,
                              GroundField, LocalElement, Place, PsiTarget,
                              RationalFunction, enumerate_places, expand_at,
                              coset_reps, psi_conductor, psi_global, psi_local,
-                             quotient_index, rr_nonzero, scale_adele)
+                             quotient_index, residue_trace, rr_nonzero,
+                             scale_adele)
 from .padic import FieldConfig, LocalNumber, congruent_mod_m
-from .satake import SatakeParam, char_poly, congruent, is_integral
+from .satake import CharPoly, SatakeParam, char_poly, congruent, is_integral
 from .whittaker import check_sqrt_q, whittaker_value
 
 INF = float("inf")
@@ -167,6 +173,13 @@ class UnramifiedDatum:
     def __post_init__(self):
         if self.satake.n != 2:
             raise ValueError("global evaluation supports rank 2 only")
+
+    @cached_property
+    def char_poly(self) -> CharPoly:
+        """The characteristic polynomial of the Satake data, built on first
+        use: validate_spec_pair reads it at every call, and a datum only
+        ever expanded never needs it."""
+        return char_poly(self.satake)
 
 
 @dataclass(frozen=True)
@@ -327,26 +340,34 @@ def local_value(datum, place: Place, x: LocalElement, a, central: int,
     function is a genuine function of the full torus coordinate.
     """
     a1, a2 = a
-    tabulated = isinstance(datum, TabulatedDatum)
-    if tabulated and a2 != 0:
+    _check_mirabolic(datum, a2)
+    psi_val = psi_local(place, x.shift(-a2) if a2 else x, target)
+    val, half = _local_factor(datum, place, a1, a2, central, torus_unit)
+    return (val, 0) if val.is_zero else (psi_val * val, half)
+
+
+def _check_mirabolic(datum, a2: int):
+    if a2 != 0 and isinstance(datum, TabulatedDatum):
         raise UnsupportedPoint(
             "tabulated data is defined on the mirabolic subgroup (a2 = 0)")
-    psi_val = psi_local(place, x.shift(-a2) if a2 else x, target)
-    if not tabulated:
+
+
+def _local_factor(datum, place: Place, a1: int, a2: int, central: int,
+                  torus_unit: LocalElement | None):
+    """The local factor without its psi value, as (coefficient, m), m = 0
+    once the coefficient is zero: the Whittaker value for unramified data,
+    else the table value at torus_unit * u^a1 times the central twist."""
+    if not isinstance(datum, TabulatedDatum):
         wv = whittaker_value(datum.satake, (a1 + central, a2 + central))
-        if wv.is_zero:
-            return wv.coef, 0
-        return psi_val * wv.coef, wv.q_half_exp * place.degree
-    y = LocalElement.uniformizer_power(place, a1)
-    if torus_unit is not None and not torus_unit.is_exact_zero:
-        y = torus_unit * y
+        return wv.coef, wv.q_half_exp * place.degree
+    if torus_unit is None or torus_unit.is_exact_zero:
+        y = LocalElement.uniformizer_power(place, a1)
+    else:
+        y = torus_unit.shift(a1)
     f_val = datum.table.lookup(y)
-    if f_val.is_zero:
+    if f_val.is_zero or not central:
         return f_val, 0
-    out = psi_val * f_val
-    if central:
-        out = out * datum.central.value_at_uniformizer ** central
-    return out, 0
+    return f_val * datum.central.value_at_uniformizer ** central, 0
 
 
 def _base_places(spec: GlobalWhittakerSpec, point: MirabolicPoint) -> set:
@@ -385,8 +406,15 @@ def _gamma_terms(specs: tuple, point: MirabolicPoint,
                  gamma: RationalFunction | None, target: PsiTarget) -> list:
     """The product of local values at diag(gamma,1) * point for each spec,
     as (coefficient, total half exponent); gamma = None means gamma = 1.
-    Each place's geometry is computed once for all specs, so they must
-    share S, w and the tables, the only spec data it reads."""
+
+    psi is one character of A/k, so the psi values of all places multiply
+    to psi_0 of the sum of their residue traces: one value per term.  Each
+    place's expansion of gamma, residue trace and tabulated factor are
+    computed once for all specs, so they must share S, w and the tables,
+    the only spec data these read; Whittaker values are the one factor
+    computed per spec."""
+    if target.ground != specs[0].ground:
+        raise ConfigMismatch("psi target built for a different ground field")
     config = specs[0].config
     relevant = _base_places(specs[0], point)
     orders = {}   # the order of gamma at its poles, its zeros and infinity
@@ -395,33 +423,46 @@ def _gamma_terms(specs: tuple, point: MirabolicPoint,
         orders.update(gamma.zero_places())
         orders[specs[0].ground.infinity()] = len(gamma.den) - len(gamma.num)
         relevant |= set(orders)
-    terms = [(config.one(), 0)] * len(specs)   # None once a factor is zero
+    coefs = [config.one()] * len(specs)
+    halves = [0] * len(specs)
+    live = range(len(specs))      # the specs whose factors are all nonzero
+    trace = 0
     for pl in sorted(relevant, key=lambda p: p.sort_key()):
-        live = [i for i, term in enumerate(terms) if term is not None]
-        if not live:
-            break
         x, a1, a2 = point.get(pl)
         c = point.central_at(pl)
-        data = {i: specs[i].datum_at(pl) for i in live}
-        torus_unit = None
+        data = [specs[i].datum_at(pl) for i in live]
+        tabulated = isinstance(data[0], TabulatedDatum)
+        gexp = torus_unit = None
         if gamma is not None:
             ordg = orders.get(pl, 0)
             need = psi_conductor(pl)
-            datum = data[live[0]]
-            if isinstance(datum, TabulatedDatum):
-                need = max(need, datum.table.max_level() + 1)
+            if tabulated:
+                need = max(need, data[0].table.max_level() + 1)
             xv = 0 if x.is_zero_like else x.v
             M = max(1, need - min(xv, 0) - ordg + 3)
             gexp = expand_at(gamma, pl, M)
-            if not x.is_exact_zero:
-                x = gexp * x
             torus_unit = gexp.shift(-ordg)
             a1 = a1 + ordg
-        for i in live:
-            val, half = local_value(data[i], pl, x, (a1, a2), c, target, torus_unit)
-            coef, total_half = terms[i]
-            terms[i] = None if val.is_zero else (coef * val, total_half + half)
-    return [term or (config.zero(), 0) for term in terms]
+        _check_mirabolic(data[0], a2)
+        trace += residue_trace(pl, x.shift(-a2) if a2 else x, gexp)
+        if tabulated:
+            factors = [_local_factor(data[0], pl, a1, a2, c, torus_unit)] * len(live)
+        else:
+            factors = [_local_factor(d, pl, a1, a2, c, None) for d in data]
+        nonzero = []
+        for i, (val, half) in zip(live, factors):
+            if not val.is_zero:
+                coefs[i] = coefs[i] * val
+                halves[i] += half
+                nonzero.append(i)
+        live = nonzero
+        if not live:
+            break
+    out = [(config.zero(), 0)] * len(specs)
+    psi = target.psi0(trace)
+    for i in live:
+        out[i] = (coefs[i] * psi, halves[i])
+    return out
 
 
 def _gamma_term(spec: GlobalWhittakerSpec, point: MirabolicPoint,
@@ -597,19 +638,18 @@ def validate_spec_pair(spec1: GlobalWhittakerSpec, spec2: GlobalWhittakerSpec):
     for pl in set(d1) | set(d2):
         if pl in spec1.S:
             continue
-        _check_satake_pair(spec1.datum_at(pl).satake, spec2.datum_at(pl).satake, pl)
+        _check_satake_pair(spec1.datum_at(pl), spec2.datum_at(pl), pl)
     degrees = {deg for deg, _ in spec1.default_rule} | {deg for deg, _ in spec2.default_rule}
     for deg in degrees:
         try:
-            s1 = spec1._defaults[deg].satake
-            s2 = spec2._defaults[deg].satake
+            u1, u2 = spec1._defaults[deg], spec2._defaults[deg]
         except KeyError:
             raise SpecMismatch(f"default rules cover different degrees ({deg})")
-        _check_satake_pair(s1, s2, f"default rule degree {deg}")
+        _check_satake_pair(u1, u2, f"default rule degree {deg}")
 
 
-def _check_satake_pair(s1: SatakeParam, s2: SatakeParam, where):
-    p1, p2 = char_poly(s1), char_poly(s2)
+def _check_satake_pair(d1: UnramifiedDatum, d2: UnramifiedDatum, where):
+    p1, p2 = d1.char_poly, d2.char_poly
     if not (is_integral(p1) and is_integral(p2)):
         raise NotIntegral(f"non-integral Satake data at {where}")
     if not congruent(p1, p2):

@@ -8,12 +8,18 @@ against.
   sweep of test_whittaker expand.
 * TupleField, the polynomial-arithmetic finite field that the int-coded
   tables of elladic.gf.ExtField are checked against.
+* gamma_term_per_place, the gamma term of one spec as a product over
+  places of psi_v times the local factor, which the one-trace kernel
+  elladic.pipeline._gamma_terms is checked against.
 """
 
-from elladic.errors import TooLarge
+from elladic.errors import TooLarge, UnsupportedPoint
+from elladic.function_field import (LocalElement, expand_at, psi_conductor,
+                                    psi_local)
 from elladic.gf import factorize_int
+from elladic.pipeline import TabulatedDatum
 from elladic.satake import SatakeParam, elementary_symmetric_all
-from elladic.whittaker import is_dominant
+from elladic.whittaker import is_dominant, whittaker_value
 
 ORACLE_MAX_RANK = 4
 ORACLE_MAX_WEIGHT = 8
@@ -188,3 +194,62 @@ class TupleField:
         return next(m for m in range(1, self.order)
                     if all(self.pow(self.from_int(m), n // r) != self.one
                            for r in factorize_int(n)))
+
+
+def gamma_term_per_place(spec, point, gamma, target):
+    """The term of one spec at diag(gamma,1) * point, as (coefficient,
+    total half exponent); gamma = None means 1.
+
+    A product over places in place order, stopping at the first zero
+    factor: at each place x gamma is formed in full, psi_v is read from
+    it, and the local factor is psi_v times the Whittaker value, or psi_v
+    times the table value at gamma's unit part times u^a1 times the
+    central twist.  Nothing is shared between places or between specs.
+    """
+    ground, config = spec.ground, spec.config
+    places = set(point.support()) | set(spec.S) | {ground.infinity()}
+    orders = {}
+    if gamma is not None:
+        orders = {pl: -m for pl, m in gamma.pole_places()}
+        orders.update(gamma.zero_places())
+        orders[ground.infinity()] = gamma.ord_at(ground.infinity())
+        places |= set(orders)
+    coef, total = config.one(), 0
+    for pl in sorted(places, key=lambda p: p.sort_key()):
+        x, a1, a2 = point.get(pl)
+        c = point.central_at(pl)
+        datum = spec.datum_at(pl)
+        tabulated = isinstance(datum, TabulatedDatum)
+        torus_unit = None
+        if gamma is not None:
+            ordg = orders.get(pl, 0)
+            need = psi_conductor(pl)
+            if tabulated:
+                need = max(need, datum.table.max_level() + 1)
+            xv = 0 if x.is_zero_like else x.v
+            gexp = expand_at(gamma, pl, max(1, need - min(xv, 0) - ordg + 3))
+            x = gexp * x
+            torus_unit = gexp.shift(-ordg)
+            a1 += ordg
+        if tabulated and a2 != 0:
+            raise UnsupportedPoint("tabulated data queried with a2 != 0")
+        psi_val = psi_local(pl, x.shift(-a2), target)
+        half = 0
+        if tabulated:
+            y = LocalElement.uniformizer_power(pl, a1)
+            if torus_unit is not None:
+                y = torus_unit * y
+            val = datum.table.lookup(y)
+            if not val.is_zero:
+                val = psi_val * val
+                if c:
+                    val = val * datum.central.value_at_uniformizer ** c
+        else:
+            wv = whittaker_value(datum.satake, (a1 + c, a2 + c))
+            val = wv.coef
+            if not val.is_zero:
+                val, half = psi_val * val, wv.q_half_exp * pl.degree
+        if val.is_zero:
+            return config.zero(), 0
+        coef, total = coef * val, total + half
+    return coef, total

@@ -1,14 +1,17 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elladic.errors import ConfigMismatch, InsufficientPrecision, TooLarge
 from elladic.function_field import (Adele, Divisor, GroundField, LocalElement,
-                                    PsiTarget, RationalFunction, coset_reps,
-                                    enumerate_places, expand_at,
-                                    principal_adele, psi_conductor_divisor,
-                                    psi_global, psi_kernel_set, psi_local,
-                                    quotient_index, rr_space,
+                                    Place, PsiTarget, RationalFunction,
+                                    coset_reps, enumerate_places, expand_at,
+                                    principal_adele, product_coefficient,
+                                    psi_conductor_divisor, psi_global,
+                                    psi_kernel_set, psi_local, quotient_index,
+                                    residue_trace, rr_space,
                                     series_to_poly_mod, span_nonzero,
                                     weak_approx)
 from elladic.padic import FieldConfig
@@ -105,6 +108,63 @@ def test_insufficient_precision_read():
     with pytest.raises(InsufficientPrecision):
         x.coefficient(5)
     assert x.coefficient(-3) == K.zero
+
+
+def test_out_of_range_element_codes_raise():
+    with pytest.raises(ValueError):
+        G2.rational([2])
+    with pytest.raises(ValueError):
+        G2.rational([1], [-1, 1])
+    with pytest.raises(ValueError):
+        G2.place([3, 1])
+    pl = G4.place([2, 1, 1])
+    assert pl.residue().order == 16
+    with pytest.raises(ValueError):
+        LocalElement.from_coeffs(pl, 0, (17,))
+    assert LocalElement.from_coeffs(pl, 0, (15, 0)).coeffs == (15,)
+
+
+def test_infinity_is_built_once():
+    ground = GroundField(3)
+    inf = ground.infinity()
+    assert ground.infinity() is inf
+    assert inf == Place(ground, None) and hash(inf) == hash(Place(ground, None))
+    assert repr(inf) == "Place(infinity)"
+    assert ground == GroundField(3) and hash(ground) == hash(GroundField(3))
+    assert repr(ground) == f"GroundField(p=3, f=1, modulus={ground.modulus!r})"
+
+
+# a degree-1 place over F_4, a degree-2 place over F_2 and infinity over F_3
+PRODUCT_PLACES = (G4.place([1, 1]), G2.place([1, 1, 1]), G3.infinity())
+
+
+@st.composite
+def local_pairs(draw):
+    """Two elements at one place, each exact, truncated, zero-like or the
+    exact zero, and an index around their valuations."""
+    pl = draw(st.sampled_from(PRODUCT_PLACES))
+    codes = st.lists(st.integers(0, pl.residue().order - 1), max_size=4)
+
+    def element():
+        return LocalElement.from_coeffs(pl, draw(st.integers(-3, 3)), draw(codes),
+                                        exact=draw(st.booleans()))
+
+    return pl, element(), element(), draw(st.integers(-8, 8))
+
+
+def read(fn, *args):
+    try:
+        return fn(*args)
+    except InsufficientPrecision:
+        return InsufficientPrecision
+
+
+@settings(max_examples=600, deadline=None)
+@given(local_pairs())
+def test_product_coefficient_reads_the_product(case):
+    pl, a, b, i = case
+    assert read(product_coefficient, a, b, i) == read(lambda: (a * b).coefficient(i))
+    assert read(residue_trace, pl, a, b) == read(lambda: residue_trace(pl, a * b))
 
 
 # -- the residue character ---------------------------------------------------

@@ -1,9 +1,11 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from elladic import pipeline
-from elladic.errors import (IncompleteData, NotCongruent, SpecMismatch,
+from elladic.errors import (ConfigMismatch, ElladicError, IncompleteData,
+                            NotCongruent, PrecisionLoss, SpecMismatch,
                             UnsupportedPoint)
 from elladic.function_field import (Divisor, GroundField, LocalElement,
                                     PsiTarget, quotient_index, rr_space,
@@ -18,9 +20,10 @@ from elladic.pipeline import (CharacterFamily, GlobalWhittakerSpec,
                               invariance_divisor, local_value,
                               mirabolic_expand, validate_spec_pair,
                               whittaker_at)
-from elladic.pipeline import _gamma_term
+from elladic.pipeline import _gamma_term, _gamma_terms
 from elladic.satake import SatakeParam
 from conftest import clear_elladic_caches, random_unit
+from oracles import gamma_term_per_place
 
 G2 = GroundField(2)
 CFG = FieldConfig(7, precision=12)
@@ -312,6 +315,105 @@ def test_pipeline_pair_shares_geometry(rng, target, sqrt2, monkeypatch):
     pair, single = cold
     assert pair["gamma_support"] == len(samples)
     assert pair["expand_at"] == single["expand_at"] > 0
+
+
+def digits(term):
+    coef, half = term
+    return coef.v, coef.coeffs, coef.prec, half
+
+
+def outcome(fn, *args):
+    """The terms' digits, or the type of the error raised."""
+    try:
+        out = fn(*args)
+    except ElladicError as exc:
+        return type(exc)
+    return [digits(t) for t in out] if isinstance(out, list) else digits(out)
+
+
+def assert_kernel_matches(specs, point, gamma, target) -> list:
+    """_gamma_terms on the pair, and _gamma_term on each spec, against the
+    per-place product of each spec; returns the oracle's outcomes."""
+    want = [outcome(gamma_term_per_place, s, point, gamma, target) for s in specs]
+    assert [outcome(_gamma_term, s, point, gamma, target) for s in specs] == want
+    pair = outcome(_gamma_terms, specs, point, gamma, target)
+    errors = {w for w in want if isinstance(w, type)}
+    if errors:
+        assert pair in errors
+    else:
+        assert pair == want
+    return want
+
+
+def test_gamma_terms_match_the_per_place_product(rng, target):
+    spec1, spec2 = build_spec_pair(rng, n_perturbed=3)
+    specs = (spec1, spec2)
+    s1_pl, t_pl = G2.place([1, 1]), G2.place([0, 1])
+    points = [p for p in default_sample_points(G2, seed=110, count=50)
+              if len(gamma_support(spec1, p)) <= 63][:12]
+    assert len(points) == 12
+    # the table has no coset of valuation 2; the Whittaker value at (-1, 0)
+    # is zero
+    tab_zero = MirabolicPoint(G2, ((s1_pl, LocalElement.exact_zero(s1_pl), 2, 0),))
+    unr_zero = MirabolicPoint(G2, ((t_pl, LocalElement.exact_zero(t_pl), -1, 0),))
+    zero_terms = 0
+    for point in points + [tab_zero, unr_zero]:
+        for gamma in (None,) + gamma_support(spec1, point):
+            want = assert_kernel_matches(specs, point, gamma, target)
+            zero_terms += sum(not w[1] for w in want)
+    for point in (tab_zero, unr_zero):
+        assert all(not w[1] for w in assert_kernel_matches(specs, point, None, target))
+    assert zero_terms
+
+
+def test_gamma_terms_raise_where_the_per_place_product_does(rng, target):
+    spec1, spec2 = build_spec_pair(rng)
+    s1_pl, cubic = G2.place([1, 1]), G2.place([1, 0, 1, 1])
+    gammas = (None, G2.t(), G2.rational([1], [1, 1]), G2.rational([1, 1], [0, 0, 1]))
+    off_mirabolic = MirabolicPoint(G2, ((s1_pl, LocalElement.exact_zero(s1_pl), 0, 1),))
+    # default rules for degrees 1 and 2 only, and a point at a cubic place
+    short = tuple(replace(s, default_rule=s.default_rule[:2]) for s in (spec1, spec2))
+    at_cubic = MirabolicPoint(G2, ((cubic, LocalElement.exact_zero(cubic), 1, 0),))
+    for specs, point, error in (((spec1, spec2), off_mirabolic, UnsupportedPoint),
+                                (short, at_cubic, IncompleteData)):
+        seen = [assert_kernel_matches(specs, point, g, target) for g in gammas]
+        assert seen[0] == [error, error]
+    other = PsiTarget.create(GroundField(3), CFG)
+    with pytest.raises(ConfigMismatch):
+        _gamma_terms((spec1, spec2), MirabolicPoint(G2), None, other)
+
+
+def test_spec_pair_validation_builds_each_char_poly_once(rng, target, sqrt2,
+                                                         monkeypatch):
+    spec1, spec2 = build_spec_pair(rng)
+    calls = Counter()
+    real = pipeline.char_poly
+
+    def counted(S):
+        calls[id(S)] += 1
+        return real(S)
+
+    monkeypatch.setattr(pipeline, "char_poly", counted)
+    point = default_sample_points(G2, seed=3, count=1)[0]
+    whittaker_at(spec1, point, sqrt2, target)
+    mirabolic_expand(spec1, point, sqrt2, target)
+    assert not calls
+    validate_spec_pair(spec1, spec2)
+    # two explicit unramified places and twelve default degrees per spec
+    assert len(calls) == 28 and set(calls.values()) == {1}
+    validate_spec_pair(spec1, spec2)
+    assert len(calls) == 28 and set(calls.values()) == {1}
+
+
+def test_cancelling_satake_data_raises_at_every_validation():
+    # e_1 = mu_1 + mu_2 cancels every certified digit
+    mu = (CFG.unit(0, (1,), prec=2), CFG.unit(0, (-1 - 49,), prec=4))
+    t_pl = G2.place([0, 1])
+    spec = GlobalWhittakerSpec(G2, CFG, ((t_pl, UnramifiedDatum(SatakeParam(2, 2, mu))),),
+                               ((1, (CFG.one(), CFG.one())),))
+    for _ in range(2):
+        with pytest.raises(PrecisionLoss):
+            validate_spec_pair(spec, spec)
 
 
 def test_pipeline_identical_specs(rng, target, sqrt2):
