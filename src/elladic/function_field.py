@@ -7,13 +7,20 @@ the class of s; Laurent coefficients therefore live in the residue field
 and multiply with no carries.  At infinity the coordinate is 1/t and the
 residue field is F_q.
 
+A rational function's orders at places are read from its divisor, built
+by RationalFunction.divisor from one factorization of the numerator and
+one of the denominator, plus the degree difference at infinity; ord_at
+and every caller that needs the orders of one function read that divisor.
+
 The additive character is the residue character of the differential dt:
 psi_v(x) = psi_0(Tr(res_v(x dt))) where psi_0 is a fixed nontrivial
 character of F_p realized inside a configured l-adic coefficient field.
 dt is regular at finite places and has a double pole at infinity, so
 psi_v is trivial on O_v at finite v and trivial exactly on p_inf^2 at
-infinity.  The product of the local characters is trivial on the diagonal
-copy of the field (residue theorem), which the test-suite verifies.
+infinity.  psi is one character of A/k: psi_global reads psi_0 once, of
+the sum of the residue traces of an adele's components.  The product of
+the local characters is trivial on the diagonal copy of the field
+(residue theorem), which the test-suite verifies.
 
 All data here is immutable and every operation is a pure function.
 """
@@ -69,8 +76,9 @@ class GroundField:
     # -- element and polynomial builders -------------------------------------
 
     def poly(self, ints) -> tuple:
-        """Polynomial over F_q from integer codes, ascending degree."""
-        return fp_trim(element_codes(ints, self.field()))
+        """Polynomial over F_q from integer codes, ascending degree;
+        RationalFunction.make and Place check the codes."""
+        return fp_trim(tuple(ints))
 
     def rational(self, num_ints, den_ints=(1,)) -> "RationalFunction":
         return RationalFunction.make(self, self.poly(num_ints), self.poly(den_ints))
@@ -113,7 +121,7 @@ class Place:
         F = self.ground.field()
         K, theta = F, 0
         if self.poly is not None:
-            object.__setattr__(self, "poly", fp_trim(tuple(self.poly)))
+            object.__setattr__(self, "poly", fp_trim(element_codes(self.poly, F)))
             if len(self.poly) < 2:
                 raise ValueError("a finite place needs a polynomial of degree >= 1")
             if self.poly[-1] != 1:
@@ -175,7 +183,7 @@ class RationalFunction:
     @classmethod
     def make(cls, ground: GroundField, num, den) -> "RationalFunction":
         F = ground.field()
-        num, den = fp_trim(tuple(num)), fp_trim(tuple(den))
+        num, den = fp_trim(element_codes(num, F)), fp_trim(element_codes(den, F))
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
@@ -238,36 +246,23 @@ class RationalFunction:
             out = out * base
         return out
 
+    def divisor(self) -> "Divisor":
+        """div(r): the zeros and poles at finite places from one
+        factorization of the numerator and one of the denominator, which
+        share no factor, and the order deg den - deg num at infinity."""
+        if self.is_zero:
+            raise ValueError("the zero function has no divisor")
+        F, ground = self.ground.field(), self.ground
+        items = [(Place(ground, f), m) for f, m in fp_factor(F, fp_monic(F, self.num))]
+        items += [(Place(ground, f), -m) for f, m in fp_factor(F, self.den)]
+        if len(self.den) != len(self.num):
+            items.append((ground.infinity(), len(self.den) - len(self.num)))
+        items.sort(key=lambda kv: kv[0].sort_key())
+        return Divisor(ground, tuple(items))
+
     def ord_at(self, place: Place):
         """Exact valuation at a place; +inf for the zero function."""
-        if self.is_zero:
-            return INF
-        if place.is_infinity:
-            return (len(self.den) - 1) - (len(self.num) - 1)
-        F = self.ground.field()
-
-        def mult(poly):
-            m = 0
-            while True:
-                quot, rem = fp_divmod(F, poly, place.poly)
-                if rem:
-                    return m
-                poly, m = quot, m + 1
-
-        return mult(self.num) - mult(self.den)
-
-    def pole_places(self):
-        """[(place, multiplicity)] over the finite poles (denominator
-        factors); infinity is not included."""
-        F = self.ground.field()
-        return tuple((Place(self.ground, f), m) for f, m in fp_factor(F, self.den))
-
-    def zero_places(self):
-        if self.is_zero:
-            raise ValueError("zero function has no zero divisor")
-        F = self.ground.field()
-        num = fp_monic(F, self.num)
-        return tuple((Place(self.ground, f), m) for f, m in fp_factor(F, num))
+        return INF if self.is_zero else self.divisor().get(place)
 
     def __repr__(self):
         return f"RationalFunction({list(self.num)}/{list(self.den)} over F_{self.ground.q})"
@@ -600,19 +595,25 @@ def residue_trace(place: Place, x: LocalElement, y: LocalElement | None = None):
 
 def psi_local(place: Place, x: LocalElement, target: PsiTarget) -> LocalNumber:
     """The local additive character: psi_0 of the residue trace."""
+    _check_psi(place, x, target)
+    return target.psi0(residue_trace(place, x))
+
+
+def _check_psi(place: Place, x: LocalElement, target: PsiTarget):
     if x.place != place:
         raise ConfigMismatch("local element does not live at the given place")
     if place.ground != target.ground:
         raise ConfigMismatch("psi target built for a different ground field")
-    return target.psi0(residue_trace(place, x))
 
 
 def psi_global(a: "Adele", target: PsiTarget) -> LocalNumber:
-    """Product of the local characters over the support."""
-    out = target.config.one()
+    """The character of A/k at the adele: psi_0 of the sum of the residue
+    traces of its components, one value for the whole support."""
+    trace = 0
     for place, x in a.items:
-        out = out * psi_local(place, x, target)
-    return out
+        _check_psi(place, x, target)
+        trace += residue_trace(place, x)
+    return target.psi0(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -670,15 +671,13 @@ def principal_adele(r: RationalFunction) -> Adele:
     enough precision to evaluate the residue character: absolute precision
     psi_conductor plus a margin of two digits."""
     ground = r.ground
-    places = {pl for pl, _ in r.pole_places()} | {ground.infinity()}
-    comps = []
-    for pl in places:
-        ordv = r.ord_at(pl)
-        if ordv is INF:
-            continue
-        M = max(1, int(psi_conductor(pl) - ordv) + 2)
-        comps.append((pl, expand_at(r, pl, M)))
-    return Adele.make(ground, comps)
+    if r.is_zero:
+        return Adele.zero(ground)
+    orders = dict(r.divisor().items)
+    places = {pl for pl, m in orders.items() if m < 0} | {ground.infinity()}
+    return Adele.make(ground, [
+        (pl, expand_at(r, pl, max(1, psi_conductor(pl) - orders.get(pl, 0) + 2)))
+        for pl in places])
 
 
 def scale_adele(a: Adele, r: RationalFunction) -> Adele:
@@ -686,10 +685,10 @@ def scale_adele(a: Adele, r: RationalFunction) -> Adele:
     precision principal_adele uses."""
     if r.is_zero:
         return Adele.zero(a.ground)
+    orders = dict(r.divisor().items)
     comps = []
     for pl, x in a.items:
-        ordv = int(r.ord_at(pl))
-        M = max(1, int(psi_conductor(pl) - x.v - ordv) + 2)
+        M = max(1, psi_conductor(pl) - x.v - orders.get(pl, 0) + 2)
         comps.append((pl, x * expand_at(r, pl, M)))
     return Adele.make(a.ground, comps)
 

@@ -25,7 +25,11 @@ expansion of gamma are computed once and serve both specs.
 psi is one character of A/k, so in a gamma term the product over places
 of psi_v(x_v) is psi_0 of the sum of the residue traces: one trace sum
 per term, read as one psi value.  The traces, like the tabulated factors,
-serve both specs; only the unramified Whittaker values are per spec.
+serve both specs; only the unramified Whittaker values are per spec.  The
+orders of gamma come from its divisor, one factorization per term.
+
+Per-place data is read from maps built once per object: a spec's explicit
+data and its S, and a point's entries, central exponents and support.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .errors import (ConfigMismatch, IncompleteData, NotCongruent,
 from .function_field import (Adele, DEFAULT_ENUMERATION_CAP, Divisor,
                              GroundField, LocalElement, Place, PsiTarget,
                              RationalFunction, enumerate_places, expand_at,
-                             coset_reps, psi_conductor, psi_global, psi_local,
+                             coset_reps, psi_conductor, psi_global,
                              quotient_index, residue_trace, rr_nonzero,
                              scale_adele)
 from .padic import FieldConfig, LocalNumber, congruent_mod_m
@@ -231,9 +235,13 @@ class GlobalWhittakerSpec:
                     raise ConfigMismatch("table attached to the wrong place")
             else:
                 raise TypeError("unknown datum kind")
-        # degree -> UnramifiedDatum, built once so that datum_at hands out
-        # one shared datum; an attribute, not a field, so __eq__, hash and
-        # repr are unchanged
+        # place -> datum, degree -> UnramifiedDatum and S, built once so
+        # that datum_at reads one map and hands out one shared default
+        # datum; attributes, not fields, so __eq__, hash and repr are
+        # unchanged
+        object.__setattr__(self, "_explicit", dict(self.explicit))
+        object.__setattr__(self, "S", tuple(pl for pl, d in self.explicit
+                                            if isinstance(d, TabulatedDatum)))
         defaults = {}
         for deg, pair in self.default_rule:
             if len(pair) != 2 or any(m.is_zero for m in pair):
@@ -242,26 +250,20 @@ class GlobalWhittakerSpec:
                 defaults[deg] = UnramifiedDatum(
                     SatakeParam(2, self.ground.q ** deg, tuple(pair)))
         object.__setattr__(self, "_defaults", defaults)
-        s_places = self.S
-        if self.w is not None and self.w not in s_places:
+        if self.w is not None and self.w not in self.S:
             raise ValueError("the distinguished place must be tabulated")
-        for place in s_places:
+        for place in self.S:
             if self.w is not None and place == self.w:
                 continue
-            datum = dict(self.explicit)[place]
+            datum = self._explicit[place]
             if datum.table.is_empty or datum.table.value_at_one() != self.config.one():
                 raise ValueError(
                     f"tabulated place {place!r} must take the value 1 at the identity")
 
-    @property
-    def S(self) -> tuple:
-        return tuple(pl for pl, d in self.explicit if isinstance(d, TabulatedDatum))
-
     def datum_at(self, place: Place):
-        for pl, d in self.explicit:
-            if pl == place:
-                return d
-        datum = self._defaults.get(place.degree)
+        datum = self._explicit.get(place)
+        if datum is None:
+            datum = self._defaults.get(place.degree)
         if datum is not None:
             return datum
         raise IncompleteData(
@@ -296,22 +298,23 @@ class MirabolicPoint:
         cents = tuple(sorted(((pl, int(c)) for pl, c in self.central if c),
                              key=lambda kv: kv[0].sort_key()))
         object.__setattr__(self, "central", cents)
+        # place -> (x, a1, a2), place -> central exponent and the support,
+        # built once; attributes, not fields, so __eq__, hash and repr are
+        # unchanged
+        object.__setattr__(self, "_at", {e[0]: e[1:] for e in ents})
+        object.__setattr__(self, "_central_at", dict(cents))
+        object.__setattr__(self, "_support", tuple(sorted(
+            self._at.keys() | self._central_at.keys(), key=lambda p: p.sort_key())))
 
     def get(self, place: Place):
-        for pl, x, a1, a2 in self.entries:
-            if pl == place:
-                return x, a1, a2
-        return LocalElement.exact_zero(place), 0, 0
+        at = self._at.get(place)
+        return (LocalElement.exact_zero(place), 0, 0) if at is None else at
 
     def central_at(self, place: Place) -> int:
-        for pl, c in self.central:
-            if pl == place:
-                return c
-        return 0
+        return self._central_at.get(place, 0)
 
     def support(self) -> tuple:
-        places = {e[0] for e in self.entries} | {pl for pl, _ in self.central}
-        return tuple(sorted(places, key=lambda p: p.sort_key()))
+        return self._support
 
     def shifted_by(self, u: Adele) -> "MirabolicPoint":
         """Left translation by the unipotent adele u: x_v += u_v * unif^a2."""
@@ -329,22 +332,6 @@ class MirabolicPoint:
 # ---------------------------------------------------------------------------
 # local evaluation
 # ---------------------------------------------------------------------------
-
-def local_value(datum, place: Place, x: LocalElement, a, central: int,
-                target: PsiTarget, torus_unit: LocalElement | None = None):
-    """One local factor of W at the matrix z * [[unit*u^a1, x], [0, u^a2]].
-
-    Returns (coefficient, m) with the power q^(m/2) kept symbolic; m is
-    expressed in half-powers of the ground q, so place degrees are already
-    folded in.  The torus unit only matters for tabulated data, where the
-    function is a genuine function of the full torus coordinate.
-    """
-    a1, a2 = a
-    _check_mirabolic(datum, a2)
-    psi_val = psi_local(place, x.shift(-a2) if a2 else x, target)
-    val, half = _local_factor(datum, place, a1, a2, central, torus_unit)
-    return (val, 0) if val.is_zero else (psi_val * val, half)
-
 
 def _check_mirabolic(datum, a2: int):
     if a2 != 0 and isinstance(datum, TabulatedDatum):
@@ -417,11 +404,9 @@ def _gamma_terms(specs: tuple, point: MirabolicPoint,
         raise ConfigMismatch("psi target built for a different ground field")
     config = specs[0].config
     relevant = _base_places(specs[0], point)
-    orders = {}   # the order of gamma at its poles, its zeros and infinity
+    orders = {}   # the order of gamma at each place of its divisor
     if gamma is not None:
-        orders = {pl: -m for pl, m in gamma.pole_places()}
-        orders.update(gamma.zero_places())
-        orders[specs[0].ground.infinity()] = len(gamma.den) - len(gamma.num)
+        orders = dict(gamma.divisor().items)
         relevant |= set(orders)
     coefs = [config.one()] * len(specs)
     halves = [0] * len(specs)
@@ -628,7 +613,7 @@ def validate_spec_pair(spec1: GlobalWhittakerSpec, spec2: GlobalWhittakerSpec):
         raise SpecMismatch("specifications over different fields")
     if spec1.S != spec2.S or spec1.w != spec2.w:
         raise SpecMismatch("exceptional sets differ")
-    d1, d2 = dict(spec1.explicit), dict(spec2.explicit)
+    d1, d2 = spec1._explicit, spec2._explicit
     for pl in spec1.S:
         t1, t2 = d1[pl], d2[pl]
         if t1.table != t2.table or t1.central != t2.central:
@@ -747,16 +732,6 @@ class CharacterFamily:
         return tuple(pl for pl, chi in self.explicit if chi.level >= 1)
 
 
-def _character_relevant_places(fam: CharacterFamily, y: RationalFunction):
-    places = {pl for pl, _ in y.pole_places()} | {pl for pl, _ in y.zero_places()}
-    inf = fam.ground.infinity()
-    if y.ord_at(inf) != 0:
-        places.add(inf)
-    places |= set(fam.ramified_places())
-    places |= set(fam.S)
-    return sorted(places, key=lambda p: p.sort_key())
-
-
 def character_product(fam: CharacterFamily, y: RationalFunction,
                       exclude=()) -> LocalNumber:
     """prod over places of chi_v(y), exact; relevant places are the
@@ -764,12 +739,14 @@ def character_product(fam: CharacterFamily, y: RationalFunction,
     less the places in exclude."""
     if y.is_zero:
         raise ValueError("characters are evaluated on nonzero elements")
+    orders = dict(y.divisor().items)
+    places = set(orders) | set(fam.ramified_places()) | set(fam.S)
     out = fam.config.one()
-    for pl in _character_relevant_places(fam, y):
+    for pl in sorted(places, key=lambda p: p.sort_key()):
         if pl in exclude:
             continue
         chi = fam.character_at(pl)
-        M = max(1, chi.level - int(y.ord_at(pl)) + 2)
+        M = max(1, chi.level - orders.get(pl, 0) + 2)
         out = out * chi.evaluate(expand_at(y, pl, M))
     return out
 

@@ -11,12 +11,14 @@ against.
 * gamma_term_per_place, the gamma term of one spec as a product over
   places of psi_v times the local factor, which the one-trace kernel
   elladic.pipeline._gamma_terms is checked against.
+* ord_by_division, the order of a rational function at a place by
+  repeated division, which RationalFunction.divisor is checked against.
 """
 
 from elladic.errors import TooLarge, UnsupportedPoint
-from elladic.function_field import (LocalElement, expand_at, psi_conductor,
-                                    psi_local)
-from elladic.gf import factorize_int
+from elladic.function_field import (INF, LocalElement, Place, expand_at,
+                                    psi_conductor, psi_local)
+from elladic.gf import factorize_int, fp_divmod, fp_factor, fp_monic
 from elladic.pipeline import TabulatedDatum
 from elladic.satake import SatakeParam, elementary_symmetric_all
 from elladic.whittaker import is_dominant, whittaker_value
@@ -210,10 +212,10 @@ def gamma_term_per_place(spec, point, gamma, target):
     places = set(point.support()) | set(spec.S) | {ground.infinity()}
     orders = {}
     if gamma is not None:
-        orders = {pl: -m for pl, m in gamma.pole_places()}
-        orders.update(gamma.zero_places())
-        orders[ground.infinity()] = gamma.ord_at(ground.infinity())
-        places |= set(orders)
+        F = ground.field()
+        places |= {Place(ground, f) for poly in (fp_monic(F, gamma.num), gamma.den)
+                   for f, _ in fp_factor(F, poly)}
+        orders = {pl: ord_by_division(gamma, pl) for pl in places}
     coef, total = config.one(), 0
     for pl in sorted(places, key=lambda p: p.sort_key()):
         x, a1, a2 = point.get(pl)
@@ -253,3 +255,24 @@ def gamma_term_per_place(spec, point, gamma, target):
             return config.zero(), 0
         coef, total = coef * val, total + half
     return coef, total
+
+
+def ord_by_division(r, place):
+    """The order of r at the place: deg den - deg num at infinity, else the
+    number of times the place polynomial divides the numerator less the
+    number of times it divides the denominator; +inf for zero."""
+    if r.is_zero:
+        return INF
+    if place.is_infinity:
+        return len(r.den) - len(r.num)
+    F = r.ground.field()
+
+    def mult(poly):
+        m = 0
+        while True:
+            quot, rem = fp_divmod(F, poly, place.poly)
+            if rem:
+                return m
+            poly, m = quot, m + 1
+
+    return mult(r.num) - mult(r.den)

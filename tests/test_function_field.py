@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elladic.errors import ConfigMismatch, InsufficientPrecision, TooLarge
+from oracles import ord_by_division
 from elladic.function_field import (Adele, Divisor, GroundField, LocalElement,
                                     Place, PsiTarget, RationalFunction,
                                     coset_reps, enumerate_places, expand_at,
@@ -117,6 +118,10 @@ def test_out_of_range_element_codes_raise():
         G2.rational([1], [-1, 1])
     with pytest.raises(ValueError):
         G2.place([3, 1])
+    with pytest.raises(ValueError):
+        Place(GroundField(2), (3, 1))
+    with pytest.raises(ValueError, match="not an element code"):
+        RationalFunction.make(GroundField(2), (2,), (1,))
     pl = G4.place([2, 1, 1])
     assert pl.residue().order == 16
     with pytest.raises(ValueError):
@@ -132,6 +137,50 @@ def test_infinity_is_built_once():
     assert repr(inf) == "Place(infinity)"
     assert ground == GroundField(3) and hash(ground) == hash(GroundField(3))
     assert repr(ground) == f"GroundField(p=3, f=1, modulus={ground.modulus!r})"
+
+
+# every place of degree <= 3, infinity first, per ground field
+PLACES_TO_3 = {g: tuple(enumerate_places(g, 3)) for g in (G2, G3, G4)}
+
+
+@st.composite
+def nonzero_rationals(draw):
+    ground = draw(st.sampled_from((G2, G3, G4)))
+    poly = st.lists(st.integers(0, ground.q - 1), max_size=7)
+    num, den = draw(poly), draw(poly) + [1]
+    if not any(num):
+        num = [draw(st.integers(1, ground.q - 1))]
+    return ground.rational(num, den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonzero_rationals())
+def test_divisor_agrees_with_repeated_division(r):
+    div = r.divisor()
+    support = dict(div.items)
+    assert len(support) == len(div.items) and 0 not in support.values()
+    assert list(div.items) == sorted(div.items, key=lambda kv: kv[0].sort_key())
+    for pl in PLACES_TO_3[r.ground]:
+        assert support.get(pl, 0) == ord_by_division(r, pl) == r.ord_at(pl), pl
+    for pl, m in div.items:
+        assert m == ord_by_division(r, pl)
+    assert div.degree == 0
+    if len(r.num) == 1 and len(r.den) == 1:
+        assert div == Divisor.zero(r.ground)
+
+
+def test_divisor_of_constants_and_zero():
+    for ground in (G2, G3, G4):
+        for c in range(1, ground.q):
+            assert ground.constant(c).divisor() == Divisor.zero(ground)
+        zero = ground.constant(0)
+        with pytest.raises(ValueError):
+            zero.divisor()
+        assert zero.ord_at(ground.infinity()) == float("inf")
+        assert principal_adele(zero) == Adele.zero(ground)
+    t_pl = G2.place([0, 1])
+    assert G2.rational([0, 1], [1, 1, 1]).divisor() == Divisor.make(
+        G2, [(t_pl, 1), (G2.place([1, 1, 1]), -1), (G2.infinity(), 1)])
 
 
 # a degree-1 place over F_4, a degree-2 place over F_2 and infinity over F_3
@@ -200,6 +249,50 @@ def test_psi_trivial_on_diagonal(rng):
             assert psi_global(principal_adele(r), target) == cfg.one()
 
 
+PSI_PLACES = {g: tuple(pl for pl in enumerate_places(g, 2)) for g in (G2, G3, G4)}
+
+
+@st.composite
+def adeles(draw):
+    """An adele over places of degree <= 2 and infinity, its components
+    exact or truncated, drawn on a ground field that may not be the psi
+    target's."""
+    ground = draw(st.sampled_from((G2, G3, G4)))
+    places = draw(st.lists(st.sampled_from(PSI_PLACES[ground]), max_size=4,
+                           unique_by=lambda pl: pl.sort_key()))
+    comps = []
+    for pl in places:
+        codes = st.lists(st.integers(0, pl.residue().order - 1), max_size=4)
+        comps.append((pl, LocalElement.from_coeffs(
+            pl, draw(st.integers(-3, 2)), draw(codes), exact=draw(st.booleans()))))
+    return Adele.make(ground, comps), draw(st.sampled_from((G2, G3, G4)))
+
+
+def product_of_locals(a, target):
+    out = target.config.one()
+    for pl, x in a.items:
+        out = out * psi_local(pl, x, target)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(adeles())
+def test_psi_global_is_the_product_of_the_local_values(case):
+    a, target_ground = case
+    target = target_for(target_ground)
+    expected = read_error(product_of_locals, a, target)
+    assert read_error(psi_global, a, target) == expected
+    if not a.items:
+        assert expected == target.config.one()
+
+
+def read_error(fn, *args):
+    try:
+        return fn(*args)
+    except (ConfigMismatch, InsufficientPrecision) as exc:
+        return type(exc)
+
+
 def test_psi_single_place_adele():
     target = target_for(G2)
     t_pl = G2.place([0, 1])
@@ -228,7 +321,7 @@ def test_rr_dimension_and_membership(rng):
         basis = rr_space(D)
         assert len(basis) == max(D.degree + 1, 0)
         for f in basis:
-            check_places = set(D.support()) | {pl for pl, _ in f.pole_places()}
+            check_places = set(D.support()) | {pl for pl, m in f.divisor().items if m < 0}
             check_places.add(G3.infinity())
             for pl in check_places:
                 assert f.ord_at(pl) >= -D.get(pl)

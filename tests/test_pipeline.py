@@ -8,8 +8,8 @@ from elladic.errors import (ConfigMismatch, ElladicError, IncompleteData,
                             NotCongruent, PrecisionLoss, SpecMismatch,
                             UnsupportedPoint)
 from elladic.function_field import (Divisor, GroundField, LocalElement,
-                                    PsiTarget, quotient_index, rr_space,
-                                    span_nonzero)
+                                    Place, PsiTarget, enumerate_places,
+                                    quotient_index, rr_space, span_nonzero)
 from elladic.padic import FieldConfig, sqrt_unit
 from elladic.pipeline import (CharacterFamily, GlobalWhittakerSpec,
                               KirillovEntry, KirillovTable, LocalCharacter,
@@ -17,8 +17,7 @@ from elladic.pipeline import (CharacterFamily, GlobalWhittakerSpec,
                               central_char_propagate, character_product,
                               congruence_pipeline, default_sample_points,
                               fourier_coefficient, gamma_support,
-                              invariance_divisor, local_value,
-                              mirabolic_expand, validate_spec_pair,
+                              invariance_divisor, mirabolic_expand, validate_spec_pair,
                               whittaker_at)
 from elladic.pipeline import _gamma_term, _gamma_terms
 from elladic.satake import SatakeParam
@@ -95,29 +94,35 @@ def test_local_character_evaluation():
 
 # -- local values -------------------------------------------------------------
 
-def test_local_value_unramified(target):
+def one_entry_point(pl, a1=0, a2=0, central=0):
+    """The point z * [[u^a1, 0], [0, u^a2]] at pl and the identity elsewhere,
+    z the uniformizer to the central exponent."""
+    return MirabolicPoint(G2, ((pl, LocalElement.exact_zero(pl), a1, a2),),
+                          ((pl, central),))
+
+
+def test_gamma_term_at_one_unramified_place(target):
     pl = G2.place([0, 1])
-    S = SatakeParam(2, 2, (CFG.one(), CFG.one()))
-    datum = UnramifiedDatum(S)
-    x = LocalElement.exact_zero(pl)
-    val, half = local_value(datum, pl, x, (0, 0), 0, target)
+    datum = UnramifiedDatum(SatakeParam(2, 2, (CFG.one(), CFG.one())))
+    spec = GlobalWhittakerSpec(G2, CFG, ((pl, datum),), unramified_spec().default_rule)
+    val, half = _gamma_term(spec, one_entry_point(pl), None, target)
     assert val == CFG.one() and half == 0
-    val, _ = local_value(datum, pl, x, (0, 1), 0, target)
+    val, _ = _gamma_term(spec, one_entry_point(pl, a2=1), None, target)
     assert val.is_zero
 
 
-def test_local_value_tabulated(target):
+def test_gamma_term_at_one_tabulated_place(target):
     pl = G2.place([0, 1])
     datum = TabulatedDatum(basic_table(pl), LocalCharacter(CFG.integer(3)))
-    x = LocalElement.exact_zero(pl)
-    val, half = local_value(datum, pl, x, (0, 0), 0, target)
+    spec = GlobalWhittakerSpec(G2, CFG, ((pl, datum),), unramified_spec().default_rule)
+    val, half = _gamma_term(spec, one_entry_point(pl), None, target)
     assert val == CFG.one() and half == 0
-    val, _ = local_value(datum, pl, x, (1, 0), 0, target)
+    val, _ = _gamma_term(spec, one_entry_point(pl, a1=1), None, target)
     assert val == CFG.integer(3)
-    val, _ = local_value(datum, pl, x, (0, 0), 2, target)
+    val, _ = _gamma_term(spec, one_entry_point(pl, central=2), None, target)
     assert val == CFG.integer(9)
     with pytest.raises(UnsupportedPoint):
-        local_value(datum, pl, x, (0, 1), 0, target)
+        _gamma_term(spec, one_entry_point(pl, a2=1), None, target)
 
 
 # -- gamma support and the expansion -------------------------------------------
@@ -465,6 +470,49 @@ def test_spec_default_rule_missing_degree():
     spec = GlobalWhittakerSpec(G2, CFG, (), ((1, (CFG.one(), CFG.one())),))
     with pytest.raises(IncompleteData):
         spec.datum_at(G2.place([1, 1, 1]))
+
+
+def test_lookups_read_the_maps_built_once(rng):
+    """datum_at, get, central_at and support: explicit data, the default
+    rule and IncompleteData, at equal but distinct Place objects; equal
+    specs and points still compare, hash and print alike."""
+    spec, _ = build_spec_pair(rng)
+    twin = replace(spec)
+    assert twin is not spec and twin == spec
+    assert hash(twin) == hash(spec) and repr(twin) == repr(spec)
+    assert repr(spec) == (f"GlobalWhittakerSpec(ground={G2!r}, config={CFG!r}, "
+                          f"explicit={spec.explicit!r}, "
+                          f"default_rule={spec.default_rule!r}, w={spec.w!r})")
+    for pl, d in spec.explicit:
+        same = Place(pl.ground, pl.poly)
+        assert same is not pl and spec.datum_at(same) is d
+    assert spec.S == tuple(pl for pl, d in spec.explicit
+                           if isinstance(d, TabulatedDatum))
+    listed = {pl for pl, _ in spec.explicit}
+    for pl in enumerate_places(G2, 3):
+        if pl not in listed:
+            d = spec.datum_at(pl)
+            assert d is spec.datum_at(Place(G2, pl.poly)) is spec._defaults[pl.degree]
+    far = G2.place([1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1])
+    assert far.degree == 13 and far.degree not in spec._defaults
+    with pytest.raises(IncompleteData):
+        spec.datum_at(far)
+
+    t_pl, inf = G2.place([0, 1]), G2.infinity()
+    x = LocalElement.from_coeffs(t_pl, -1, (1, 1))
+    point = MirabolicPoint(G2, ((t_pl, x, 2, 0),), ((inf, -1), (t_pl, 1)))
+    twin = MirabolicPoint(G2, ((Place(G2, (0, 1)), x, 2, 0),),
+                          ((Place(G2, None), -1), (Place(G2, (0, 1)), 1)))
+    assert twin == point and hash(twin) == hash(point) and repr(twin) == repr(point)
+    assert repr(point) == (f"MirabolicPoint(ground={G2!r}, entries=((Place(0, 1), "
+                           f"{x!r}, 2, 0),), central=((Place(infinity), -1), "
+                           f"(Place(0, 1), 1)))")
+    assert point.get(Place(G2, (0, 1))) == (x, 2, 0)
+    assert point.get(inf) == (LocalElement.exact_zero(inf), 0, 0)
+    assert point.central_at(Place(G2, None)) == -1
+    assert point.central_at(Place(G2, (0, 1))) == 1
+    assert point.central_at(G2.place([1, 1])) == 0
+    assert point.support() == (inf, t_pl)
 
 
 # -- central characters ---------------------------------------------------------
