@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elladic.errors import ConfigMismatch, InsufficientPrecision, TooLarge
-from oracles import ord_by_division
 from elladic.function_field import (Adele, Divisor, GroundField, LocalElement,
                                     Place, PsiTarget, RationalFunction,
                                     coset_reps, enumerate_places, expand_at,
@@ -16,6 +15,7 @@ from elladic.function_field import (Adele, Divisor, GroundField, LocalElement,
                                     series_to_poly_mod, span_nonzero,
                                     weak_approx)
 from elladic.padic import FieldConfig
+from oracles import ord_by_division
 
 G2 = GroundField(2)
 G3 = GroundField(3)
@@ -259,7 +259,7 @@ def adeles(draw):
     target's."""
     ground = draw(st.sampled_from((G2, G3, G4)))
     places = draw(st.lists(st.sampled_from(PSI_PLACES[ground]), max_size=4,
-                           unique_by=lambda pl: pl.sort_key()))
+                           unique=True))
     comps = []
     for pl in places:
         codes = st.lists(st.integers(0, pl.residue().order - 1), max_size=4)
