@@ -278,6 +278,7 @@ class MirabolicPoint:
     component differs from the identity, giving the matrix
     [[u^a1, x], [0, u^a2]]; a2 must be 0 wherever tabulated data will be
     queried.  central lists uniformizer exponents of the central factor.
+    A place appears at most once in each; a repeat raises ValueError.
     """
 
     ground: GroundField
@@ -297,6 +298,8 @@ class MirabolicPoint:
         object.__setattr__(self, "entries", tuple(ents))
         cents = tuple(sorted(((pl, int(c)) for pl, c in self.central if c),
                              key=lambda kv: kv[0].sort_key()))
+        if len({pl for pl, _ in cents}) != len(cents):
+            raise ValueError("duplicate place in point central")
         object.__setattr__(self, "central", cents)
         # place -> (x, a1, a2), place -> central exponent and the support,
         # built once; attributes, not fields, so __eq__, hash and repr are

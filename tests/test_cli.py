@@ -370,6 +370,10 @@ def replaced(obj, path, value):
     (["pipeline", "--input", json.dumps(replaced(
         PIPE_INPUT, ("samples",), [{"entries": [], "central": [[{"finite": [0, 1]}]]}]))],
      "pipeline", "InputError"),
+    (["pipeline", "--input", json.dumps(replaced(
+        PIPE_INPUT, ("samples",), [{"entries": [], "central": [[{"finite": [0, 1]}, 1],
+                                                               [{"finite": [0, 1]}, 2]]}]))],
+     "pipeline", "InputError"),
     (["pipeline", "--input", json.dumps({**PIPE_INPUT, "samples": [], "central_chars": 5})],
      "pipeline", "InputError"),
     (["index", "--p", "3", "--input", json.dumps(replaced(DIVISOR, ("divisor", 0, 1), -2))],
@@ -392,6 +396,7 @@ def replaced(obj, path, value):
         "sample-point-5", "unit-values-entry-5", "psi-item-5", "weight-5", "mu-5",
         "params-5", "finite-place-5", "unit-digits-5", "ell-null", "weight-entry-null",
         "precision-list", "point-central-5", "point-central-entry-short",
+        "point-central-duplicate",
         "central-chars-5", "index-negative-multiplicity", "expand-precision-0",
         "congruence-bound-negative", "whittaker-bound-negative", "whittaker-params-3",
         "whittaker-pair-with-weights", "bad-flag-value", "unknown-command"])

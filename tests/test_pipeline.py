@@ -513,6 +513,8 @@ def test_lookups_read_the_maps_built_once(rng):
     assert point.central_at(Place(G2, (0, 1))) == 1
     assert point.central_at(G2.place([1, 1])) == 0
     assert point.support() == (inf, t_pl)
+    with pytest.raises(ValueError, match="duplicate place"):
+        MirabolicPoint(G2, (), ((t_pl, 1), (Place(G2, (0, 1)), 2)))
 
 
 # -- central characters ---------------------------------------------------------
