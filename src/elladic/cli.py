@@ -119,11 +119,11 @@ def resolve_field(args, data) -> FieldConfig:
     if "field" in data:
         cfg = jsonio.decode_field_config(data["field"])
         if args.precision:
-            cfg = FieldConfig(cfg.ell, cfg.d, cfg.modulus, args.precision)
+            cfg = jsonio._make(FieldConfig, cfg.ell, cfg.d, cfg.modulus, args.precision)
         return cfg
     if args.ell is None:
         raise InputError("no coefficient field: supply 'field' or --ell")
-    return FieldConfig(args.ell, args.d or 1, None, args.precision or 32)
+    return jsonio._make(FieldConfig, args.ell, args.d or 1, None, args.precision or 32)
 
 
 def resolve_ground(args, data) -> GroundField:
@@ -131,7 +131,7 @@ def resolve_ground(args, data) -> GroundField:
         return jsonio.decode_ground(data["ground"])
     if args.p is None:
         raise InputError("no ground field: supply 'ground' or --p")
-    return GroundField(args.p, args.f or 1)
+    return jsonio._make(GroundField, args.p, args.f or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def cmd_whittaker(args, data):
     values = []
     for a in weights:
         a = jsonio._ints(a, "weight")
-        w = whittaker_value(S, tuple(a))
+        w = jsonio._make(whittaker_value, S, tuple(a))
         rec = {"weight": a,
                "value": jsonio.encode_whittaker_value(w)}
         if sq is not None:
@@ -256,7 +256,7 @@ def cmd_psi(args, data):
             rec = {"gamma": jsonio.encode_rational(gamma)}
         elif "place" in item:
             place = jsonio.decode_place(item["place"], ground)
-            x = jsonio.decode_local_element(item["x"], ground)
+            x = jsonio.decode_local_element(jsonio._need(item, "x", "psi item"), ground)
             val = psi_local(place, x, target)
             rec = {"place": jsonio.encode_place(place)}
         else:

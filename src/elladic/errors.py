@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-Every failure mode that a caller is expected to handle gets its own class;
-plain ValueError/TypeError are reserved for programming errors (malformed
-arguments that no input data should ever produce).
+Every failure mode that a caller is expected to handle gets its own class.
+Constructors refuse bad arguments with ValueError (ZeroDivisionError for a
+zero denominator); jsonio._make reports that refusal of user input as
+InputError.  A TypeError or AttributeError is a programming error, such as
+an int operand where a LocalNumber is required.
 """
 
 

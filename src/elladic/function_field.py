@@ -75,13 +75,8 @@ class GroundField:
 
     # -- element and polynomial builders -------------------------------------
 
-    def poly(self, ints) -> tuple:
-        """Polynomial over F_q from integer codes, ascending degree;
-        RationalFunction.make and Place check the codes."""
-        return fp_trim(tuple(ints))
-
     def rational(self, num_ints, den_ints=(1,)) -> "RationalFunction":
-        return RationalFunction.make(self, self.poly(num_ints), self.poly(den_ints))
+        return RationalFunction.make(self, num_ints, den_ints)
 
     def t(self) -> "RationalFunction":
         return self.rational((0, 1))
@@ -93,7 +88,7 @@ class GroundField:
         return self._infinity
 
     def place(self, ints) -> "Place":
-        return Place(self, self.poly(ints))
+        return Place(self, tuple(ints))
 
 
 def element_codes(codes, K) -> tuple:
@@ -150,9 +145,6 @@ class Place:
         if self.is_infinity:
             return (0,)
         return (1, self.degree, self.poly)
-
-    def __lt__(self, other: "Place"):
-        return self.sort_key() < other.sort_key()
 
     def __repr__(self):
         if self.is_infinity:
@@ -223,28 +215,6 @@ class RationalFunction:
         F = self.ground.field()
         return RationalFunction.make(self.ground, fp_mul(F, self.num, other.num),
                                      fp_mul(F, self.den, other.den))
-
-    def inv(self) -> "RationalFunction":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero rational function")
-        return RationalFunction.make(self.ground, self.den, self.num)
-
-    def __truediv__(self, other):
-        return self * other.inv()
-
-    def __pow__(self, e: int):
-        if self.is_zero:
-            if e == 0:
-                return self.ground.constant(1)
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return self
-        base = self.inv() if e < 0 else self
-        e = abs(e)
-        out = self.ground.constant(1)
-        for _ in range(e):
-            out = out * base
-        return out
 
     def divisor(self) -> "Divisor":
         """div(r): the zeros and poles at finite places from one
@@ -655,13 +625,6 @@ class Adele:
     def support(self):
         return tuple(pl for pl, _ in self.items)
 
-    def __add__(self, other: "Adele"):
-        if self.ground != other.ground:
-            raise ConfigMismatch("adeles over different ground fields")
-        places = {pl for pl, _ in self.items} | {pl for pl, _ in other.items}
-        comps = [(pl, self.get(pl) + other.get(pl)) for pl in places]
-        return Adele.make(self.ground, comps)
-
     def __neg__(self):
         return Adele(self.ground, tuple((pl, -x) for pl, x in self.items))
 
@@ -727,14 +690,6 @@ class Divisor:
     @property
     def degree(self) -> int:
         return sum(m * pl.degree for pl, m in self.items)
-
-    def __add__(self, other: "Divisor"):
-        if self.ground != other.ground:
-            raise ConfigMismatch("divisors over different ground fields")
-        return Divisor.make(self.ground, self.items + other.items)
-
-    def __neg__(self):
-        return Divisor(self.ground, tuple((pl, -m) for pl, m in self.items))
 
 
 # ---------------------------------------------------------------------------

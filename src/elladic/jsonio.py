@@ -5,6 +5,10 @@ Field elements of F_q and of residue fields are coded as integers below
 the field order (base-p digit vectors read as an integer); local numbers
 accept three input shorthands (integer, [num, den] rational, full digit
 record) and are always emitted as the full record.
+
+Each decoder checks the shape of its JSON and builds its object through
+_make, which reports a constructor's refusal (ValueError, ZeroDivisionError)
+as InputError: the constructors hold the rules.
 """
 
 from __future__ import annotations
@@ -52,6 +56,15 @@ def _ints(x, where: str) -> list:
     return [_int(c, f"{where} entry") for c in _list(x, where)]
 
 
+def _make(build, *args, **kwargs):
+    """build(*args, **kwargs), with InputError for the ValueError or
+    ZeroDivisionError by which it refuses its arguments."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _codes(x, where: str, field) -> list:
     """_ints(x), each the code of an element of the field: in [0, order)."""
     codes = _ints(x, where)
@@ -67,15 +80,13 @@ def _codes(x, where: str, field) -> list:
 def decode_field_config(obj) -> FieldConfig:
     _obj(obj, "field config")
     modulus = obj.get("modulus_coeffs", obj.get("modulus"))
-    try:
-        return FieldConfig(
-            ell=_int(_need(obj, "ell", "field config"), "ell"),
-            d=_int(obj.get("d", 1), "d"),
-            modulus=tuple(_ints(modulus, "modulus")) if modulus is not None else None,
-            precision=_int(obj.get("precision", 32), "precision"),
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return _make(
+        FieldConfig,
+        ell=_int(_need(obj, "ell", "field config"), "ell"),
+        d=_int(obj.get("d", 1), "d"),
+        modulus=tuple(_ints(modulus, "modulus")) if modulus is not None else None,
+        precision=_int(obj.get("precision", 32), "precision"),
+    )
 
 
 def decode_local_number(obj, cfg: FieldConfig) -> LocalNumber:
@@ -86,9 +97,7 @@ def decode_local_number(obj, cfg: FieldConfig) -> LocalNumber:
     if isinstance(obj, list):
         if len(obj) != 2 or not all(isinstance(x, int) for x in obj):
             raise InputError("rational shorthand must be [numerator, denominator]")
-        if obj[1] == 0:
-            raise InputError("rational shorthand has a zero denominator")
-        return cfg.rational(obj[0], obj[1])
+        return _make(cfg.rational, obj[0], obj[1])
     if isinstance(obj, dict):
         if obj.get("zero"):
             return cfg.zero()
@@ -107,11 +116,7 @@ def decode_local_number(obj, cfg: FieldConfig) -> LocalNumber:
                     raise InputError("digits must lie in [0, ell)")
                 coeffs[j] += digit * scale
             scale *= cfg.ell
-        prec = min(len(digits), cfg.precision)
-        try:
-            return cfg.unit(v, coeffs, prec=prec)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        return _make(cfg.unit, v, coeffs, prec=min(len(digits), cfg.precision))
     raise InputError(f"cannot read a local number from {obj!r}")
 
 
@@ -129,10 +134,7 @@ def decode_satake(obj, cfg: FieldConfig) -> SatakeParam:
     mu = [decode_local_number(m, cfg)
           for m in _list(_need(obj, "mu", "satake parameter"), "satake mu")]
     n = _int(obj.get("n", len(mu)), "satake n")
-    try:
-        return SatakeParam(n, _int(_need(obj, "q", "satake parameter"), "q"), tuple(mu))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return _make(SatakeParam, n, _int(_need(obj, "q", "satake parameter"), "q"), tuple(mu))
 
 
 def encode_satake(S: SatakeParam) -> dict:
@@ -155,14 +157,12 @@ def encode_whittaker_value(w: WhittakerValue) -> dict:
 
 def decode_ground(obj) -> GroundField:
     _obj(obj, "ground field")
-    try:
-        return GroundField(
-            p=_int(_need(obj, "p", "ground field"), "p"),
-            f=_int(obj.get("f", 1), "f"),
-            modulus=tuple(_ints(obj["modulus"], "modulus")) if "modulus" in obj else None,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return _make(
+        GroundField,
+        p=_int(_need(obj, "p", "ground field"), "p"),
+        f=_int(obj.get("f", 1), "f"),
+        modulus=tuple(_ints(obj["modulus"], "modulus")) if "modulus" in obj else None,
+    )
 
 
 def decode_place(obj, ground: GroundField) -> Place:
@@ -170,10 +170,7 @@ def decode_place(obj, ground: GroundField) -> Place:
         if obj.get("infinity"):
             return ground.infinity()
         if "finite" in obj:
-            try:
-                return ground.place(_codes(obj["finite"], "finite place", ground.field()))
-            except ValueError as exc:
-                raise InputError(str(exc)) from exc
+            return _make(ground.place, _codes(obj["finite"], "finite place", ground.field()))
     raise InputError(f"cannot read a place from {obj!r}")
 
 
@@ -190,10 +187,7 @@ def decode_rational(obj, ground: GroundField) -> RationalFunction:
     if isinstance(obj, dict):
         num = _codes(_need(obj, "num", "rational function"), "numerator", F)
         den = _codes(obj.get("den", [1]), "denominator", F)
-        try:
-            return ground.rational(num, den)
-        except ZeroDivisionError as exc:
-            raise InputError(str(exc)) from exc
+        return _make(ground.rational, num, den)
     raise InputError(f"cannot read a rational function from {obj!r}")
 
 
@@ -243,10 +237,7 @@ def decode_local_character(obj, cfg: FieldConfig, place: Place) -> LocalCharacte
         key_codes, value = pair
         key = tuple(_codes(key_codes, "unit coset", K))
         unit_values.append((key, decode_local_number(value, cfg)))
-    try:
-        return LocalCharacter(val, level, tuple(unit_values))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return _make(LocalCharacter, val, level, tuple(unit_values))
 
 
 def decode_kirillov_table(obj, cfg: FieldConfig, place: Place) -> KirillovTable:
@@ -255,16 +246,10 @@ def decode_kirillov_table(obj, cfg: FieldConfig, place: Place) -> KirillovTable:
         rep_codes = _codes(_obj(e, "table entry").get("rep", [1]), "table entry rep",
                            place.residue())
         rep = LocalElement.from_coeffs(place, 0, rep_codes, exact=True)
-        try:
-            entries.append(KirillovEntry(_int(_need(e, "j", "table entry"), "j"),
-                                         _int(e.get("level", 0), "level"), rep,
-                                         decode_local_number(_need(e, "value", "table entry"), cfg)))
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-    try:
-        return KirillovTable(place, tuple(entries))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        entries.append(_make(KirillovEntry, _int(_need(e, "j", "table entry"), "j"),
+                             _int(e.get("level", 0), "level"), rep,
+                             decode_local_number(_need(e, "value", "table entry"), cfg)))
+    return _make(KirillovTable, place, tuple(entries))
 
 
 def decode_spec(obj, ground: GroundField, cfg: FieldConfig) -> GlobalWhittakerSpec:
@@ -276,7 +261,7 @@ def decode_spec(obj, ground: GroundField, cfg: FieldConfig) -> GlobalWhittakerSp
         datum = _obj(_need(rec, "datum", "spec place record"), "datum")
         if "unramified" in datum:
             S = decode_satake(datum["unramified"], cfg)
-            explicit.append((place, UnramifiedDatum(S)))
+            explicit.append((place, _make(UnramifiedDatum, S)))
         elif "table" in datum:
             table = decode_kirillov_table(datum["table"], cfg, place)
             central = decode_local_character(
@@ -290,12 +275,9 @@ def decode_spec(obj, ground: GroundField, cfg: FieldConfig) -> GlobalWhittakerSp
             raise InputError("default rule entries are pairs")
         rule.append((_int(deg, "degree"), tuple(decode_local_number(m, cfg) for m in pair)))
     w = decode_place(obj["w"], ground) if obj.get("w") else None
-    try:
-        spec = GlobalWhittakerSpec(ground, cfg, tuple(explicit), tuple(rule), w)
-    except (ValueError, TypeError) as exc:
-        raise InputError(str(exc)) from exc
+    spec = _make(GlobalWhittakerSpec, ground, cfg, tuple(explicit), tuple(rule), w)
     if "S" in obj:
-        declared = {decode_place(pl, ground) for pl in obj["S"]}
+        declared = {decode_place(pl, ground) for pl in _list(obj["S"], "spec S")}
         if declared != set(spec.S):
             raise InputError("declared exceptional set S does not match the tabulated places")
     return spec
@@ -319,15 +301,12 @@ def decode_point(obj, ground: GroundField) -> MirabolicPoint:
         if len(_list(pair, "point central entry")) != 2:
             raise InputError("point central entries are [place, exponent] pairs")
         central.append((decode_place(pair[0], ground), _int(pair[1], "central exponent")))
-    try:
-        return MirabolicPoint(ground, tuple(entries), tuple(central))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return _make(MirabolicPoint, ground, tuple(entries), tuple(central))
 
 
 def decode_character_family(obj, ground: GroundField, cfg: FieldConfig) -> CharacterFamily:
     _obj(obj, "character family")
-    S = tuple(decode_place(pl, ground) for pl in obj.get("S", []))
+    S = tuple(decode_place(pl, ground) for pl in _list(obj.get("S", []), "family S"))
     by_degree = tuple((_int(d, "by_degree key"), decode_local_number(v, cfg))
                       for d, v in _obj(obj.get("by_degree", {}), "by_degree").items())
     explicit = []
@@ -337,4 +316,4 @@ def decode_character_family(obj, ground: GroundField, cfg: FieldConfig) -> Chara
         explicit.append((place,
                          decode_local_character(_need(rec, "character", "character record"),
                                                 cfg, place)))
-    return CharacterFamily(ground, cfg, S, by_degree, tuple(explicit))
+    return _make(CharacterFamily, ground, cfg, S, by_degree, tuple(explicit))

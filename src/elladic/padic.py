@@ -159,7 +159,9 @@ class LocalNumber:
     """An element of Q_{l^d} known to ``prec`` significant digits.
 
     Use the FieldConfig constructors rather than calling this directly;
-    the raw constructor trusts its arguments.
+    the raw constructor trusts its arguments.  Arithmetic takes only
+    LocalNumber operands of the same FieldConfig (ConfigMismatch
+    otherwise): an integer n enters as config.integer(n).
     """
 
     __slots__ = ("config", "v", "coeffs", "prec")
@@ -206,14 +208,9 @@ class LocalNumber:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, LocalNumber):
-            if other.config is not self.config and other.config != self.config:
-                raise ConfigMismatch("operands use different field configurations")
-            return other
-        if isinstance(other, int):
-            return self.config.integer(other)
-        return None
+    def _check(self, other):
+        if other.config is not self.config and other.config != self.config:
+            raise ConfigMismatch("operands use different field configurations")
 
     def __neg__(self):
         if self.is_zero:
@@ -223,9 +220,7 @@ class LocalNumber:
                            tuple((-c) % mod for c in self.coeffs), self.prec)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        self._check(other)
         if self.is_zero:
             return other
         if other.is_zero:
@@ -236,31 +231,16 @@ class LocalNumber:
             return self.config.zero()
         return _digit_sum(self.config, (self, other))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        self._check(other)
         if self.is_zero or other.is_zero:
             return self.config.zero()
         prec = min(self.prec, other.prec)
         coeffs = _umul(self.config, self.coeffs, other.coeffs, prec)
         return LocalNumber(self.config, self.v + other.v, coeffs, prec)
-
-    __rmul__ = __mul__
 
     def inv(self) -> "LocalNumber":
         if self.is_zero:
@@ -269,20 +249,9 @@ class LocalNumber:
         return LocalNumber(self.config, -self.v, coeffs, self.prec)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self * other.inv()
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inv()
-
     def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
         if self.is_zero:
             if e == 0:
                 return self.config.one()
@@ -302,8 +271,6 @@ class LocalNumber:
     # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.config.integer(other)
         if not isinstance(other, LocalNumber):
             return NotImplemented
         return (self.config == other.config and self.is_zero == other.is_zero

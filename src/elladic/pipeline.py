@@ -29,7 +29,8 @@ serve both specs; only the unramified Whittaker values are per spec.  The
 orders of gamma come from its divisor, one factorization per term.
 
 Per-place data is read from maps built once per object: a spec's explicit
-data and its S, and a point's entries, central exponents and support.
+data and its S, a point's entries, central exponents and support, and a
+character family's explicit and per-degree characters.
 """
 
 from __future__ import annotations
@@ -246,9 +247,9 @@ class GlobalWhittakerSpec:
         for deg, pair in self.default_rule:
             if len(pair) != 2 or any(m.is_zero for m in pair):
                 raise ValueError("default rule entries must be pairs of nonzero values")
-            if deg not in defaults:
-                defaults[deg] = UnramifiedDatum(
-                    SatakeParam(2, self.ground.q ** deg, tuple(pair)))
+            if deg in defaults:
+                raise ValueError(f"degree {deg} listed twice in the default rule")
+            defaults[deg] = UnramifiedDatum(SatakeParam(2, self.ground.q ** deg, tuple(pair)))
         object.__setattr__(self, "_defaults", defaults)
         if self.w is not None and self.w not in self.S:
             raise ValueError("the distinguished place must be tabulated")
@@ -716,20 +717,33 @@ class CharacterFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "S", tuple(sorted(self.S, key=lambda p: p.sort_key())))
-        object.__setattr__(self, "by_degree", tuple(sorted(self.by_degree)))
+        object.__setattr__(self, "by_degree",
+                           tuple(sorted(self.by_degree, key=lambda kv: kv[0])))
         object.__setattr__(self, "explicit",
                            tuple(sorted(self.explicit, key=lambda kv: kv[0].sort_key())))
+        # place -> character and degree -> unramified character, built
+        # once; attributes, not fields, so __eq__, hash and repr are
+        # unchanged
+        object.__setattr__(self, "_explicit", dict(self.explicit))
+        object.__setattr__(self, "_by_degree",
+                           {deg: LocalCharacter(val) for deg, val in self.by_degree})
+        if len(set(self.S)) != len(self.S):
+            raise ValueError("place listed twice in the exceptional set S")
+        if len(self._explicit) != len(self.explicit):
+            raise ValueError("place listed twice in the explicit characters")
+        if len(self._by_degree) != len(self.by_degree):
+            raise ValueError("degree listed twice in by_degree")
 
     def character_at(self, place: Place) -> LocalCharacter:
-        for pl, chi in self.explicit:
-            if pl == place:
-                return chi
+        chi = self._explicit.get(place)
+        if chi is not None:
+            return chi
         if place in self.S:
             raise IncompleteData(f"no character supplied at exceptional place {place!r}")
-        for deg, val in self.by_degree:
-            if deg == place.degree:
-                return LocalCharacter(val)
-        raise IncompleteData(f"no character value for places of degree {place.degree}")
+        chi = self._by_degree.get(place.degree)
+        if chi is None:
+            raise IncompleteData(f"no character value for places of degree {place.degree}")
+        return chi
 
     def ramified_places(self) -> tuple:
         return tuple(pl for pl, chi in self.explicit if chi.level >= 1)

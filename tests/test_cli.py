@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from elladic import jsonio
 from elladic.cli import main
 from elladic.errors import InputError
-from elladic.function_field import GroundField
-from elladic.padic import FieldConfig
+from elladic.function_field import GroundField, LocalElement
+from elladic.padic import FieldConfig, sqrt_unit
+from elladic.pipeline import LocalCharacter
 
 PIPE_INPUT = {
     "ground": {"p": 2, "f": 1},
@@ -178,6 +179,19 @@ def test_whittaker_values(capsys):
     assert vals[2]["value"]["q_half_exp"] == -2
 
 
+def test_whittaker_auto_sqrt_q_is_the_hensel_root(capsys):
+    """"sqrt_q": "auto" collapses through sqrt_unit's root of q."""
+    data = {"field": {"ell": 11}, "param": {"q": 3, "mu": [1, 2]},
+            "weights": [[0, 0], [1, 0], [2, -1]]}
+    root = jsonio.encode_local_number(sqrt_unit(FieldConfig(11), 3))
+    code, auto = run(capsys, "whittaker", "--input", json.dumps({**data, "sqrt_q": "auto"}))
+    assert code == 0
+    assert auto == run(capsys, "whittaker", "--input", json.dumps({**data, "sqrt_q": root}))[1]
+    values = json.loads(auto)["result"]["values"]
+    assert values[0]["collapsed"] == jsonio.encode_local_number(FieldConfig(11).one())
+    assert all("collapsed" in v for v in values)
+
+
 def test_congruence_command(capsys):
     code, out = run(capsys, "congruence", "--bound", "3", "--input", json.dumps(CONGRUENCE))
     assert code == 0
@@ -196,6 +210,13 @@ def test_psi_command(capsys):
     code, out = run(capsys, "psi", "--p", "2", "--ell", "3", "--input", json.dumps(PSI))
     assert code == 0
     assert json.loads(out)["result"]["all_one"] is True
+    # psi of the zero function is 1
+    code, out = run(capsys, "psi", "--p", "2", "--ell", "3", "--input",
+                    json.dumps({"items": [{"gamma": []}, {"gamma": {"num": [0], "den": [1, 1]}}]}))
+    assert code == 0
+    values = json.loads(out)["result"]["values"]
+    assert [v["gamma"] for v in values] == [{"num": [], "den": [1]}] * 2
+    assert all(v["is_one"] for v in values)
 
 
 def test_index_command(capsys):
@@ -258,6 +279,10 @@ def test_text_format(capsys):
                     json.dumps({"divisor": [[{"finite": [0, 1]}, 1]]}))
     assert code == 0
     assert out.strip().endswith("OK")
+    code = main(["index", "--p", "3", "--format", "text", "--input", '{"divisor": 5}'])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error [InputError]: ")
 
 
 def run_failing(capsys, *argv):
@@ -327,6 +352,10 @@ def replaced(obj, path, value):
     return obj
 
 
+CHI1 = ("central_chars", "chi1")
+S_PLACE = {"finite": [1, 1]}
+
+
 @pytest.mark.parametrize("argv, command, error", [
     (["satake", "--input", json.dumps({"field": {"ell": 5},
                                        "params": [{"q": 3, "mu": [[1, 0], 1]}]})],
@@ -376,6 +405,37 @@ def replaced(obj, path, value):
      "pipeline", "InputError"),
     (["pipeline", "--input", json.dumps({**PIPE_INPUT, "samples": [], "central_chars": 5})],
      "pipeline", "InputError"),
+    (["pipeline", "--input", json.dumps(replaced(PIPE_CENTRAL, CHI1 + ("by_degree", "01"), 5))],
+     "pipeline", "InputError"),
+    (["pipeline", "--input", json.dumps(replaced(PIPE_CENTRAL, CHI1 + ("explicit",), [
+        {"place": S_PLACE, "character": {"uniformizer_value": v}} for v in (3, 5)]))],
+     "pipeline", "InputError"),
+    (["pipeline", "--input", json.dumps(replaced(PIPE_CENTRAL, CHI1 + ("by_degree", "5"), 0))],
+     "pipeline", "InputError"),
+    (["pipeline", "--input", json.dumps(replaced(PIPE_CENTRAL, CHI1 + ("S",), [S_PLACE] * 2))],
+     "pipeline", "InputError"),
+    (["pipeline", "--input", json.dumps(replaced(PIPE_CENTRAL, CHI1 + ("S",), 5))],
+     "pipeline", "InputError"),
+    (["pipeline", "--input", json.dumps(replaced(PIPE_CENTRAL, CHI1 + ("S",), None))],
+     "pipeline", "InputError"),
+    (["pipeline", "--input", json.dumps(replaced(
+        PIPE_INPUT, ("spec2", "default_rule", "01"), [3, 6]))],
+     "pipeline", "InputError"),
+    (["pipeline", "--input", json.dumps(replaced(PIPE_INPUT, ("spec1", "S"), 5))],
+     "pipeline", "InputError"),
+    (["pipeline", "--input", json.dumps(replaced(
+        PIPE_INPUT, ("spec1", "S"), [{"finite": [0, 1]}]))],
+     "pipeline", "InputError"),
+    (["pipeline", "--input", json.dumps(replaced(
+        PIPE_INPUT, ("spec1", "places", 0, "datum", "unramified", "mu"), [3]))],
+     "pipeline", "InputError"),
+    (["psi", "--p", "2", "--ell", "3", "--input", json.dumps(
+        {"items": [{"place": {"finite": [0, 1]}}]})], "psi", "InputError"),
+    (["whittaker", "--input", json.dumps(replaced(WHITTAKER, ("weights", 0), [0]))],
+     "whittaker", "InputError"),
+    (["rr", "--p", "4", "--input", json.dumps(DIVISOR)], "rr", "InputError"),
+    (["satake", "--precision", "-1", "--input", json.dumps(SATAKE_PAIR)],
+     "satake", "InputError"),
     (["index", "--p", "3", "--input", json.dumps(replaced(DIVISOR, ("divisor", 0, 1), -2))],
      "index", "InputError"),
     (["expand", "--p", "2", "--input", json.dumps(replaced(EXPAND, ("precision",), 0))],
@@ -397,7 +457,11 @@ def replaced(obj, path, value):
         "params-5", "finite-place-5", "unit-digits-5", "ell-null", "weight-entry-null",
         "precision-list", "point-central-5", "point-central-entry-short",
         "point-central-duplicate",
-        "central-chars-5", "index-negative-multiplicity", "expand-precision-0",
+        "central-chars-5", "family-degree-twice", "family-place-twice",
+        "family-degree-zero", "family-S-twice", "family-S-5", "family-S-null",
+        "default-rule-degree-twice", "spec-S-5", "spec-S-mismatch", "unramified-rank-1",
+        "psi-item-without-x", "weight-short", "flag-p-4", "flag-precision-negative",
+        "index-negative-multiplicity", "expand-precision-0",
         "congruence-bound-negative", "whittaker-bound-negative", "whittaker-params-3",
         "whittaker-pair-with-weights", "bad-flag-value", "unknown-command"])
 def test_malformed_request_exits_two(capsys, argv, command, error):
@@ -407,6 +471,23 @@ def test_malformed_request_exits_two(capsys, argv, command, error):
     assert code == 2
     assert record["command"] == command
     assert error is None or record["error"] == error
+
+
+# the auto sqrt_q of PIPE_INPUT, given explicitly
+SQRT2_F7 = jsonio.encode_local_number(sqrt_unit(FieldConfig(7, precision=12), 2))
+
+
+@pytest.mark.parametrize("prefix, data, name", [
+    (("pipeline",), replaced(PIPE_INPUT, ("spec1", "S"), [S_PLACE]), "pipeline"),
+    (("pipeline",), {**PIPE_INPUT, "sqrt_q": SQRT2_F7}, "pipeline"),
+    (("satake", "--precision", "8"), replaced(SATAKE_PAIR, ("field", "precision"), 4),
+     "satake-pair"),
+], ids=["declared-S", "explicit-sqrt-q", "precision-flag-overrides-field"])
+def test_equivalent_request_prints_the_golden_bytes(capsys, prefix, data, name):
+    """A request that only spells out what a golden request leaves
+    implicit prints that golden's bytes."""
+    code, out = run(capsys, *prefix, "--input", json.dumps(data))
+    assert code == 0 and out == (GOLDEN / f"cli-{name}.json").read_text()
 
 
 G2, G4, CFG7 = GroundField(2), GroundField(2, 2), FieldConfig(7, precision=4)
@@ -436,6 +517,23 @@ def test_out_of_range_element_codes_are_input_errors(decode, obj, field):
         decode(obj, ground)
 
 
+def test_ramified_character_reads_its_unit_values():
+    """A level-2 character: unit_values pairs a coset, as element codes,
+    with its value."""
+    place = G2.place([1, 1])
+    chi = jsonio.decode_local_character(
+        {"uniformizer_value": 3, "level": 2, "unit_values": [[[1, 0], 1], [[1, 1], [1, 2]]]},
+        CFG7, place)
+    assert chi == LocalCharacter(CFG7.integer(3), 2, (((1, 0), CFG7.one()),
+                                                      ((1, 1), CFG7.rational(1, 2))))
+    y = LocalElement.from_coeffs(place, 1, (1, 1, 1))
+    assert chi.evaluate(y) == CFG7.integer(3) * CFG7.rational(1, 2)
+    with pytest.raises(InputError, match="duplicate unit cosets"):
+        jsonio.decode_local_character(
+            {"uniformizer_value": 3, "level": 1, "unit_values": [[[1], 1], [[1], 2]]},
+            CFG7, place)
+
+
 def expand_at_place(poly):
     return ["expand", "--p", "2", "--input",
             json.dumps({"rational": {"num": [1, 1], "den": [0, 1]},
@@ -463,6 +561,10 @@ def test_flags_may_precede_the_command(capsys):
     assert json.loads(out)["result"]["dimension"] == 3
 
 
+# what a refusal of input must never be named; an OSError subclass stays
+# allowed, for an --input path that cannot be read
+BUILTIN_ERRORS = {"TypeError", "ValueError", "AttributeError", "KeyError", "IndexError",
+                  "ZeroDivisionError"}
 SMALL_JSON = st.one_of(st.none(), st.booleans(), st.integers(-3, 6),
                        st.text(max_size=3), st.just([1, 0]), st.just({}))
 
@@ -481,8 +583,9 @@ def mutated_requests(draw):
 @given(mutated_requests())
 def test_every_run_exits_with_a_json_record(argv):
     """Any one malformed node still gives an exit code in 0-3 and one JSON
-    document: the report on stdout or the error record on stderr.  The
-    enumeration cap of 16 keeps every run short."""
+    document: the report on stdout or the error record on stderr, which
+    names a typed error, never a builtin one.  The enumeration cap of 16
+    keeps every run short."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -496,3 +599,4 @@ def test_every_run_exits_with_a_json_record(argv):
         record = json.loads(err.getvalue())
         assert set(record) == {"schema", "command", "error", "message"}
         assert code != 0
+        assert record["error"] not in BUILTIN_ERRORS, record

@@ -494,7 +494,7 @@ def span_by_fold(ground, basis):
     for code in itertools.product(range(ground.q), repeat=len(basis)):
         if not any(code):
             continue
-        acc = RationalFunction.make(ground, (), ground.poly((1,)))
+        acc = RationalFunction.make(ground, (), (1,))
         for ci, b in zip(code, basis):
             if ci:
                 acc = acc + ground.constant(ci) * b

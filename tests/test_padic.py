@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -76,8 +77,17 @@ def test_full_cancellation_across_precisions_raises():
 
 
 def test_config_mismatch_rejected():
-    with pytest.raises(ConfigMismatch):
-        CFG5.one() + CFG7.one()
+    """Every operand is a LocalNumber of the same FieldConfig: another
+    config raises ConfigMismatch, and an int is neither coerced nor equal."""
+    x = CFG5.one()
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(ConfigMismatch):
+            op(x, CFG7.one())
+        with pytest.raises((TypeError, AttributeError)):
+            op(x, 1)
+        with pytest.raises(TypeError):
+            op(1, x)
+    assert x != 1 and x == CFG5.integer(1)
 
 
 def test_cross_precision_add_keeps_certified_digits():

@@ -522,7 +522,7 @@ def test_lookups_read_the_maps_built_once(rng):
 def norm_family(c_num, c_den, S_places):
     value = lambda d: CFG.rational(c_num ** d, c_den ** d)
     return CharacterFamily(
-        G2, CFG, S_places,
+        S_places[0].ground, CFG, S_places,
         tuple((d, value(d)) for d in range(1, 9)),
         tuple((pl, LocalCharacter(value(pl.degree))) for pl in S_places))
 
@@ -569,6 +569,35 @@ def test_central_char_flags_noncongruent(rng):
     fam2 = norm_family(1, 1, s_places)
     rep = central_char_propagate(fam1, fam2, [G2.t()])
     assert not rep.ok
+
+
+@pytest.mark.parametrize("ground, poly", [(GroundField(3), [0, 1]), (GroundField(5), [2, 1]),
+                                         (G2, [1, 1, 1])], ids=["F3", "F5", "F2-degree-2"])
+def test_central_char_ratio_at_a_residue_field_above_two(ground, poly):
+    """Where kappa(w) has more than two elements, the ratio at w is also
+    derived at the unit of code 2, beside the uniformizer."""
+    s_places = (ground.place(poly),)
+    ys = [ground.t(), ground.rational([1, 1]), ground.rational([1], [0, 1])]
+    rep = central_char_propagate(norm_family(3, 1, s_places), norm_family(10, 1, s_places), ys)
+    assert rep.ok and len(rep.ratio_records) == 2
+    rep = central_char_propagate(norm_family(1, 2, s_places), norm_family(1, 1, s_places), ys)
+    assert [r.ok for r in rep.ratio_records] == [False, True]
+
+
+def test_character_family_reads_the_maps_built_once():
+    """character_at reads the explicit map, then S, then one shared
+    character per degree; by_degree is sorted by degree alone.  The
+    refusals of repeats are test_cli's malformed-request cases."""
+    pl = G2.place([1, 1])
+    chi = (pl, LocalCharacter(CFG.one()))
+    by_degree = ((2, CFG.integer(5)), (1, CFG.integer(3)))
+    fam = CharacterFamily(G2, CFG, (pl,), by_degree, (chi,))
+    assert fam.by_degree == by_degree[::-1]
+    assert fam.character_at(Place(G2, (1, 1))) is chi[1]
+    assert fam.character_at(G2.place([1, 1, 1])) is fam.character_at(Place(G2, (1, 1, 1)))
+    assert fam.character_at(G2.infinity()) == LocalCharacter(CFG.integer(3))
+    with pytest.raises(IncompleteData):
+        CharacterFamily(G2, CFG, (pl,), by_degree).character_at(pl)
 
 
 def test_central_char_incomplete_data():
