@@ -326,6 +326,8 @@ def cmd_pipeline(args, data):
             jsonio._need(chars, "chi2", "'central_chars'"), ground, cfg)
         ys = [jsonio.decode_rational(y, ground)
               for y in jsonio._list(chars.get("samples", []), "central_chars samples")]
+        if any(y.is_zero for y in ys):
+            raise InputError("central_chars samples must be nonzero rational functions")
         crep = central_char_propagate(fam1, fam2, ys)
         out["central"] = {
             "product_failures": list(crep.product_failures),

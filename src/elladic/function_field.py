@@ -62,9 +62,13 @@ class GroundField:
         else:
             object.__setattr__(self, "modulus", tuple(c % self.p for c in self.modulus))
         gf_field(self.p, self.f, self.modulus)
-        # built once: an attribute, not a field, so __eq__, hash and repr
-        # are unchanged
+        # built once: attributes, not fields, so __eq__ and repr are
+        # unchanged, and the hash is the one of the fields
+        object.__setattr__(self, "_hash", hash((self.p, self.f, self.modulus)))
         object.__setattr__(self, "_infinity", Place(self, None))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def q(self) -> int:
@@ -129,6 +133,11 @@ class Place:
                 K, theta = ext_field(F, self.poly), F.order   # the code of s
         object.__setattr__(self, "_residue", K)
         object.__setattr__(self, "theta", theta)
+        # the hash of the fields, stored once: places key most lookups
+        object.__setattr__(self, "_hash", hash((self.ground, self.poly)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_infinity(self) -> bool:

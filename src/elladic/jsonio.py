@@ -45,11 +45,23 @@ def _list(x, where: str) -> list:
 
 
 def _int(x, where: str) -> int:
-    """int(x), with InputError naming the field when x is no integer."""
+    """x itself when it is a JSON integer, else InputError naming the
+    field: a boolean, a float or a digit string is no integer."""
+    if type(x) is not int:
+        raise InputError(f"{where} must be an integer, not {x!r}")
+    return x
+
+
+def _key_int(key: str, where: str) -> int:
+    """The integer an object key names, in canonical decimal text only, so
+    that "01" or " 1" is refused rather than read as 1."""
     try:
-        return int(x)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{where} must be an integer, not {x!r}") from exc
+        n = int(key)
+    except ValueError:
+        n = None
+    if n is None or str(n) != key:
+        raise InputError(f"{where} must be an integer in decimal, not {key!r}")
+    return n
 
 
 def _ints(x, where: str) -> list:
@@ -95,7 +107,7 @@ def decode_local_number(obj, cfg: FieldConfig) -> LocalNumber:
     if isinstance(obj, int):
         return cfg.integer(obj)
     if isinstance(obj, list):
-        if len(obj) != 2 or not all(isinstance(x, int) for x in obj):
+        if len(obj) != 2 or not all(type(x) is int for x in obj):
             raise InputError("rational shorthand must be [numerator, denominator]")
         return _make(cfg.rational, obj[0], obj[1])
     if isinstance(obj, dict):
@@ -273,7 +285,7 @@ def decode_spec(obj, ground: GroundField, cfg: FieldConfig) -> GlobalWhittakerSp
     for deg, pair in _obj(obj.get("default_rule", {}), "default_rule").items():
         if len(_list(pair, "default rule entry")) != 2:
             raise InputError("default rule entries are pairs")
-        rule.append((_int(deg, "degree"), tuple(decode_local_number(m, cfg) for m in pair)))
+        rule.append((_key_int(deg, "degree"), tuple(decode_local_number(m, cfg) for m in pair)))
     w = decode_place(obj["w"], ground) if obj.get("w") else None
     spec = _make(GlobalWhittakerSpec, ground, cfg, tuple(explicit), tuple(rule), w)
     if "S" in obj:
@@ -307,7 +319,7 @@ def decode_point(obj, ground: GroundField) -> MirabolicPoint:
 def decode_character_family(obj, ground: GroundField, cfg: FieldConfig) -> CharacterFamily:
     _obj(obj, "character family")
     S = tuple(decode_place(pl, ground) for pl in _list(obj.get("S", []), "family S"))
-    by_degree = tuple((_int(d, "by_degree key"), decode_local_number(v, cfg))
+    by_degree = tuple((_key_int(d, "by_degree key"), decode_local_number(v, cfg))
                       for d, v in _obj(obj.get("by_degree", {}), "by_degree").items())
     explicit = []
     for rec in _list(obj.get("explicit", []), "character records"):

@@ -28,6 +28,19 @@ per term, read as one psi value.  The traces, like the tabulated factors,
 serve both specs; only the unramified Whittaker values are per spec.  The
 orders of gamma come from its divisor, one factorization per term.
 
+The one gamma-term kernel has two parts.  The psi-free part reads only
+the point's torus (the same point with every x the exact zero): gamma's
+orders and each spec's product of Whittaker values, table values and
+central twists; it expands gamma only at tabulated places.  The trace
+reads the point's entries whose x is not the exact zero.  A unipotent
+shift changes only x, as in W(n(x)g) = psi(x)W(g), so the cosets of one
+fourier_coefficient call share the psi-free part: for the length of the
+call, mirabolic_expand keeps the p values (coef * psi_0(t)) * sqrt_q^half
+of each gamma per (spec, torus, sqrt_q, target, cap), and each coset adds
+only its traces and one table read per gamma.  Outside such a call
+nothing is kept.  An empty Kirillov table is the zero function wherever
+it is read.
+
 Per-place data is read from maps built once per object: a spec's explicit
 data and its S, a point's entries, central exponents and support, and a
 character family's explicit and per-degree characters.
@@ -36,6 +49,7 @@ character family's explicit and per-degree characters.
 from __future__ import annotations
 
 import random
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -320,6 +334,16 @@ class MirabolicPoint:
     def support(self) -> tuple:
         return self._support
 
+    @cached_property
+    def torus(self) -> "MirabolicPoint":
+        """The same point with every x the exact zero, built on first use:
+        the psi-free part of a gamma term reads only this."""
+        if all(x.is_exact_zero for _, x, _, _ in self.entries):
+            return self
+        return MirabolicPoint(self.ground, tuple(
+            (pl, LocalElement.exact_zero(pl), a1, a2) for pl, _, a1, a2 in self.entries),
+            self.central)
+
     def shifted_by(self, u: Adele) -> "MirabolicPoint":
         """Left translation by the unipotent adele u: x_v += u_v * unif^a2."""
         places = set(self.support()) | set(u.support())
@@ -330,7 +354,9 @@ class MirabolicPoint:
             if not uv.is_exact_zero:
                 x = x + (uv.shift(a2) if a2 else uv)
             entries.append((pl, x, a1, a2))
-        return MirabolicPoint(self.ground, tuple(entries), self.central)
+        shifted = MirabolicPoint(self.ground, tuple(entries), self.central)
+        shifted.__dict__["torus"] = self.torus   # a shift moves only x
+        return shifted
 
 
 # ---------------------------------------------------------------------------
@@ -343,19 +369,30 @@ def _check_mirabolic(datum, a2: int):
             "tabulated data is defined on the mirabolic subgroup (a2 = 0)")
 
 
-def _local_factor(datum, place: Place, a1: int, a2: int, central: int,
-                  torus_unit: LocalElement | None):
-    """The local factor without its psi value, as (coefficient, m), m = 0
-    once the coefficient is zero: the Whittaker value for unramified data,
-    else the table value at torus_unit * u^a1 times the central twist."""
+def _local_factor(datum, config: FieldConfig, place: Place, gamma, ordg: int,
+                  a1: int, a2: int, central: int):
+    """The local factor at diag(gamma,1) * torus without its psi value, as
+    (coefficient, m), m = 0 once the coefficient is zero: the Whittaker
+    value at the shifted exponents for unramified data, else the table
+    value at gamma's unit part times u^(a1 + ordg) times the central
+    twist, zero for an empty table.  gamma = None means 1.
+
+    Only a table needs gamma's expansion: to the trace's precision rule
+    with x = 0, and never to fewer digits than the table's max level,
+    which is what its cosets read of gamma's unit part."""
     if not isinstance(datum, TabulatedDatum):
-        wv = whittaker_value(datum.satake, (a1 + central, a2 + central))
+        wv = whittaker_value(datum.satake, (a1 + ordg + central, a2 + central))
         return wv.coef, wv.q_half_exp * place.degree
-    if torus_unit is None or torus_unit.is_exact_zero:
+    table = datum.table
+    if table.is_empty:
+        return config.zero(), 0
+    if gamma is None:
         y = LocalElement.uniformizer_power(place, a1)
     else:
-        y = torus_unit.shift(a1)
-    f_val = datum.table.lookup(y)
+        need = max(psi_conductor(place), table.max_level() + 1)
+        M = max(1, table.max_level(), need - ordg + 3)
+        y = expand_at(gamma, place, M).shift(a1)
+    f_val = table.lookup(y)
     if f_val.is_zero or not central:
         return f_val, 0
     return f_val * datum.central.value_at_uniformizer ** central, 0
@@ -393,65 +430,102 @@ def gamma_support(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     return rr_nonzero(Divisor.make(spec.ground, pairs), cap)
 
 
-def _gamma_terms(specs: tuple, point: MirabolicPoint,
-                 gamma: RationalFunction | None, target: PsiTarget) -> list:
-    """The product of local values at diag(gamma,1) * point for each spec,
-    as (coefficient, total half exponent); gamma = None means gamma = 1.
+def _psi_free(specs: tuple, torus: MirabolicPoint, gamma: RationalFunction | None,
+              target: PsiTarget) -> tuple:
+    """The psi-free part of the gamma term at diag(gamma,1) * torus, a
+    point whose x components are all exact zeros; gamma = None means 1.
 
-    psi is one character of A/k, so the psi values of all places multiply
-    to psi_0 of the sum of their residue traces: one value per term.  Each
-    place's expansion of gamma, residue trace and tabulated factor are
-    computed once for all specs, so they must share S, w and the tables,
-    the only spec data these read; Whittaker values are the one factor
-    computed per spec."""
+    Returns gamma's orders (place -> order on its divisor) and, for each
+    spec, (coefficient, total half exponent, stop): the product of its
+    local factors in place order, and stop the sort key of the place of
+    its first zero factor, where its product stops, None if there is
+    none.  The places are the torus support, S, infinity and the divisor
+    of gamma; a place outside these has factor W(0, 0) = 1.  A tabulated
+    factor is computed once for all specs, so they must share S, w and
+    the tables, the only spec data it reads; Whittaker values are the
+    one factor computed per spec."""
     if target.ground != specs[0].ground:
         raise ConfigMismatch("psi target built for a different ground field")
     config = specs[0].config
-    relevant = _base_places(specs[0], point)
-    orders = {}   # the order of gamma at each place of its divisor
+    relevant = _base_places(specs[0], torus)
+    orders = {}
     if gamma is not None:
         orders = dict(gamma.divisor().items)
-        relevant |= set(orders)
+        relevant |= orders.keys()
     coefs = [config.one()] * len(specs)
     halves = [0] * len(specs)
+    stops = [None] * len(specs)
     live = range(len(specs))      # the specs whose factors are all nonzero
-    trace = 0
-    for pl in sorted(relevant, key=lambda p: p.sort_key()):
-        x, a1, a2 = point.get(pl)
-        c = point.central_at(pl)
+    for pl in sorted(relevant, key=Place.sort_key):
+        _, a1, a2 = torus.get(pl)
+        c = torus.central_at(pl)
+        ordg = orders.get(pl, 0)
         data = [specs[i].datum_at(pl) for i in live]
-        tabulated = isinstance(data[0], TabulatedDatum)
-        gexp = torus_unit = None
-        if gamma is not None:
-            ordg = orders.get(pl, 0)
-            need = psi_conductor(pl)
-            if tabulated:
-                need = max(need, data[0].table.max_level() + 1)
-            xv = 0 if x.is_zero_like else x.v
-            M = max(1, need - min(xv, 0) - ordg + 3)
-            gexp = expand_at(gamma, pl, M)
-            torus_unit = gexp.shift(-ordg)
-            a1 = a1 + ordg
         _check_mirabolic(data[0], a2)
-        trace += residue_trace(pl, x.shift(-a2) if a2 else x, gexp)
-        if tabulated:
-            factors = [_local_factor(data[0], pl, a1, a2, c, torus_unit)] * len(live)
+        if isinstance(data[0], TabulatedDatum):
+            factors = [_local_factor(data[0], config, pl, gamma, ordg, a1, a2, c)] * len(live)
         else:
-            factors = [_local_factor(d, pl, a1, a2, c, None) for d in data]
+            factors = [_local_factor(d, config, pl, gamma, ordg, a1, a2, c) for d in data]
         nonzero = []
         for i, (val, half) in zip(live, factors):
-            if not val.is_zero:
+            if val.is_zero:
+                stops[i] = pl.sort_key()
+            else:
                 coefs[i] = coefs[i] * val
                 halves[i] += half
                 nonzero.append(i)
         live = nonzero
         if not live:
             break
-    out = [(config.zero(), 0)] * len(specs)
-    psi = target.psi0(trace)
-    for i in live:
-        out[i] = (coefs[i] * psi, halves[i])
-    return out
+    return orders, [(coefs[i], halves[i], None) if stops[i] is None
+                    else (config.zero(), 0, stops[i]) for i in range(len(specs))]
+
+
+def _trace(specs: tuple, point: MirabolicPoint, gamma: RationalFunction | None,
+           free: tuple) -> int:
+    """The residue-trace sum of the gamma term at diag(gamma,1) * point,
+    over the point's entries whose x is not the exact zero: psi is one
+    character of A/k, so the psi values of all places multiply to psi_0
+    of this one sum.  free is _psi_free's result at the point's torus.
+
+    An entry is read up to the last place where some spec's product is
+    still live, with the data of those specs, as a single pass over the
+    places would read it: datum_at raises IncompleteData at a place of
+    the point that no rule covers, before any zero factor beyond it."""
+    orders, terms = free
+    stops = [stop for _, _, stop in terms]
+    trace = 0
+    for pl, x, _, a2 in point.entries:
+        if x.is_exact_zero:
+            continue
+        live = specs
+        if any(stops):
+            key = pl.sort_key()
+            live = [s for s, stop in zip(specs, stops) if stop is None or key <= stop]
+            if not live:
+                break
+        data = [s.datum_at(pl) for s in live]
+        gexp = None
+        if gamma is not None:
+            ordg = orders.get(pl, 0)
+            need = psi_conductor(pl)
+            if isinstance(data[0], TabulatedDatum):
+                need = max(need, data[0].table.max_level() + 1)
+            xv = 0 if x.is_zero_like else x.v
+            gexp = expand_at(gamma, pl, max(1, need - min(xv, 0) - ordg + 3))
+        trace += residue_trace(pl, x.shift(-a2) if a2 else x, gexp)
+    return trace
+
+
+def _gamma_terms(specs: tuple, point: MirabolicPoint,
+                 gamma: RationalFunction | None, target: PsiTarget) -> list:
+    """The product of local values at diag(gamma,1) * point for each spec,
+    as (coefficient, total half exponent); gamma = None means gamma = 1:
+    the psi-free part at the point's torus times psi_0 of the trace."""
+    free = _psi_free(specs, point.torus, gamma, target)
+    psi = target.psi0(_trace(specs, point, gamma, free))
+    return [(coef, 0) if stop is not None else (coef * psi, half)
+            for coef, half, stop in free[1]]
 
 
 def _gamma_term(spec: GlobalWhittakerSpec, point: MirabolicPoint,
@@ -480,14 +554,57 @@ def _power(x: LocalNumber, e: int) -> LocalNumber:
     return x ** e
 
 
+# the psi-free terms shared by the cosets of the one fourier_coefficient
+# call under way, keyed on (spec, torus, sqrt_q, target, cap); None outside
+# such a call
+_COSET_TERMS: ContextVar = ContextVar("elladic_coset_terms", default=None)
+
+
 def mirabolic_expand(spec: GlobalWhittakerSpec, point: MirabolicPoint,
                      sqrt_q: LocalNumber, target: PsiTarget,
                      cap: int = DEFAULT_ENUMERATION_CAP) -> LocalNumber:
     """The finite sum over gamma of the Whittaker term at diag(gamma,1)g,
-    collapsed to a plain field element through the supplied sqrt of q."""
+    collapsed to a plain field element through the supplied sqrt of q.
+
+    Inside a fourier_coefficient call, the psi-free part of every term is
+    computed once per (spec, torus, sqrt_q, target, cap) and each point
+    adds only its traces; outside one, every call computes every term."""
     check_sqrt_q(sqrt_q, spec.ground.q)
     support = gamma_support(spec, point, cap)
-    return _collapsed_sums((spec,), point, support, sqrt_q, target)[0]
+    shared = _COSET_TERMS.get()
+    if shared is None:
+        return _collapsed_sums((spec,), point, support, sqrt_q, target)[0]
+    # the objects phi closes over are keyed by identity, which hashes in
+    # constant time; the entry holds them, so no id is reused in the scope
+    key = (id(spec), id(sqrt_q), id(target), cap, point.torus)
+    entry = shared.get(key)
+    if entry is None:
+        entry = shared[key] = (spec, sqrt_q, target, [])
+    terms = entry[-1]
+    acc = spec.config.zero()
+    for i, gamma in enumerate(support):
+        if i == len(terms):
+            # filled term by term, so an error surfaces at the same gamma
+            # as in a call outside the scope
+            terms.append(_coset_term(spec, point.torus, gamma, sqrt_q, target))
+        free, values = terms[i]
+        trace = _trace((spec,), point, gamma, free)
+        if values is not None:
+            acc = acc + values[trace % spec.ground.p]
+    return acc
+
+
+def _coset_term(spec: GlobalWhittakerSpec, torus: MirabolicPoint,
+                gamma: RationalFunction, sqrt_q: LocalNumber, target: PsiTarget):
+    """The psi-free part of gamma's term at the torus and, unless the term
+    is zero, its collapsed value (coef * psi_0(t)) * sqrt_q^half for each
+    trace t mod p: what the cosets of one Fourier coefficient share."""
+    free = _psi_free((spec,), torus, gamma, target)
+    coef, half, stop = free[1][0]
+    if stop is not None:
+        return free, None
+    power = _power(sqrt_q, half)
+    return free, [coef * psi * power for psi in target.powers]
 
 
 def whittaker_at(spec: GlobalWhittakerSpec, point: MirabolicPoint,
@@ -505,15 +622,20 @@ def fourier_coefficient(phi, gamma: RationalFunction, point: MirabolicPoint,
 
     phi must be invariant under translations from U (caller-asserted);
     the averaging denominator is a power of p, hence a unit in the
-    coefficient field.
+    coefficient field.  For the length of the call, mirabolic_expand
+    shares the psi-free part of its terms across the shifted points.
     """
     reps = coset_reps(U, cap)
     index = quotient_index(U)
     acc = config.zero()
-    for u in reps:
-        twist = psi_global(-scale_adele(u, gamma), target) if not gamma.is_zero \
-            else config.one()
-        acc = acc + twist * phi(point.shifted_by(u))
+    scope = _COSET_TERMS.set({})
+    try:
+        for u in reps:
+            twist = psi_global(-scale_adele(u, gamma), target) if not gamma.is_zero \
+                else config.one()
+            acc = acc + twist * phi(point.shifted_by(u))
+    finally:
+        _COSET_TERMS.reset(scope)
     return acc * config.integer(index).inv()
 
 

@@ -206,7 +206,8 @@ def gamma_term_per_place(spec, point, gamma, target):
     factor: at each place x gamma is formed in full, psi_v is read from
     it, and the local factor is psi_v times the Whittaker value, or psi_v
     times the table value at gamma's unit part times u^a1 times the
-    central twist.  Nothing is shared between places or between specs.
+    central twist, an empty table being the zero function.  Nothing is
+    shared between places or between specs.
     """
     ground, config = spec.ground, spec.config
     places = set(point.support()) | set(spec.S) | {ground.infinity()}
@@ -241,7 +242,7 @@ def gamma_term_per_place(spec, point, gamma, target):
             y = LocalElement.uniformizer_power(pl, a1)
             if torus_unit is not None:
                 y = torus_unit * y
-            val = datum.table.lookup(y)
+            val = config.zero() if datum.table.is_empty else datum.table.lookup(y)
             if not val.is_zero:
                 val = psi_val * val
                 if c:

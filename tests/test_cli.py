@@ -450,6 +450,15 @@ S_PLACE = {"finite": [1, 1]}
     (["whittaker", "--input", json.dumps({**CONGRUENCE, "param": WHITTAKER["param"],
                                           "weights": WHITTAKER["weights"]})],
      "whittaker", "InputError"),
+    (["whittaker", "--input", json.dumps(replaced(WHITTAKER, ("weights",), [[True, False]]))],
+     "whittaker", "InputError"),
+    (["whittaker", "--input", json.dumps(replaced(WHITTAKER, ("weights",), [[1.9, 0.2]]))],
+     "whittaker", "InputError"),
+    (["whittaker", "--input", json.dumps(replaced(WHITTAKER, ("weights",), [["1", "0"]]))],
+     "whittaker", "InputError"),
+    (["pipeline", "--input", json.dumps(replaced(
+        PIPE_INPUT, ("spec1", "default_rule"), {"01": [1, 1]}))],
+     "pipeline", "InputError"),
     (["rr", "--p", "x"], None, "InputError"),
     (["frobnicate", "--p", "2"], None, "InputError"),
 ], ids=["zero-denominator", "table-entry-5", "place-record-3", "default-rule-list",
@@ -463,7 +472,8 @@ S_PLACE = {"finite": [1, 1]}
         "psi-item-without-x", "weight-short", "flag-p-4", "flag-precision-negative",
         "index-negative-multiplicity", "expand-precision-0",
         "congruence-bound-negative", "whittaker-bound-negative", "whittaker-params-3",
-        "whittaker-pair-with-weights", "bad-flag-value", "unknown-command"])
+        "whittaker-pair-with-weights", "weight-bool", "weight-float", "weight-digit-string",
+        "default-rule-degree-01", "bad-flag-value", "unknown-command"])
 def test_malformed_request_exits_two(capsys, argv, command, error):
     """Malformed input or command line: exit 2 and a JSON record whose
     command is null when the command line did not parse."""
@@ -566,7 +576,8 @@ def test_flags_may_precede_the_command(capsys):
 BUILTIN_ERRORS = {"TypeError", "ValueError", "AttributeError", "KeyError", "IndexError",
                   "ZeroDivisionError"}
 SMALL_JSON = st.one_of(st.none(), st.booleans(), st.integers(-3, 6),
-                       st.text(max_size=3), st.just([1, 0]), st.just({}))
+                       st.text(max_size=3), st.just([1, 0]), st.just({}),
+                       st.just(1.5), st.just("1"), st.just([]))
 
 
 @st.composite
@@ -600,3 +611,55 @@ def test_every_run_exits_with_a_json_record(argv):
         assert set(record) == {"schema", "command", "error", "message"}
         assert code != 0
         assert record["error"] not in BUILTIN_ERRORS, record
+
+
+def integer_leaves(data) -> list:
+    """The path to every integer leaf of a JSON value."""
+    def leaf(path):
+        node = data
+        for key in path:
+            node = node[key]
+        return node
+    return [path for path in nodes(data) if type(leaf(path)) is int]
+
+
+# what a JSON integer field may not accept in place of an integer
+NOT_INTEGERS = st.one_of(st.booleans(), st.floats(),
+                         st.from_regex(r"-?[0-9]{1,3}", fullmatch=True))
+
+
+@st.composite
+def requests_with_a_non_integer(draw):
+    """A valid request with one integer leaf of its input swapped for a
+    boolean, a float or a digit string."""
+    prefix, data = draw(st.sampled_from([r for r in VALID_REQUESTS if integer_leaves(r[1])]))
+    path = draw(st.sampled_from(integer_leaves(data)))
+    return list(prefix) + ["--cap", "16", "--input",
+                           json.dumps(replaced(data, path, draw(NOT_INTEGERS)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(requests_with_a_non_integer())
+def test_a_non_integer_in_an_integer_field_exits_two(argv):
+    """Every integer of a request is a JSON integer: a boolean, a float or
+    a digit string in its place is an InputError (exit 2), never read as
+    the integer it resembles."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2, argv
+    assert json.loads(err.getvalue())["error"] == "InputError"
+
+
+def test_empty_table_at_w_reads_as_the_zero_function(capsys):
+    """An empty Kirillov table at the distinguished place w is the zero
+    function on every path: each W and phi value is zero, and the run
+    exits 0."""
+    data = copy.deepcopy(PIPE_CENTRAL)
+    for spec in ("spec1", "spec2"):
+        data[spec]["places"][1]["datum"]["table"] = []
+    code, out = run(capsys, "pipeline", "--input", json.dumps(data))
+    assert code == 0
+    points = json.loads(out)["result"]["points"]
+    assert len(points) == 2
+    assert all(p[k] == {"zero": True} for p in points for k in ("W1", "W2", "phi1", "phi2"))

@@ -1,15 +1,19 @@
+import random
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elladic import pipeline
 from elladic.errors import (ConfigMismatch, ElladicError, IncompleteData,
-                            NotCongruent, PrecisionLoss, SpecMismatch,
-                            UnsupportedPoint)
+                            InsufficientPrecision, NotCongruent, PrecisionLoss,
+                            SpecMismatch, UnsupportedPoint)
 from elladic.function_field import (Divisor, GroundField, LocalElement,
-                                    Place, PsiTarget, enumerate_places,
-                                    quotient_index, rr_space, span_nonzero)
+                                    Place, PsiTarget, coset_reps,
+                                    enumerate_places, quotient_index,
+                                    rr_space, span_nonzero)
 from elladic.padic import FieldConfig, sqrt_unit
 from elladic.pipeline import (CharacterFamily, GlobalWhittakerSpec,
                               KirillovEntry, KirillovTable, LocalCharacter,
@@ -386,6 +390,146 @@ def test_gamma_terms_raise_where_the_per_place_product_does(rng, target):
     other = PsiTarget.create(GroundField(3), CFG)
     with pytest.raises(ConfigMismatch):
         _gamma_terms((spec1, spec2), MirabolicPoint(G2), None, other)
+
+
+def local(place, v, *coeffs, exact=True):
+    return LocalElement.from_coeffs(place, v, coeffs, exact=exact)
+
+
+def test_gamma_terms_match_the_per_place_product_at_shifted_points(rng, target):
+    """The kernel where x is not zero: at a place with a1 = a2 = 0, with
+    valuation -1 at the tabulated place w, beside central exponents, and
+    at the points a Fourier coefficient shifts these to."""
+    spec1, spec2 = build_spec_pair(rng, n_perturbed=3)
+    specs = (spec1, spec2)
+    s1_pl, t_pl, cubic = G2.place([1, 1]), G2.place([0, 1]), G2.place([1, 0, 1, 1])
+    bare_x = MirabolicPoint(G2, ((cubic, local(cubic, -1, 1), 0, 0),
+                                 (t_pl, local(t_pl, -2, 1, 1), 0, 0)))
+    at_w = MirabolicPoint(G2, ((s1_pl, local(s1_pl, -1, 1), 0, 0),))
+    central = MirabolicPoint(G2, ((t_pl, local(t_pl, -1, 1), 1, 0),),
+                             ((s1_pl, -1), (cubic, 1)))
+    U = Divisor.make(G2, [(t_pl, 1), (s1_pl, 1), (G2.infinity(), 1)])
+    points = []
+    for point in (bare_x, at_w, central):
+        points += [point] + [point.shifted_by(u) for u in coset_reps(U)]
+    terms = 0
+    for point in points:
+        support = gamma_support(spec1, point)
+        assert len(support) <= 63
+        for gamma in (None,) + support:
+            want = assert_kernel_matches(specs, point, gamma, target)
+            terms += sum(bool(w[1]) for w in want)
+    assert terms
+    # an empty table at w is the zero function
+    empty = TabulatedDatum(KirillovTable(s1_pl, ()), LocalCharacter(CFG.integer(3)))
+    hollow = tuple(replace(s, explicit=tuple((pl, empty if pl == s1_pl else d)
+                                             for pl, d in s.explicit)) for s in specs)
+    for point in (bare_x, at_w, central):
+        for gamma in (None, G2.t()):
+            assert assert_kernel_matches(hollow, point, gamma, target) == [
+                digits((CFG.zero(), 0))] * 2
+    # default rules for degrees 1 and 2 only: x at the cubic place, where
+    # a1 = a2 = 0, raises unless a zero factor at an earlier place stops
+    # the product first; an x with too few digits for its trace raises
+    # even where its own place's factor is zero
+    short = tuple(replace(s, default_rule=s.default_rule[:2]) for s in specs)
+    zero_first = ((t_pl, LocalElement.exact_zero(t_pl), -1, 0),)
+    short_digits = ((t_pl, local(t_pl, -3, 1, exact=False), -1, 0),)
+    for entries, error in (((), IncompleteData), (zero_first, None),
+                           (short_digits, InsufficientPrecision)):
+        point = MirabolicPoint(G2, entries + ((cubic, local(cubic, -1, 1), 0, 0),))
+        assert assert_kernel_matches(short, point, None, target)[0] == (
+            error or digits((CFG.zero(), 0)))
+
+
+def test_a_table_reads_gamma_to_its_max_level(target):
+    """A coset of level 2 reads two digits of gamma's unit part, however
+    high gamma's order there: t^5 / (1 + t + t^2) at t, where the trace's
+    precision rule alone (max level + 4 - ord digits) leaves one."""
+    pl, quad, inf = G2.place([0, 1]), G2.place([1, 1, 1]), G2.infinity()
+    table = KirillovTable(pl, (KirillovEntry(0, 2, local(pl, 0, 1, 1), CFG.integer(3)),))
+    spec = GlobalWhittakerSpec(G2, CFG, ((pl, TabulatedDatum(table, LocalCharacter(CFG.one()))),),
+                               tuple((d, (CFG.one(), CFG.one())) for d in range(1, 9)), w=pl)
+    point = MirabolicPoint(G2, tuple((p, LocalElement.exact_zero(p), a1, 0)
+                                     for p, a1 in ((pl, -5), (quad, 1), (inf, 3))))
+    gamma = G2.rational([0, 0, 0, 0, 0, 1], [1, 1, 1])
+    assert gamma in gamma_support(spec, point)
+    assert _gamma_term(spec, point, gamma, target) == (CFG.integer(3), 0)
+
+
+# a spec with tabulated places, for the hypothesis properties below
+PROPERTY_SPEC = build_spec_pair(random.Random(20260808))[0]
+SMALL_PLACES = tuple(enumerate_places(G2, 2))
+
+
+@st.composite
+def shifted_cases(draw):
+    """A point with nonzero x components and central exponents, and a
+    divisor U on two places of degree 1, whose 2 to 8 cosets shift it."""
+    entries = []
+    for pl in draw(st.lists(st.sampled_from(SMALL_PLACES), min_size=1, max_size=2,
+                            unique=True)):
+        K = pl.residue()
+        coeffs = draw(st.lists(st.integers(0, K.order - 1), min_size=1, max_size=3))
+        x = local(pl, draw(st.integers(-1, 1)), *coeffs)
+        entries.append((pl, x, draw(st.integers(-1, 1)), 0))
+    central = draw(st.lists(st.tuples(st.sampled_from(SMALL_PLACES), st.integers(-1, 1)),
+                            max_size=1))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(SMALL_PLACES[:3]), st.integers(1, 2)),
+                          min_size=2, max_size=2, unique_by=lambda pm: pm[0]))
+    return MirabolicPoint(G2, tuple(entries), tuple(central)), Divisor.make(G2, pairs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shifted_cases())
+def test_coset_scope_gives_the_per_place_digits(case):
+    """mirabolic_expand at each point a Fourier coefficient visits gives,
+    inside the coefficient's scope and outside it, the digits of the sum
+    over the support of the per-place product."""
+    point, U = case
+    spec, cfg = PROPERTY_SPEC, PROPERTY_SPEC.config
+    target, sqrt_q = PsiTarget.create(G2, cfg), sqrt_unit(cfg, 2)
+    inside = []
+
+    def phi(p):
+        inside.append((p, mirabolic_expand(spec, p, sqrt_q, target)))
+        return inside[-1][1]
+
+    fourier_coefficient(phi, G2.t(), point, U, target, cfg)
+    assert len(inside) == quotient_index(U)
+    for p, got in inside:
+        want = cfg.zero()
+        for gamma in gamma_support(spec, p):
+            coef, half = gamma_term_per_place(spec, p, gamma, target)
+            if not coef.is_zero:
+                want = want + coef * sqrt_q ** half
+        outside = mirabolic_expand(spec, p, sqrt_q, target)
+        assert digits((got, 0)) == digits((outside, 0)) == digits((want, 0))
+
+
+def test_coset_scope_lasts_one_fourier_coefficient(target, sqrt2):
+    """The psi-free terms are shared for the length of one call: every
+    coset sees one scope, and none is left after the call returns or
+    after phi raises."""
+    spec, pt = unramified_spec(), MirabolicPoint(G2)
+    U = invariance_divisor(spec, pt)
+    scopes = []
+
+    def phi(p):
+        scopes.append(pipeline._COSET_TERMS.get())
+        return mirabolic_expand(spec, p, sqrt2, target)
+
+    fourier_coefficient(phi, gamma_support(spec, pt)[0], pt, U, target, CFG)
+    assert len(scopes) == quotient_index(U) > 1
+    assert scopes[0] and all(s is scopes[0] for s in scopes)
+    assert pipeline._COSET_TERMS.get() is None
+
+    def failing(p):
+        raise UnsupportedPoint("phi refuses the point")
+
+    with pytest.raises(UnsupportedPoint):
+        fourier_coefficient(failing, G2.t(), pt, U, target, CFG)
+    assert pipeline._COSET_TERMS.get() is None
 
 
 def test_spec_pair_validation_builds_each_char_poly_once(rng, target, sqrt2,
