@@ -53,8 +53,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import (ConfigMismatch, IncompleteData, NotCongruent,
-                     NotIntegral, SpecMismatch, UnsupportedPoint)
+from .errors import (ConfigMismatch, ElladicError, IncompleteData,
+                     NotCongruent, NotIntegral, SpecMismatch, UnsupportedPoint)
 from .function_field import (Adele, DEFAULT_ENUMERATION_CAP, Divisor,
                              GroundField, LocalElement, Place, PsiTarget,
                              RationalFunction, enumerate_places, expand_at,
@@ -435,15 +435,19 @@ def _psi_free(specs: tuple, torus: MirabolicPoint, gamma: RationalFunction | Non
     """The psi-free part of the gamma term at diag(gamma,1) * torus, a
     point whose x components are all exact zeros; gamma = None means 1.
 
-    Returns gamma's orders (place -> order on its divisor) and, for each
-    spec, (coefficient, total half exponent, stop): the product of its
-    local factors in place order, and stop the sort key of the place of
-    its first zero factor, where its product stops, None if there is
-    none.  The places are the torus support, S, infinity and the divisor
-    of gamma; a place outside these has factor W(0, 0) = 1.  A tabulated
-    factor is computed once for all specs, so they must share S, w and
-    the tables, the only spec data it reads; Whittaker values are the
-    one factor computed per spec."""
+    Returns (orders, terms, fault): gamma's orders (place -> order on its
+    divisor); for each spec, (coefficient, total half exponent, stop), the
+    product of its local factors in place order and stop the sort key of
+    the place of its first zero factor, where its product stops, None if
+    there is none; and the error met at a place where some product was
+    still live, None if there is none.  That place is then every live
+    spec's stop, and _trace raises the error once it has read the
+    point's entries up to it, so a term reports the fault a single pass
+    over the places meets first.  The places are the torus support, S,
+    infinity and the divisor of gamma; a place outside these has factor
+    W(0, 0) = 1.  A tabulated factor is computed once for all specs, so
+    they must share S, w and the tables, the only spec data it reads;
+    Whittaker values are the one factor computed per spec."""
     if target.ground != specs[0].ground:
         raise ConfigMismatch("psi target built for a different ground field")
     config = specs[0].config
@@ -456,16 +460,23 @@ def _psi_free(specs: tuple, torus: MirabolicPoint, gamma: RationalFunction | Non
     halves = [0] * len(specs)
     stops = [None] * len(specs)
     live = range(len(specs))      # the specs whose factors are all nonzero
+    fault = None
     for pl in sorted(relevant, key=Place.sort_key):
         _, a1, a2 = torus.get(pl)
         c = torus.central_at(pl)
         ordg = orders.get(pl, 0)
-        data = [specs[i].datum_at(pl) for i in live]
-        _check_mirabolic(data[0], a2)
-        if isinstance(data[0], TabulatedDatum):
-            factors = [_local_factor(data[0], config, pl, gamma, ordg, a1, a2, c)] * len(live)
-        else:
-            factors = [_local_factor(d, config, pl, gamma, ordg, a1, a2, c) for d in data]
+        try:
+            data = [specs[i].datum_at(pl) for i in live]
+            _check_mirabolic(data[0], a2)
+            if isinstance(data[0], TabulatedDatum):
+                factors = [_local_factor(data[0], config, pl, gamma, ordg, a1, a2, c)] * len(live)
+            else:
+                factors = [_local_factor(d, config, pl, gamma, ordg, a1, a2, c) for d in data]
+        except ElladicError as err:
+            fault = err
+            for i in live:
+                stops[i] = pl.sort_key()
+            break
         nonzero = []
         for i, (val, half) in zip(live, factors):
             if val.is_zero:
@@ -478,7 +489,7 @@ def _psi_free(specs: tuple, torus: MirabolicPoint, gamma: RationalFunction | Non
         if not live:
             break
     return orders, [(coefs[i], halves[i], None) if stops[i] is None
-                    else (config.zero(), 0, stops[i]) for i in range(len(specs))]
+                    else (config.zero(), 0, stops[i]) for i in range(len(specs))], fault
 
 
 def _trace(specs: tuple, point: MirabolicPoint, gamma: RationalFunction | None,
@@ -491,8 +502,10 @@ def _trace(specs: tuple, point: MirabolicPoint, gamma: RationalFunction | None,
     An entry is read up to the last place where some spec's product is
     still live, with the data of those specs, as a single pass over the
     places would read it: datum_at raises IncompleteData at a place of
-    the point that no rule covers, before any zero factor beyond it."""
-    orders, terms = free
+    the point that no rule covers, before any zero factor or psi-free
+    fault beyond it, and the psi-free part's fault is raised after the
+    entries up to its place."""
+    orders, terms, fault = free
     stops = [stop for _, _, stop in terms]
     trace = 0
     for pl, x, _, a2 in point.entries:
@@ -513,7 +526,10 @@ def _trace(specs: tuple, point: MirabolicPoint, gamma: RationalFunction | None,
                 need = max(need, data[0].table.max_level() + 1)
             xv = 0 if x.is_zero_like else x.v
             gexp = expand_at(gamma, pl, max(1, need - min(xv, 0) - ordg + 3))
+        _check_mirabolic(data[0], a2)
         trace += residue_trace(pl, x.shift(-a2) if a2 else x, gexp)
+    if fault is not None:
+        raise fault
     return trace
 
 
@@ -568,24 +584,29 @@ def mirabolic_expand(spec: GlobalWhittakerSpec, point: MirabolicPoint,
 
     Inside a fourier_coefficient call, the psi-free part of every term is
     computed once per (spec, torus, sqrt_q, target, cap) and each point
-    adds only its traces; outside one, every call computes every term."""
+    adds only its traces; outside one, each call computes its own terms."""
     check_sqrt_q(sqrt_q, spec.ground.q)
     support = gamma_support(spec, point, cap)
+    terms = []
     shared = _COSET_TERMS.get()
-    if shared is None:
-        return _collapsed_sums((spec,), point, support, sqrt_q, target)[0]
-    # the objects phi closes over are keyed by identity, which hashes in
-    # constant time; the entry holds them, so no id is reused in the scope
-    key = (id(spec), id(sqrt_q), id(target), cap, point.torus)
-    entry = shared.get(key)
-    if entry is None:
-        entry = shared[key] = (spec, sqrt_q, target, [])
-    terms = entry[-1]
+    if shared is not None:
+        # the objects phi closes over are keyed by identity, which hashes in
+        # constant time; the entry holds them, so no id is reused in the
+        # scope.  The support reads no x (a place where only x is set has
+        # pole bound 0), so every point with this torus has the same one
+        # and the i-th term is the i-th gamma's
+        key = (id(spec), id(sqrt_q), id(target), cap, point.torus)
+        entry = shared.get(key)
+        if entry is None:
+            entry = shared[key] = (spec, sqrt_q, target, support, terms)
+        elif entry[3] != support:
+            raise RuntimeError("gamma support differs between points of one torus")
+        terms = entry[-1]
     acc = spec.config.zero()
     for i, gamma in enumerate(support):
         if i == len(terms):
             # filled term by term, so an error surfaces at the same gamma
-            # as in a call outside the scope
+            # however many points share the terms
             terms.append(_coset_term(spec, point.torus, gamma, sqrt_q, target))
         free, values = terms[i]
         trace = _trace((spec,), point, gamma, free)

@@ -440,6 +440,20 @@ def test_gamma_terms_match_the_per_place_product_at_shifted_points(rng, target):
         point = MirabolicPoint(G2, entries + ((cubic, local(cubic, -1, 1), 0, 0),))
         assert assert_kernel_matches(short, point, None, target)[0] == (
             error or digits((CFG.zero(), 0)))
+    # two faults in one term, the later one at a place of the torus: the
+    # term reports the one at the lower place, x's missing degree-3 rule
+    # or its short digits, not the quartic place's missing rule
+    quartic = G2.place([1, 1, 1, 1, 1])
+    at_quartic = ((quartic, LocalElement.exact_zero(quartic), 1, 0),)
+    for entries, error, match in (
+            (((cubic, local(cubic, -1, 1), 0, 0),), IncompleteData, "degree 3"),
+            (((t_pl, local(t_pl, -3, 1, exact=False), 0, 0),), InsufficientPrecision, "")):
+        point = MirabolicPoint(G2, entries + at_quartic)
+        assert assert_kernel_matches(short, point, None, target) == [error] * 2
+        for fn, arg in ((gamma_term_per_place, short[0]), (_gamma_term, short[0]),
+                        (_gamma_terms, short)):
+            with pytest.raises(error, match=match):
+                fn(arg, point, None, target)
 
 
 def test_a_table_reads_gamma_to_its_max_level(target):
@@ -530,6 +544,27 @@ def test_coset_scope_lasts_one_fourier_coefficient(target, sqrt2):
     with pytest.raises(UnsupportedPoint):
         fourier_coefficient(failing, G2.t(), pt, U, target, CFG)
     assert pipeline._COSET_TERMS.get() is None
+
+
+def test_coset_scope_refuses_a_support_that_moves_with_x(monkeypatch, target, sqrt2):
+    """The shared terms are matched to gammas by position, so a support
+    that differed between two points of one torus is refused."""
+    spec, pl = unramified_spec(), G2.place([0, 1])
+    pt = MirabolicPoint(G2, ((pl, LocalElement.exact_zero(pl), 1, 0),))
+    U = invariance_divisor(spec, pt)
+    support = gamma_support(spec, pt)
+    assert len(support) == 3
+    calls = []
+
+    def moving_support(spec, point, cap):
+        calls.append(point)
+        return support if len(calls) == 1 else support[::-1]
+
+    monkeypatch.setattr(pipeline, "gamma_support", moving_support)
+    with pytest.raises(RuntimeError):
+        fourier_coefficient(lambda p: mirabolic_expand(spec, p, sqrt2, target),
+                            support[0], pt, U, target, CFG)
+    assert len(calls) == 2
 
 
 def test_spec_pair_validation_builds_each_char_poly_once(rng, target, sqrt2,
