@@ -652,6 +652,13 @@ def principal_adele(r: RationalFunction) -> Adele:
         for pl in places])
 
 
+def _scale_precision(place: Place, x: LocalElement, ordr: int) -> int:
+    """The digits of r expanded at the place for x * r: absolute precision
+    psi_conductor plus the margin of two digits that principal_adele uses,
+    with ordr the order of r there."""
+    return max(1, psi_conductor(place) - x.v - ordr + 2)
+
+
 def scale_adele(a: Adele, r: RationalFunction) -> Adele:
     """Componentwise product of an adele with (the expansions of) r, to the
     precision principal_adele uses."""
@@ -660,9 +667,20 @@ def scale_adele(a: Adele, r: RationalFunction) -> Adele:
     orders = dict(r.divisor().items)
     comps = []
     for pl, x in a.items:
-        M = max(1, psi_conductor(pl) - x.v - orders.get(pl, 0) + 2)
-        comps.append((pl, x * expand_at(r, pl, M)))
+        comps.append((pl, x * expand_at(r, pl, _scale_precision(pl, x, orders.get(pl, 0)))))
     return Adele.make(a.ground, comps)
+
+
+def scaled_trace(a: Adele, r: RationalFunction, orders: dict) -> int:
+    """The residue-trace sum of scale_adele(a, r), psi_global of which is
+    psi_0 of it, with no product formed: product_coefficient raises
+    exactly where the product's coefficient would.  r is nonzero and
+    orders maps places to its orders, as read from r.divisor()."""
+    trace = 0
+    for pl, x in a.items:
+        gexp = expand_at(r, pl, _scale_precision(pl, x, orders.get(pl, 0)))
+        trace += residue_trace(pl, x, gexp)
+    return trace
 
 
 @dataclass(frozen=True)
@@ -814,9 +832,13 @@ def coset_reps(U: Divisor, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple:
     """Exactly quotient_index(U) adeles representing (A/k) / image(U).
 
     Representatives are integral adeles supported on the places with
-    positive exponent, enumerated digit-by-digit; the diagonal constant
-    field is normalized away by pinning the base coordinate of the first
-    digit at the first place.
+    positive exponent, their digits 0..m_v - 1 at each place running in
+    lexicographic order over the places in sort order, the last digit
+    fastest; the diagonal constant field is normalized away by pinning
+    the base coordinate of the first digit at the first place.  That
+    order fixes the order in which a Fourier coefficient sums its cosets.
+    Each place's components are built once, one LocalElement per digit
+    combination there, and the representatives combine them.
     """
     index = quotient_index(U)
     if index > cap:
@@ -827,30 +849,21 @@ def coset_reps(U: Divisor, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple:
     if not supp:
         return (Adele.zero(ground),)
 
-    position_choices = []
+    components = []
     for pi, (pl, m) in enumerate(supp):
         K = pl.residue()
-        for digit in range(m):
-            if pi == 0 and digit == 0:
-                # the residues whose base coordinate (lowest base-q digit) is 0
-                choices = range(0, K.order, ground.q)
-            else:
-                choices = K.elements()
-            position_choices.append((pl, digit, choices))
-
-    reps = []
-    for combo in itertools.product(*(c for _, _, c in position_choices)):
-        per_place: dict = {}
-        for (pl, digit, _), value in zip(position_choices, combo):
-            per_place.setdefault(pl, {})[digit] = value
-        comps = []
-        for pl, m in supp:
-            coeffs = tuple(per_place[pl].get(i, 0) for i in range(m))
-            comps.append((pl, LocalElement.from_coeffs(pl, 0, coeffs, exact=True)))
-        reps.append(Adele.make(ground, comps))
+        digits = [K.elements()] * m
+        if pi == 0:
+            # the residues whose base coordinate (lowest base-q digit) is 0
+            digits[0] = range(0, K.order, ground.q)
+        components.append([(pl, LocalElement.from_coeffs(pl, 0, coeffs, exact=True))
+                           for coeffs in itertools.product(*digits)])
+    # supp is sorted by place, so every representative's items are too
+    reps = tuple(Adele(ground, tuple(c for c in combo if not c[1].is_exact_zero))
+                 for combo in itertools.product(*components))
     if len(reps) != index:
         raise RuntimeError("coset representatives do not match the quotient index")
-    return tuple(reps)
+    return reps
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,14 @@ def _int(x, where: str) -> int:
     return x
 
 
+def _bool(x, where: str) -> bool:
+    """x itself when it is a JSON boolean, else InputError naming the
+    field: "no", 0 or 1 is no boolean."""
+    if type(x) is not bool:
+        raise InputError(f"{where} must be true or false, not {x!r}")
+    return x
+
+
 def _key_int(key: str, where: str) -> int:
     """The integer an object key names, in canonical decimal text only, so
     that "01" or " 1" is refused rather than read as 1."""
@@ -111,7 +119,7 @@ def decode_local_number(obj, cfg: FieldConfig) -> LocalNumber:
             raise InputError("rational shorthand must be [numerator, denominator]")
         return _make(cfg.rational, obj[0], obj[1])
     if isinstance(obj, dict):
-        if obj.get("zero"):
+        if _bool(obj.get("zero", False), "zero"):
             return cfg.zero()
         v = _int(_need(obj, "valuation", "local number"), "valuation")
         digits = _list(_need(obj, "unit_digits", "local number"), "unit_digits")
@@ -227,7 +235,7 @@ def decode_local_element(obj, ground: GroundField) -> LocalElement:
     place = decode_place(_need(obj, "place", "local element"), ground)
     coeffs = _codes(obj.get("coeffs", []), "coeffs", place.residue())
     return LocalElement.from_coeffs(place, _int(obj.get("v", 0), "v"), coeffs,
-                                    exact=bool(obj.get("exact", True)))
+                                    exact=_bool(obj.get("exact", True), "exact"))
 
 
 def encode_local_element(x: LocalElement) -> dict:

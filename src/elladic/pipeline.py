@@ -58,9 +58,8 @@ from .errors import (ConfigMismatch, ElladicError, IncompleteData,
 from .function_field import (Adele, DEFAULT_ENUMERATION_CAP, Divisor,
                              GroundField, LocalElement, Place, PsiTarget,
                              RationalFunction, enumerate_places, expand_at,
-                             coset_reps, psi_conductor, psi_global,
-                             quotient_index, residue_trace, rr_nonzero,
-                             scale_adele)
+                             coset_reps, psi_conductor, quotient_index,
+                             residue_trace, rr_nonzero, scaled_trace)
 from .padic import FieldConfig, LocalNumber, congruent_mod_m
 from .satake import CharPoly, SatakeParam, char_poly, congruent, is_integral
 from .whittaker import check_sqrt_q, whittaker_value
@@ -583,20 +582,25 @@ def mirabolic_expand(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     collapsed to a plain field element through the supplied sqrt of q.
 
     Inside a fourier_coefficient call, the psi-free part of every term is
-    computed once per (spec, torus, sqrt_q, target, cap) and each point
-    adds only its traces; outside one, each call computes its own terms."""
-    check_sqrt_q(sqrt_q, spec.ground.q)
-    support = gamma_support(spec, point, cap)
-    terms = []
+    computed once per (spec, torus, sqrt_q, target, cap), sqrt_q is
+    checked once per such entry, and each point adds only its traces;
+    outside one, each call checks sqrt_q and computes its own terms."""
     shared = _COSET_TERMS.get()
+    entry = None
     if shared is not None:
         # the objects phi closes over are keyed by identity, which hashes in
         # constant time; the entry holds them, so no id is reused in the
-        # scope.  The support reads no x (a place where only x is set has
-        # pole bound 0), so every point with this torus has the same one
-        # and the i-th term is the i-th gamma's
+        # scope
         key = (id(spec), id(sqrt_q), id(target), cap, point.torus)
         entry = shared.get(key)
+    if entry is None:
+        check_sqrt_q(sqrt_q, spec.ground.q)
+    support = gamma_support(spec, point, cap)
+    terms = []
+    if shared is not None:
+        # the support reads no x (a place where only x is set has pole
+        # bound 0), so every point with this torus has the same one and
+        # the i-th term is the i-th gamma's
         if entry is None:
             entry = shared[key] = (spec, sqrt_q, target, support, terms)
         elif entry[3] != support:
@@ -643,17 +647,27 @@ def fourier_coefficient(phi, gamma: RationalFunction, point: MirabolicPoint,
 
     phi must be invariant under translations from U (caller-asserted);
     the averaging denominator is a power of p, hence a unit in the
-    coefficient field.  For the length of the call, mirabolic_expand
-    shares the psi-free part of its terms across the shifted points.
+    coefficient field.  The cosets are summed in the order of coset_reps.
+
+    What does not depend on the coset is done once per call: gamma's
+    divisor, the check that target is over U's ground field, and the
+    representatives.  Each coset's twist psi(-u gamma) is psi_0 of minus
+    scaled_trace(u, gamma), which forms no product adele.  For the length
+    of the call, mirabolic_expand shares the psi-free part of its terms
+    across the shifted points and checks sqrt_q once per shared entry.
     """
     reps = coset_reps(U, cap)
     index = quotient_index(U)
+    if not gamma.is_zero:
+        if target.ground != U.ground:
+            raise ConfigMismatch("psi target built for a different ground field")
+        orders = dict(gamma.divisor().items)
     acc = config.zero()
     scope = _COSET_TERMS.set({})
     try:
         for u in reps:
-            twist = psi_global(-scale_adele(u, gamma), target) if not gamma.is_zero \
-                else config.one()
+            twist = config.one() if gamma.is_zero \
+                else target.psi0(-scaled_trace(u, gamma, orders))
             acc = acc + twist * phi(point.shifted_by(u))
     finally:
         _COSET_TERMS.reset(scope)

@@ -13,11 +13,17 @@ against.
   elladic.pipeline._gamma_terms is checked against.
 * ord_by_division, the order of a rational function at a place by
   repeated division, which RationalFunction.divisor is checked against.
+* coset_reps_by_digit, the coset representatives of (A/k) / image(U)
+  enumerated one digit position at a time, which the per-place
+  function_field.coset_reps is checked against, order included.
 """
 
+import itertools
+
 from elladic.errors import TooLarge, UnsupportedPoint
-from elladic.function_field import (INF, LocalElement, Place, expand_at,
-                                    psi_conductor, psi_local)
+from elladic.function_field import (INF, Adele, LocalElement, Place,
+                                    expand_at, psi_conductor, psi_local,
+                                    quotient_index)
 from elladic.gf import factorize_int, fp_divmod, fp_factor, fp_monic
 from elladic.pipeline import TabulatedDatum
 from elladic.satake import SatakeParam, elementary_symmetric_all
@@ -277,3 +283,39 @@ def ord_by_division(r, place):
             poly, m = quot, m + 1
 
     return mult(r.num) - mult(r.den)
+
+
+def coset_reps_by_digit(U, cap):
+    """The representatives of (A/k) / image(U) as one itertools.product
+    over every digit position of every place with positive exponent,
+    places in sort order and digits in order, the last position fastest;
+    each combination becomes per-place digit tuples and one Adele.make.
+    The base coordinate of the first digit at the first place is pinned
+    to 0, which normalizes the diagonal constants away."""
+    index = quotient_index(U)
+    if index > cap:
+        raise TooLarge(f"coset count {index} exceeds the cap {cap}")
+    ground = U.ground
+    supp = sorted(((pl, m) for pl, m in U.items if m > 0),
+                  key=lambda kv: kv[0].sort_key())
+    if not supp:
+        return (Adele.zero(ground),)
+    positions = []
+    for pi, (pl, m) in enumerate(supp):
+        K = pl.residue()
+        for digit in range(m):
+            if pi == 0 and digit == 0:
+                choices = range(0, K.order, ground.q)
+            else:
+                choices = K.elements()
+            positions.append((pl, digit, choices))
+    reps = []
+    for combo in itertools.product(*(c for _, _, c in positions)):
+        per_place = {}
+        for (pl, digit, _), value in zip(positions, combo):
+            per_place.setdefault(pl, {})[digit] = value
+        reps.append(Adele.make(ground, [
+            (pl, LocalElement.from_coeffs(pl, 0, tuple(per_place[pl].get(i, 0)
+                                                     for i in range(m)), exact=True))
+            for pl, m in supp]))
+    return tuple(reps)

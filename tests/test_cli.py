@@ -459,6 +459,12 @@ S_PLACE = {"finite": [1, 1]}
     (["pipeline", "--input", json.dumps(replaced(
         PIPE_INPUT, ("spec1", "default_rule"), {"01": [1, 1]}))],
      "pipeline", "InputError"),
+    (["whittaker", "--input", json.dumps({**WHITTAKER, "sqrt_q": {
+        "zero": "no", "valuation": 0, "unit_digits": [[1]]}})], "whittaker", "InputError"),
+    (["whittaker", "--input", json.dumps({**WHITTAKER, "sqrt_q": {
+        "zero": 1, "valuation": 0, "unit_digits": [[1]]}})], "whittaker", "InputError"),
+    (["psi", "--p", "2", "--f", "2", "--ell", "5", "--input", json.dumps(replaced(
+        PSI_F4, ("items", 0, "x", "exact"), "no"))], "psi", "InputError"),
     (["rr", "--p", "x"], None, "InputError"),
     (["frobnicate", "--p", "2"], None, "InputError"),
 ], ids=["zero-denominator", "table-entry-5", "place-record-3", "default-rule-list",
@@ -473,7 +479,8 @@ S_PLACE = {"finite": [1, 1]}
         "index-negative-multiplicity", "expand-precision-0",
         "congruence-bound-negative", "whittaker-bound-negative", "whittaker-params-3",
         "whittaker-pair-with-weights", "weight-bool", "weight-float", "weight-digit-string",
-        "default-rule-degree-01", "bad-flag-value", "unknown-command"])
+        "default-rule-degree-01", "zero-string", "zero-int", "exact-string",
+        "bad-flag-value", "unknown-command"])
 def test_malformed_request_exits_two(capsys, argv, command, error):
     """Malformed input or command line: exit 2 and a JSON record whose
     command is null when the command line did not parse."""
@@ -542,6 +549,24 @@ def test_ramified_character_reads_its_unit_values():
         jsonio.decode_local_character(
             {"uniformizer_value": 3, "level": 1, "unit_values": [[[1], 1], [[1], 2]]},
             CFG7, place)
+
+
+def test_zero_and_exact_flags_are_read_as_booleans():
+    """"zero": false with digits is the number the digits give, and
+    "exact": false keeps the tail unknown; no other value stands for a
+    boolean."""
+    digits = {"valuation": 1, "unit_digits": [[2], [3]]}
+    got = jsonio.decode_local_number({"zero": False, **digits}, CFG7)
+    assert not got.is_zero and got == jsonio.decode_local_number(digits, CFG7)
+    assert jsonio.decode_local_number({"zero": True, **digits}, CFG7).is_zero
+    x = {"place": T_PLACE, "v": 0, "coeffs": [1]}
+    assert not jsonio.decode_local_element({**x, "exact": False}, G2).exact_tail
+    assert jsonio.decode_local_element(x, G2).exact_tail
+    for bad in ("no", 0, 1, None):
+        with pytest.raises(InputError, match="true or false"):
+            jsonio.decode_local_number({"zero": bad, **digits}, CFG7)
+        with pytest.raises(InputError, match="true or false"):
+            jsonio.decode_local_element({**x, "exact": bad}, G2)
 
 
 def expand_at_place(poly):

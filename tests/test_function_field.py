@@ -15,7 +15,7 @@ from elladic.function_field import (Adele, Divisor, GroundField, LocalElement,
                                     series_to_poly_mod, span_nonzero,
                                     weak_approx)
 from elladic.padic import FieldConfig
-from oracles import ord_by_division
+from oracles import coset_reps_by_digit, ord_by_division
 
 G2 = GroundField(2)
 G3 = GroundField(3)
@@ -421,6 +421,26 @@ def test_coset_reps_distinct_modulo_constants():
                         if d.coefficient(digit):
                             diff_ok = False
                 assert not diff_ok
+
+
+@pytest.mark.parametrize("ground", [G2, G3, G4], ids=["F_2", "F_3", "F_4"])
+def test_coset_reps_match_the_digit_by_digit_enumeration(ground):
+    """The per-place enumeration gives the oracle's tuple, order included,
+    for every U on 1-3 places of degree 1-2 with multiplicities 0-3 whose
+    index is at most 256."""
+    finite = [pl for pl in enumerate_places(ground, 2) if not pl.is_infinity]
+    places = ([ground.infinity()] + [pl for pl in finite if pl.degree == 1][:2]
+              + [pl for pl in finite if pl.degree == 2][:1])
+    checked = 0
+    for k in (1, 2, 3):
+        for chosen in itertools.combinations(places, k):
+            for mults in itertools.product(range(4), repeat=k):
+                U = Divisor.make(ground, zip(chosen, mults))
+                if quotient_index(U) > 256:
+                    continue
+                assert coset_reps(U) == coset_reps_by_digit(U, 256), U
+                checked += 1
+    assert checked > 100
 
 
 def test_coset_reps_cap():

@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elladic import pipeline
-from elladic.errors import (ConfigMismatch, ElladicError, IncompleteData,
+from elladic.errors import (BadSquareRoot, ConfigMismatch, ElladicError,
+                            IncompleteData,
                             InsufficientPrecision, NotCongruent, PrecisionLoss,
                             SpecMismatch, UnsupportedPoint)
-from elladic.function_field import (Divisor, GroundField, LocalElement,
-                                    Place, PsiTarget, coset_reps,
-                                    enumerate_places, quotient_index,
-                                    rr_space, span_nonzero)
+from elladic.function_field import (DEFAULT_ENUMERATION_CAP, Divisor,
+                                    GroundField, LocalElement, Place,
+                                    PsiTarget, coset_reps, enumerate_places,
+                                    psi_global, quotient_index, rr_space,
+                                    scale_adele, span_nonzero)
 from elladic.padic import FieldConfig, sqrt_unit
 from elladic.pipeline import (CharacterFamily, GlobalWhittakerSpec,
                               KirillovEntry, KirillovTable, LocalCharacter,
@@ -26,7 +28,7 @@ from elladic.pipeline import (CharacterFamily, GlobalWhittakerSpec,
 from elladic.pipeline import _gamma_term, _gamma_terms
 from elladic.satake import SatakeParam
 from conftest import clear_elladic_caches, random_unit
-from oracles import gamma_term_per_place
+from oracles import coset_reps_by_digit, gamma_term_per_place
 
 G2 = GroundField(2)
 CFG = FieldConfig(7, precision=12)
@@ -241,6 +243,40 @@ def test_fourier_of_gamma_outside_support_vanishes(target, sqrt2):
     assert outside
     for gamma in outside[:4]:
         assert fourier_coefficient(phi, gamma, pt, U, target, CFG).is_zero
+
+
+@pytest.mark.parametrize("ground, cfg", [
+    (G2, CFG), (GroundField(3), FieldConfig(7, d=2, precision=10))], ids=["F_2", "F_3"])
+def test_fourier_twist_is_psi_of_minus_u_gamma(ground, cfg):
+    """With phi = 1 a Fourier coefficient is the average of its twists
+    alone: index^-1 times the sum over the oracle's representatives of
+    psi_global(-scale_adele(u, gamma)), on the criterion-9 divisors U and
+    for gamma in the support and outside it.  A target over another
+    ground field is refused."""
+    target = PsiTarget.create(ground, cfg)
+    rule = tuple((d, (cfg.one(), cfg.one())) for d in range(1, 13))
+    spec = GlobalWhittakerSpec(ground, cfg, (), rule)
+    pl = list(enumerate_places(ground, 1))[1]
+    x = LocalElement.from_coeffs(pl, -1, (pl.residue().one,))
+    extra = Divisor.make(ground, [(pl, 1), (ground.infinity(), 1)])
+    for pt in (MirabolicPoint(ground), MirabolicPoint(ground, ((pl, x, 1, 0),))):
+        U = invariance_divisor(spec, pt, extra=extra)
+        reps = coset_reps_by_digit(U, DEFAULT_ENUMERATION_CAP)
+        support = gamma_support(spec, pt)
+        outside = tuple(g for g in span_nonzero(ground, rr_space(extra))
+                        if g not in set(support))
+        assert len(reps) > 1 and support and outside
+        for gamma in support + outside:
+            want = cfg.zero()
+            for u in reps:
+                want = want + psi_global(-scale_adele(u, gamma), target)
+            want = want * cfg.integer(quotient_index(U)).inv()
+            assert fourier_coefficient(lambda p: cfg.one(), gamma, pt, U,
+                                       target, cfg) == want
+    other = G2 if ground != G2 else GroundField(3)
+    with pytest.raises(ConfigMismatch):
+        fourier_coefficient(lambda p: cfg.one(), support[0], pt, U,
+                            PsiTarget.create(other, CFG), cfg)
 
 
 def test_averaging_denominator_is_p_power():
@@ -544,6 +580,47 @@ def test_coset_scope_lasts_one_fourier_coefficient(target, sqrt2):
     with pytest.raises(UnsupportedPoint):
         fourier_coefficient(failing, G2.t(), pt, U, target, CFG)
     assert pipeline._COSET_TERMS.get() is None
+
+
+def test_coset_scope_checks_sqrt_q_once_per_entry(monkeypatch, target, sqrt2):
+    """A wrong sqrt_q is refused at the first coset, leaving no scope;
+    inside a scope sqrt_q is checked once per shared entry, not once per
+    coset, and outside one at every call."""
+    spec, pt = unramified_spec(), MirabolicPoint(G2)
+    U = invariance_divisor(spec, pt)
+    gamma = gamma_support(spec, pt)[0]
+    visited = []
+
+    def wrong_root(p):
+        visited.append(p)
+        return mirabolic_expand(spec, p, CFG.integer(2), target)
+
+    with pytest.raises(BadSquareRoot):
+        fourier_coefficient(wrong_root, gamma, pt, U, target, CFG)
+    assert len(visited) == 1
+    assert pipeline._COSET_TERMS.get() is None
+
+    checks = []
+    real = pipeline.check_sqrt_q
+
+    def counting(sqrt_q, q):
+        checks.append(sqrt_q)
+        return real(sqrt_q, q)
+
+    monkeypatch.setattr(pipeline, "check_sqrt_q", counting)
+    scopes = []
+
+    def phi(p):
+        scopes.append(pipeline._COSET_TERMS.get())
+        return mirabolic_expand(spec, p, sqrt2, target)
+
+    fourier_coefficient(phi, gamma, pt, U, target, CFG)
+    assert len(scopes) == quotient_index(U) > 1
+    assert len(checks) == len(scopes[0]) == 1
+    checks.clear()
+    for _ in range(2):
+        mirabolic_expand(spec, pt, sqrt2, target)
+    assert len(checks) == 2
 
 
 def test_coset_scope_refuses_a_support_that_moves_with_x(monkeypatch, target, sqrt2):
