@@ -18,9 +18,11 @@ character of F_p realized inside a configured l-adic coefficient field.
 dt is regular at finite places and has a double pole at infinity, so
 psi_v is trivial on O_v at finite v and trivial exactly on p_inf^2 at
 infinity.  psi is one character of A/k: psi_global reads psi_0 once, of
-the sum of the residue traces of an adele's components.  The product of
-the local characters is trivial on the diagonal copy of the field
-(residue theorem), which the test-suite verifies.
+the sum of the residue traces of an adele's components, and scaled_trace
+gives that sum for an adele times a rational function without forming
+the product.  The product of the local characters is trivial on the
+diagonal copy of the field (residue theorem), which the test-suite
+verifies.
 
 All data here is immutable and every operation is a pure function.
 """

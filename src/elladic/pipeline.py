@@ -36,10 +36,12 @@ reads the point's entries whose x is not the exact zero.  A unipotent
 shift changes only x, as in W(n(x)g) = psi(x)W(g), so the cosets of one
 fourier_coefficient call share the psi-free part: for the length of the
 call, mirabolic_expand keeps the p values (coef * psi_0(t)) * sqrt_q^half
-of each gamma per (spec, torus, sqrt_q, target, cap), and each coset adds
-only its traces and one table read per gamma.  Outside such a call
-nothing is kept.  An empty Kirillov table is the zero function wherever
-it is read.
+of each gamma per (spec, torus, sqrt_q, target, cap), checking sqrt_q
+once per such entry, and each coset adds only its traces and one table
+read per gamma.  Outside such a call nothing is kept.  The call itself
+reads the Fourier gamma's divisor and builds the representatives once,
+and each coset's twist is one trace sum.  An empty Kirillov table is the
+zero function wherever it is read.
 
 Per-place data is read from maps built once per object: a spec's explicit
 data and its S, a point's entries, central exponents and support, and a

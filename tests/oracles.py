@@ -22,8 +22,7 @@ import itertools
 
 from elladic.errors import TooLarge, UnsupportedPoint
 from elladic.function_field import (INF, Adele, LocalElement, Place,
-                                    expand_at, psi_conductor, psi_local,
-                                    quotient_index)
+                                    expand_at, psi_conductor, psi_local)
 from elladic.gf import factorize_int, fp_divmod, fp_factor, fp_monic
 from elladic.pipeline import TabulatedDatum
 from elladic.satake import SatakeParam, elementary_symmetric_all
@@ -285,16 +284,13 @@ def ord_by_division(r, place):
     return mult(r.num) - mult(r.den)
 
 
-def coset_reps_by_digit(U, cap):
+def coset_reps_by_digit(U):
     """The representatives of (A/k) / image(U) as one itertools.product
     over every digit position of every place with positive exponent,
     places in sort order and digits in order, the last position fastest;
     each combination becomes per-place digit tuples and one Adele.make.
     The base coordinate of the first digit at the first place is pinned
     to 0, which normalizes the diagonal constants away."""
-    index = quotient_index(U)
-    if index > cap:
-        raise TooLarge(f"coset count {index} exceeds the cap {cap}")
     ground = U.ground
     supp = sorted(((pl, m) for pl, m in U.items if m > 0),
                   key=lambda kv: kv[0].sort_key())
