@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from dataclasses import replace
@@ -251,8 +252,10 @@ def test_fourier_twist_is_psi_of_minus_u_gamma(ground, cfg):
     """With phi = 1 a Fourier coefficient is the average of its twists
     alone: index^-1 times the sum over the oracle's representatives of
     psi_global(-scale_adele(u, gamma)), on the criterion-9 divisors U and
-    for gamma in the support and outside it.  A target over another
-    ground field is refused."""
+    for gamma in the support and outside it.  u and -u run over the same
+    cosets, so a phi that tells them apart, 2^i at the i-th shifted
+    point, pins the sign of the twist; distinct powers of 2 keep its sums
+    from cancelling.  A target over another ground field is refused."""
     target = PsiTarget.create(ground, cfg)
     rule = tuple((d, (cfg.one(), cfg.one())) for d in range(1, 13))
     spec = GlobalWhittakerSpec(ground, cfg, (), rule)
@@ -266,13 +269,19 @@ def test_fourier_twist_is_psi_of_minus_u_gamma(ground, cfg):
         outside = tuple(g for g in span_nonzero(ground, rr_space(extra))
                         if g not in set(support))
         assert len(reps) > 1 and support and outside
-        for gamma in support + outside:
+        position = {pt.shifted_by(u).entries: i for i, u in enumerate(reps)}
+
+        def shift_phi(p):
+            return cfg.integer(2) ** position[p.entries]
+
+        for gamma, phi in itertools.product(support + outside,
+                                            (lambda p: cfg.one(), shift_phi)):
             want = cfg.zero()
             for u in reps:
-                want = want + psi_global(-scale_adele(u, gamma), target)
+                want = want + psi_global(-scale_adele(u, gamma), target) \
+                    * phi(pt.shifted_by(u))
             want = want * cfg.integer(quotient_index(U)).inv()
-            assert fourier_coefficient(lambda p: cfg.one(), gamma, pt, U,
-                                       target, cfg) == want
+            assert fourier_coefficient(phi, gamma, pt, U, target, cfg) == want
     other = G2 if ground != G2 else GroundField(3)
     with pytest.raises(ConfigMismatch):
         fourier_coefficient(lambda p: cfg.one(), support[0], pt, U,
