@@ -89,10 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--input", help="JSON file path or inline JSON literal")
     parser.add_argument("--ell", type=int)
-    parser.add_argument("--d", type=int, default=None)
+    parser.add_argument("--d", type=int, default=1)
     parser.add_argument("--precision", type=int, default=None)
     parser.add_argument("--p", type=int)
-    parser.add_argument("--f", type=int, default=None)
+    parser.add_argument("--f", type=int, default=1)
     parser.add_argument("--bound", type=int, default=None)
     parser.add_argument("--cap", type=int, default=10 ** 6)
     parser.add_argument("--seed", type=int, default=0)
@@ -118,12 +118,13 @@ def load_input(args) -> dict:
 def resolve_field(args, data) -> FieldConfig:
     if "field" in data:
         cfg = jsonio.decode_field_config(data["field"])
-        if args.precision:
+        if args.precision is not None:
             cfg = jsonio._make(FieldConfig, cfg.ell, cfg.d, cfg.modulus, args.precision)
         return cfg
     if args.ell is None:
         raise InputError("no coefficient field: supply 'field' or --ell")
-    return jsonio._make(FieldConfig, args.ell, args.d or 1, None, args.precision or 32)
+    return jsonio._make(FieldConfig, args.ell, args.d, None,
+                        32 if args.precision is None else args.precision)
 
 
 def resolve_ground(args, data) -> GroundField:
@@ -131,7 +132,7 @@ def resolve_ground(args, data) -> GroundField:
         return jsonio.decode_ground(data["ground"])
     if args.p is None:
         raise InputError("no ground field: supply 'ground' or --p")
-    return jsonio._make(GroundField, args.p, args.f or 1)
+    return jsonio._make(GroundField, args.p, args.f)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +145,7 @@ def cmd_satake(args, data):
               for obj in jsonio._list(data.get("params", []), "'params'")]
     if not params:
         raise InputError("'params' must list at least one Satake parameter")
-    require_integral = bool(data.get("require_integral", False))
+    require_integral = jsonio._bool(data.get("require_integral", False), "require_integral")
     records = []
     ok = True
     polys = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .errors import InputError
 from .function_field import (Divisor, GroundField, LocalElement, Place,
-                             RationalFunction)
+                             RationalFunction, element_codes)
 from .padic import FieldConfig, LocalNumber
 from .pipeline import (CharacterFamily, GlobalWhittakerSpec, KirillovEntry,
                        KirillovTable, LocalCharacter, MirabolicPoint,
@@ -85,14 +85,9 @@ def _make(build, *args, **kwargs):
         raise InputError(str(exc)) from exc
 
 
-def _codes(x, where: str, field) -> list:
+def _codes(x, where: str, field) -> tuple:
     """_ints(x), each the code of an element of the field: in [0, order)."""
-    codes = _ints(x, where)
-    for c in codes:
-        if not 0 <= c < field.order:
-            raise InputError(f"{where} entry {c} is not an element code of "
-                             f"F_{field.order}: codes lie in [0, {field.order})")
-    return codes
+    return _make(element_codes, _ints(x, where), field)
 
 
 # -- coefficient field -------------------------------------------------------
@@ -187,7 +182,7 @@ def decode_ground(obj) -> GroundField:
 
 def decode_place(obj, ground: GroundField) -> Place:
     if isinstance(obj, dict):
-        if obj.get("infinity"):
+        if _bool(obj.get("infinity", False), "infinity"):
             return ground.infinity()
         if "finite" in obj:
             return _make(ground.place, _codes(obj["finite"], "finite place", ground.field()))
@@ -255,7 +250,7 @@ def decode_local_character(obj, cfg: FieldConfig, place: Place) -> LocalCharacte
         if len(_list(pair, "unit_values entry")) != 2:
             raise InputError("unit_values entries are [coset, value] pairs")
         key_codes, value = pair
-        key = tuple(_codes(key_codes, "unit coset", K))
+        key = _codes(key_codes, "unit coset", K)
         unit_values.append((key, decode_local_number(value, cfg)))
     return _make(LocalCharacter, val, level, tuple(unit_values))
 
@@ -294,7 +289,8 @@ def decode_spec(obj, ground: GroundField, cfg: FieldConfig) -> GlobalWhittakerSp
         if len(_list(pair, "default rule entry")) != 2:
             raise InputError("default rule entries are pairs")
         rule.append((_key_int(deg, "degree"), tuple(decode_local_number(m, cfg) for m in pair)))
-    w = decode_place(obj["w"], ground) if obj.get("w") else None
+    w = obj.get("w")
+    w = None if w is None else decode_place(w, ground)
     spec = _make(GlobalWhittakerSpec, ground, cfg, tuple(explicit), tuple(rule), w)
     if "S" in obj:
         declared = {decode_place(pl, ground) for pl in _list(obj["S"], "spec S")}

@@ -28,20 +28,25 @@ per term, read as one psi value.  The traces, like the tabulated factors,
 serve both specs; only the unramified Whittaker values are per spec.  The
 orders of gamma come from its divisor, one factorization per term.
 
-The one gamma-term kernel has two parts.  The psi-free part reads only
+W(g), phi(g) and each coset of a Fourier coefficient are one finite sum
+over gamma of a psi-free factor times psi_0 of one trace: W is the term
+gamma = 1, the rational function 1, and phi the sum over the support.
+_sums is the only loop over gamma terms.  The psi-free part reads only
 the point's torus (the same point with every x the exact zero): gamma's
 orders and each spec's product of Whittaker values, table values and
 central twists; it expands gamma only at tabulated places.  The trace
 reads the point's entries whose x is not the exact zero.  A unipotent
-shift changes only x, as in W(n(x)g) = psi(x)W(g), so the cosets of one
-fourier_coefficient call share the psi-free part: for the length of the
-call, mirabolic_expand keeps the p values (coef * psi_0(t)) * sqrt_q^half
-of each gamma per (spec, torus, sqrt_q, target, cap), checking sqrt_q
-once per such entry, and each coset adds only its traces and one table
-read per gamma.  Outside such a call nothing is kept.  The call itself
-reads the Fourier gamma's divisor and builds the representatives once,
-and each coset's twist is one trace sum.  An empty Kirillov table is the
-zero function wherever it is read.
+shift changes only x, as in W(n(x)g) = psi(x)W(g), so the points of one
+torus share the psi-free part: per gamma, _sums keeps it and each value
+(coef * psi_0(t)) * sqrt_q^half it forms in a list that its caller
+passes.  W, phi and a spec pair pass a fresh list.  For the length of
+one fourier_coefficient call, mirabolic_expand passes one list per
+(spec, torus, sqrt_q, target, cap) and checks sqrt_q once per such
+entry, so each coset adds only its traces and one read per gamma;
+outside such a call nothing is kept.  The call itself reads the Fourier
+gamma's divisor and builds the representatives once, and each coset's
+twist is one trace sum.  An empty Kirillov table is the zero function
+wherever it is read.
 
 Per-place data is read from maps built once per object: a spec's explicit
 data and its S, a point's entries, central exponents and support, and a
@@ -370,13 +375,13 @@ def _check_mirabolic(datum, a2: int):
             "tabulated data is defined on the mirabolic subgroup (a2 = 0)")
 
 
-def _local_factor(datum, config: FieldConfig, place: Place, gamma, ordg: int,
-                  a1: int, a2: int, central: int):
+def _local_factor(datum, config: FieldConfig, place: Place, gamma: RationalFunction,
+                  ordg: int, a1: int, a2: int, central: int):
     """The local factor at diag(gamma,1) * torus without its psi value, as
     (coefficient, m), m = 0 once the coefficient is zero: the Whittaker
     value at the shifted exponents for unramified data, else the table
     value at gamma's unit part times u^(a1 + ordg) times the central
-    twist, zero for an empty table.  gamma = None means 1.
+    twist, zero for an empty table.
 
     Only a table needs gamma's expansion: to the trace's precision rule
     with x = 0, and never to fewer digits than the table's max level,
@@ -387,13 +392,9 @@ def _local_factor(datum, config: FieldConfig, place: Place, gamma, ordg: int,
     table = datum.table
     if table.is_empty:
         return config.zero(), 0
-    if gamma is None:
-        y = LocalElement.uniformizer_power(place, a1)
-    else:
-        need = max(psi_conductor(place), table.max_level() + 1)
-        M = max(1, table.max_level(), need - ordg + 3)
-        y = expand_at(gamma, place, M).shift(a1)
-    f_val = table.lookup(y)
+    need = max(psi_conductor(place), table.max_level() + 1)
+    M = max(1, table.max_level(), need - ordg + 3)
+    f_val = table.lookup(expand_at(gamma, place, M).shift(a1))
     if f_val.is_zero or not central:
         return f_val, 0
     return f_val * datum.central.value_at_uniformizer ** central, 0
@@ -431,10 +432,10 @@ def gamma_support(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     return rr_nonzero(Divisor.make(spec.ground, pairs), cap)
 
 
-def _psi_free(specs: tuple, torus: MirabolicPoint, gamma: RationalFunction | None,
+def _psi_free(specs: tuple, torus: MirabolicPoint, gamma: RationalFunction,
               target: PsiTarget) -> tuple:
     """The psi-free part of the gamma term at diag(gamma,1) * torus, a
-    point whose x components are all exact zeros; gamma = None means 1.
+    point whose x components are all exact zeros.
 
     Returns (orders, terms, fault): gamma's orders (place -> order on its
     divisor); for each spec, (coefficient, total half exponent, stop), the
@@ -452,11 +453,8 @@ def _psi_free(specs: tuple, torus: MirabolicPoint, gamma: RationalFunction | Non
     if target.ground != specs[0].ground:
         raise ConfigMismatch("psi target built for a different ground field")
     config = specs[0].config
-    relevant = _base_places(specs[0], torus)
-    orders = {}
-    if gamma is not None:
-        orders = dict(gamma.divisor().items)
-        relevant |= orders.keys()
+    orders = dict(gamma.divisor().items)
+    relevant = _base_places(specs[0], torus) | orders.keys()
     coefs = [config.one()] * len(specs)
     halves = [0] * len(specs)
     stops = [None] * len(specs)
@@ -493,7 +491,7 @@ def _psi_free(specs: tuple, torus: MirabolicPoint, gamma: RationalFunction | Non
                     else (config.zero(), 0, stops[i]) for i in range(len(specs))], fault
 
 
-def _trace(specs: tuple, point: MirabolicPoint, gamma: RationalFunction | None,
+def _trace(specs: tuple, point: MirabolicPoint, gamma: RationalFunction,
            free: tuple) -> int:
     """The residue-trace sum of the gamma term at diag(gamma,1) * point,
     over the point's entries whose x is not the exact zero: psi is one
@@ -519,14 +517,11 @@ def _trace(specs: tuple, point: MirabolicPoint, gamma: RationalFunction | None,
             if not live:
                 break
         data = [s.datum_at(pl) for s in live]
-        gexp = None
-        if gamma is not None:
-            ordg = orders.get(pl, 0)
-            need = psi_conductor(pl)
-            if isinstance(data[0], TabulatedDatum):
-                need = max(need, data[0].table.max_level() + 1)
-            xv = 0 if x.is_zero_like else x.v
-            gexp = expand_at(gamma, pl, max(1, need - min(xv, 0) - ordg + 3))
+        need = psi_conductor(pl)
+        if isinstance(data[0], TabulatedDatum):
+            need = max(need, data[0].table.max_level() + 1)
+        xv = 0 if x.is_zero_like else x.v
+        gexp = expand_at(gamma, pl, max(1, need - min(xv, 0) - orders.get(pl, 0) + 3))
         _check_mirabolic(data[0], a2)
         trace += residue_trace(pl, x.shift(-a2) if a2 else x, gexp)
     if fault is not None:
@@ -535,10 +530,10 @@ def _trace(specs: tuple, point: MirabolicPoint, gamma: RationalFunction | None,
 
 
 def _gamma_terms(specs: tuple, point: MirabolicPoint,
-                 gamma: RationalFunction | None, target: PsiTarget) -> list:
+                 gamma: RationalFunction, target: PsiTarget) -> list:
     """The product of local values at diag(gamma,1) * point for each spec,
-    as (coefficient, total half exponent); gamma = None means gamma = 1:
-    the psi-free part at the point's torus times psi_0 of the trace."""
+    as (coefficient, total half exponent): the psi-free part at the
+    point's torus times psi_0 of the trace."""
     free = _psi_free(specs, point.torus, gamma, target)
     psi = target.psi0(_trace(specs, point, gamma, free))
     return [(coef, 0) if stop is not None else (coef * psi, half)
@@ -546,21 +541,36 @@ def _gamma_terms(specs: tuple, point: MirabolicPoint,
 
 
 def _gamma_term(spec: GlobalWhittakerSpec, point: MirabolicPoint,
-                gamma: RationalFunction | None, target: PsiTarget):
-    """The product of local values at diag(gamma,1) * point; gamma = None
-    means gamma = 1.  Returns (coefficient, total half exponent)."""
+                gamma: RationalFunction, target: PsiTarget):
+    """The product of local values at diag(gamma,1) * point, as
+    (coefficient, total half exponent)."""
     return _gamma_terms((spec,), point, gamma, target)[0]
 
 
-def _collapsed_sums(specs: tuple, point: MirabolicPoint, gammas,
-                    sqrt_q: LocalNumber, target: PsiTarget) -> list:
+def _sums(specs: tuple, point: MirabolicPoint, gammas, sqrt_q: LocalNumber,
+          target: PsiTarget, terms: list) -> list:
     """For each spec, the sum over gammas of its term at diag(gamma,1) *
-    point, collapsed through the supplied sqrt of q (gamma = None is 1)."""
+    point, collapsed through the supplied sqrt of q: the one loop over
+    gamma terms behind W, phi and every coset of a Fourier coefficient.
+
+    terms[i] is the i-th gamma's psi-free part at the point's torus and a
+    map (spec index, t) -> (coef * psi_0(t)) * sqrt_q^half, each value
+    formed the first time it is met.  A missing entry is filled in gamma
+    order, so an error surfaces at the same gamma however many points of
+    one torus share the list; each point adds only its traces."""
+    p = specs[0].ground.p
     sums = [specs[0].config.zero()] * len(specs)
-    for gamma in gammas:
-        for i, (coef, half) in enumerate(_gamma_terms(specs, point, gamma, target)):
-            if not coef.is_zero:
-                sums[i] = sums[i] + coef * _power(sqrt_q, half)
+    for i, gamma in enumerate(gammas):
+        if i == len(terms):
+            terms.append((_psi_free(specs, point.torus, gamma, target), {}))
+        free, values = terms[i]
+        t = _trace(specs, point, gamma, free) % p
+        for k, (coef, half, stop) in enumerate(free[1]):
+            if stop is None:
+                value = values.get((k, t))
+                if value is None:
+                    value = values[k, t] = (coef * target.powers[t]) * _power(sqrt_q, half)
+                sums[k] = sums[k] + value
     return sums
 
 
@@ -587,58 +597,30 @@ def mirabolic_expand(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     computed once per (spec, torus, sqrt_q, target, cap), sqrt_q is
     checked once per such entry, and each point adds only its traces;
     outside one, each call checks sqrt_q and computes its own terms."""
-    shared = _COSET_TERMS.get()
-    entry = None
-    if shared is not None:
-        # the objects phi closes over are keyed by identity, which hashes in
-        # constant time; the entry holds them, so no id is reused in the
-        # scope
-        key = (id(spec), id(sqrt_q), id(target), cap, point.torus)
-        entry = shared.get(key)
+    scope = _COSET_TERMS.get()
+    if scope is None:
+        scope = {}      # outside a fourier_coefficient call nothing is kept
+    # the objects phi closes over are keyed by identity, which hashes in
+    # constant time; the entry holds them, so no id is reused in the scope
+    key = (id(spec), id(sqrt_q), id(target), cap, point.torus)
+    entry = scope.get(key)
     if entry is None:
         check_sqrt_q(sqrt_q, spec.ground.q)
-    support = gamma_support(spec, point, cap)
-    terms = []
-    if shared is not None:
+        entry = scope[key] = (spec, sqrt_q, target, gamma_support(spec, point, cap), [])
+    elif entry[3] != gamma_support(spec, point, cap):
         # the support reads no x (a place where only x is set has pole
         # bound 0), so every point with this torus has the same one and
         # the i-th term is the i-th gamma's
-        if entry is None:
-            entry = shared[key] = (spec, sqrt_q, target, support, terms)
-        elif entry[3] != support:
-            raise RuntimeError("gamma support differs between points of one torus")
-        terms = entry[-1]
-    acc = spec.config.zero()
-    for i, gamma in enumerate(support):
-        if i == len(terms):
-            # filled term by term, so an error surfaces at the same gamma
-            # however many points share the terms
-            terms.append(_coset_term(spec, point.torus, gamma, sqrt_q, target))
-        free, values = terms[i]
-        trace = _trace((spec,), point, gamma, free)
-        if values is not None:
-            acc = acc + values[trace % spec.ground.p]
-    return acc
-
-
-def _coset_term(spec: GlobalWhittakerSpec, torus: MirabolicPoint,
-                gamma: RationalFunction, sqrt_q: LocalNumber, target: PsiTarget):
-    """The psi-free part of gamma's term at the torus and, unless the term
-    is zero, its collapsed value (coef * psi_0(t)) * sqrt_q^half for each
-    trace t mod p: what the cosets of one Fourier coefficient share."""
-    free = _psi_free((spec,), torus, gamma, target)
-    coef, half, stop = free[1][0]
-    if stop is not None:
-        return free, None
-    power = _power(sqrt_q, half)
-    return free, [coef * psi * power for psi in target.powers]
+        raise RuntimeError("gamma support differs between points of one torus")
+    return _sums((spec,), point, entry[3], sqrt_q, target, entry[4])[0]
 
 
 def whittaker_at(spec: GlobalWhittakerSpec, point: MirabolicPoint,
                  sqrt_q: LocalNumber, target: PsiTarget) -> LocalNumber:
-    """The pure-tensor Whittaker function itself at the point."""
+    """The pure-tensor Whittaker function itself at the point: the one
+    term gamma = 1."""
     check_sqrt_q(sqrt_q, spec.ground.q)
-    return _collapsed_sums((spec,), point, (None,), sqrt_q, target)[0]
+    return _sums((spec,), point, (spec.ground.constant(1),), sqrt_q, target, [])[0]
 
 
 def fourier_coefficient(phi, gamma: RationalFunction, point: MirabolicPoint,
@@ -813,12 +795,12 @@ def congruence_pipeline(spec1: GlobalWhittakerSpec, spec2: GlobalWhittakerSpec,
     and one geometry per place (_gamma_terms): one pass serves both."""
     validate_spec_pair(spec1, spec2)
     check_sqrt_q(sqrt_q, spec1.ground.q)
-    specs = (spec1, spec2)
+    specs, one = (spec1, spec2), (spec1.ground.constant(1),)
     reports = []
     for idx, point in enumerate(samples):
-        w1, w2 = _collapsed_sums(specs, point, (None,), sqrt_q, target)
+        w1, w2 = _sums(specs, point, one, sqrt_q, target, [])
         support = gamma_support(spec1, point, cap)
-        f1, f2 = _collapsed_sums(specs, point, support, sqrt_q, target)
+        f1, f2 = _sums(specs, point, support, sqrt_q, target, [])
         w_cong = (min(w1.valuation(), w2.valuation()) >= 0
                   and congruent_mod_m(w1, w2))
         f_cong = (min(f1.valuation(), f2.valuation()) >= 0

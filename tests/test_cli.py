@@ -465,6 +465,17 @@ S_PLACE = {"finite": [1, 1]}
         "zero": 1, "valuation": 0, "unit_digits": [[1]]}})], "whittaker", "InputError"),
     (["psi", "--p", "2", "--f", "2", "--ell", "5", "--input", json.dumps(replaced(
         PSI_F4, ("items", 0, "x", "exact"), "no"))], "psi", "InputError"),
+    (["rr", "--p", "2", "--input", json.dumps(replaced(
+        DIVISOR, ("divisor", 0, 0), {"infinity": "no"}))], "rr", "InputError"),
+    (["satake", "--input", json.dumps({**SATAKE_INTEGRAL, "require_integral": "no"})],
+     "satake", "InputError"),
+    *[(["pipeline", "--input", json.dumps(replaced(PIPE_INPUT, ("spec1", "w"), w))],
+       "pipeline", "InputError") for w in ({}, [], 0, "")],
+    (["satake", "--ell", "5", "--d", "0", "--input", json.dumps(
+        {"params": SATAKE_PAIR["params"]})], "satake", "InputError"),
+    (["satake", "--precision", "0", "--input", json.dumps(SATAKE_PAIR)],
+     "satake", "InputError"),
+    (["rr", "--p", "2", "--f", "0", "--input", json.dumps(DIVISOR)], "rr", "InputError"),
     (["rr", "--p", "x"], None, "InputError"),
     (["frobnicate", "--p", "2"], None, "InputError"),
 ], ids=["zero-denominator", "table-entry-5", "place-record-3", "default-rule-list",
@@ -480,6 +491,8 @@ S_PLACE = {"finite": [1, 1]}
         "congruence-bound-negative", "whittaker-bound-negative", "whittaker-params-3",
         "whittaker-pair-with-weights", "weight-bool", "weight-float", "weight-digit-string",
         "default-rule-degree-01", "zero-string", "zero-int", "exact-string",
+        "infinity-string", "require-integral-string", "w-empty-object", "w-empty-list",
+        "w-zero", "w-empty-string", "flag-d-0", "flag-precision-0", "flag-f-0",
         "bad-flag-value", "unknown-command"])
 def test_malformed_request_exits_two(capsys, argv, command, error):
     """Malformed input or command line: exit 2 and a JSON record whose

@@ -33,6 +33,7 @@ from oracles import coset_reps_by_digit, gamma_term_per_place
 
 G2 = GroundField(2)
 CFG = FieldConfig(7, precision=12)
+ONE = G2.constant(1)     # gamma = 1, the term that gives W itself
 
 
 @pytest.fixture(scope="module")
@@ -112,9 +113,9 @@ def test_gamma_term_at_one_unramified_place(target):
     pl = G2.place([0, 1])
     datum = UnramifiedDatum(SatakeParam(2, 2, (CFG.one(), CFG.one())))
     spec = GlobalWhittakerSpec(G2, CFG, ((pl, datum),), unramified_spec().default_rule)
-    val, half = _gamma_term(spec, one_entry_point(pl), None, target)
+    val, half = _gamma_term(spec, one_entry_point(pl), ONE, target)
     assert val == CFG.one() and half == 0
-    val, _ = _gamma_term(spec, one_entry_point(pl, a2=1), None, target)
+    val, _ = _gamma_term(spec, one_entry_point(pl, a2=1), ONE, target)
     assert val.is_zero
 
 
@@ -122,14 +123,14 @@ def test_gamma_term_at_one_tabulated_place(target):
     pl = G2.place([0, 1])
     datum = TabulatedDatum(basic_table(pl), LocalCharacter(CFG.integer(3)))
     spec = GlobalWhittakerSpec(G2, CFG, ((pl, datum),), unramified_spec().default_rule)
-    val, half = _gamma_term(spec, one_entry_point(pl), None, target)
+    val, half = _gamma_term(spec, one_entry_point(pl), ONE, target)
     assert val == CFG.one() and half == 0
-    val, _ = _gamma_term(spec, one_entry_point(pl, a1=1), None, target)
+    val, _ = _gamma_term(spec, one_entry_point(pl, a1=1), ONE, target)
     assert val == CFG.integer(3)
-    val, _ = _gamma_term(spec, one_entry_point(pl, central=2), None, target)
+    val, _ = _gamma_term(spec, one_entry_point(pl, central=2), ONE, target)
     assert val == CFG.integer(9)
     with pytest.raises(UnsupportedPoint):
-        _gamma_term(spec, one_entry_point(pl, a2=1), None, target)
+        _gamma_term(spec, one_entry_point(pl, a2=1), ONE, target)
 
 
 # -- gamma support and the expansion -------------------------------------------
@@ -321,6 +322,17 @@ def build_spec_pair(rng, n_perturbed=2):
     return spec1, spec2
 
 
+def collapsed_per_place(spec, point, gammas, sqrt_q, target):
+    """The sum over gammas of the per-place oracle's terms, collapsed
+    through sqrt_q: nothing is shared with the production sum."""
+    want = spec.config.zero()
+    for gamma in gammas:
+        coef, half = gamma_term_per_place(spec, point, gamma, target)
+        if not coef.is_zero:
+            want = want + coef * sqrt_q ** half
+    return want
+
+
 def test_pipeline_congruence(rng, target, sqrt2):
     spec1, spec2 = build_spec_pair(rng)
     samples = default_sample_points(G2, seed=3, count=8)
@@ -335,6 +347,13 @@ def test_pipeline_congruence(rng, target, sqrt2):
                                         for s in (spec1, spec2))
         assert report.phi_values == tuple(mirabolic_expand(s, point, sqrt2, target)
                                           for s in (spec1, spec2))
+        # and, digit for digit, the per-place oracle's sums over gamma = 1
+        # and over the support
+        for values, gammas in ((report.w_values, (ONE,)),
+                               (report.phi_values, gamma_support(spec1, point))):
+            assert [digits((v, 0)) for v in values] == [
+                digits((collapsed_per_place(s, point, gammas, sqrt2, target), 0))
+                for s in (spec1, spec2)]
 
 
 def test_pipeline_pair_shares_geometry(rng, target, sqrt2, monkeypatch):
@@ -412,18 +431,18 @@ def test_gamma_terms_match_the_per_place_product(rng, target):
     unr_zero = MirabolicPoint(G2, ((t_pl, LocalElement.exact_zero(t_pl), -1, 0),))
     zero_terms = 0
     for point in points + [tab_zero, unr_zero]:
-        for gamma in (None,) + gamma_support(spec1, point):
+        for gamma in (ONE,) + gamma_support(spec1, point):
             want = assert_kernel_matches(specs, point, gamma, target)
             zero_terms += sum(not w[1] for w in want)
     for point in (tab_zero, unr_zero):
-        assert all(not w[1] for w in assert_kernel_matches(specs, point, None, target))
+        assert all(not w[1] for w in assert_kernel_matches(specs, point, ONE, target))
     assert zero_terms
 
 
 def test_gamma_terms_raise_where_the_per_place_product_does(rng, target):
     spec1, spec2 = build_spec_pair(rng)
     s1_pl, cubic = G2.place([1, 1]), G2.place([1, 0, 1, 1])
-    gammas = (None, G2.t(), G2.rational([1], [1, 1]), G2.rational([1, 1], [0, 0, 1]))
+    gammas = (ONE, G2.t(), G2.rational([1], [1, 1]), G2.rational([1, 1], [0, 0, 1]))
     off_mirabolic = MirabolicPoint(G2, ((s1_pl, LocalElement.exact_zero(s1_pl), 0, 1),))
     # default rules for degrees 1 and 2 only, and a point at a cubic place
     short = tuple(replace(s, default_rule=s.default_rule[:2]) for s in (spec1, spec2))
@@ -434,7 +453,7 @@ def test_gamma_terms_raise_where_the_per_place_product_does(rng, target):
         assert seen[0] == [error, error]
     other = PsiTarget.create(GroundField(3), CFG)
     with pytest.raises(ConfigMismatch):
-        _gamma_terms((spec1, spec2), MirabolicPoint(G2), None, other)
+        _gamma_terms((spec1, spec2), MirabolicPoint(G2), ONE, other)
 
 
 def local(place, v, *coeffs, exact=True):
@@ -461,7 +480,7 @@ def test_gamma_terms_match_the_per_place_product_at_shifted_points(rng, target):
     for point in points:
         support = gamma_support(spec1, point)
         assert len(support) <= 63
-        for gamma in (None,) + support:
+        for gamma in (ONE,) + support:
             want = assert_kernel_matches(specs, point, gamma, target)
             terms += sum(bool(w[1]) for w in want)
     assert terms
@@ -470,7 +489,7 @@ def test_gamma_terms_match_the_per_place_product_at_shifted_points(rng, target):
     hollow = tuple(replace(s, explicit=tuple((pl, empty if pl == s1_pl else d)
                                              for pl, d in s.explicit)) for s in specs)
     for point in (bare_x, at_w, central):
-        for gamma in (None, G2.t()):
+        for gamma in (ONE, G2.t()):
             assert assert_kernel_matches(hollow, point, gamma, target) == [
                 digits((CFG.zero(), 0))] * 2
     # default rules for degrees 1 and 2 only: x at the cubic place, where
@@ -483,7 +502,7 @@ def test_gamma_terms_match_the_per_place_product_at_shifted_points(rng, target):
     for entries, error in (((), IncompleteData), (zero_first, None),
                            (short_digits, InsufficientPrecision)):
         point = MirabolicPoint(G2, entries + ((cubic, local(cubic, -1, 1), 0, 0),))
-        assert assert_kernel_matches(short, point, None, target)[0] == (
+        assert assert_kernel_matches(short, point, ONE, target)[0] == (
             error or digits((CFG.zero(), 0)))
     # two faults in one term, the later one at a place of the torus: the
     # term reports the one at the lower place, x's missing degree-3 rule
@@ -492,13 +511,14 @@ def test_gamma_terms_match_the_per_place_product_at_shifted_points(rng, target):
     at_quartic = ((quartic, LocalElement.exact_zero(quartic), 1, 0),)
     for entries, error, match in (
             (((cubic, local(cubic, -1, 1), 0, 0),), IncompleteData, "degree 3"),
-            (((t_pl, local(t_pl, -3, 1, exact=False), 0, 0),), InsufficientPrecision, "")):
+            (((t_pl, local(t_pl, -3, 1, exact=False), 0, 0),), InsufficientPrecision,
+             "beyond precision")):
         point = MirabolicPoint(G2, entries + at_quartic)
-        assert assert_kernel_matches(short, point, None, target) == [error] * 2
+        assert assert_kernel_matches(short, point, ONE, target) == [error] * 2
         for fn, arg in ((gamma_term_per_place, short[0]), (_gamma_term, short[0]),
                         (_gamma_terms, short)):
             with pytest.raises(error, match=match):
-                fn(arg, point, None, target)
+                fn(arg, point, ONE, target)
 
 
 def test_a_table_reads_gamma_to_its_max_level(target):
@@ -557,11 +577,7 @@ def test_coset_scope_gives_the_per_place_digits(case):
     fourier_coefficient(phi, G2.t(), point, U, target, cfg)
     assert len(inside) == quotient_index(U)
     for p, got in inside:
-        want = cfg.zero()
-        for gamma in gamma_support(spec, p):
-            coef, half = gamma_term_per_place(spec, p, gamma, target)
-            if not coef.is_zero:
-                want = want + coef * sqrt_q ** half
+        want = collapsed_per_place(spec, p, gamma_support(spec, p), sqrt_q, target)
         outside = mirabolic_expand(spec, p, sqrt_q, target)
         assert digits((got, 0)) == digits((outside, 0)) == digits((want, 0))
 
