@@ -182,6 +182,8 @@ def decode_ground(obj) -> GroundField:
 
 def decode_place(obj, ground: GroundField) -> Place:
     if isinstance(obj, dict):
+        if "infinity" in obj and "finite" in obj:
+            raise InputError(f"a place is either infinity or finite, not both: {obj!r}")
         if _bool(obj.get("infinity", False), "infinity"):
             return ground.infinity()
         if "finite" in obj:

@@ -225,10 +225,12 @@ class LocalNumber:
             return other
         if other.is_zero:
             return self
-        # structural cancellation: identical representations of opposite sign
-        if (self.v == other.v and self.prec == other.prec
-                and other.coeffs == (-self).coeffs):
-            return self.config.zero()
+        # structural cancellation: identical representations of opposite
+        # sign, compared digit by digit without forming -self
+        if self.v == other.v and self.prec == other.prec:
+            mod = self.config.ell ** self.prec
+            if all(o == (-c) % mod for c, o in zip(self.coeffs, other.coeffs)):
+                return self.config.zero()
         return _digit_sum(self.config, (self, other))
 
     def __sub__(self, other):

@@ -37,13 +37,16 @@ orders and each spec's product of Whittaker values, table values and
 central twists; it expands gamma only at tabulated places.  The trace
 reads the point's entries whose x is not the exact zero.  A unipotent
 shift changes only x, as in W(n(x)g) = psi(x)W(g), so the points of one
-torus share the psi-free part: per gamma, _sums keeps it and each value
-(coef * psi_0(t)) * sqrt_q^half it forms in a list that its caller
-passes.  W, phi and a spec pair pass a fresh list.  For the length of
-one fourier_coefficient call, mirabolic_expand passes one list per
-(spec, torus, sqrt_q, target, cap) and checks sqrt_q once per such
-entry, so each coset adds only its traces and one read per gamma;
-outside such a call nothing is kept.  The call itself reads the Fourier
+torus share the psi-free part, and the trace is a sum over places of
+terms that each read one place's x.  W, phi and a spec pair keep
+nothing: each gamma's psi-free part lives only while its term is summed.
+For the length of one fourier_coefficient call, mirabolic_expand keeps
+one entry per (spec, torus, sqrt_q, target, cap): per gamma, the
+psi-free part, each value (coef * psi_0(t)) * sqrt_q^half and each
+place's trace per (x, a2), so a coset adds only the traces of x values
+no earlier coset had and one read per gamma; sqrt_q is checked once per
+entry and the gamma support once per distinct point support.  Outside
+such a call nothing is kept.  The call itself reads the Fourier
 gamma's divisor and builds the representatives once, and each coset's
 twist is one trace sum.  An empty Kirillov table is the zero function
 wherever it is read.
@@ -492,7 +495,7 @@ def _psi_free(specs: tuple, torus: MirabolicPoint, gamma: RationalFunction,
 
 
 def _trace(specs: tuple, point: MirabolicPoint, gamma: RationalFunction,
-           free: tuple) -> int:
+           free: tuple, memo: dict | None = None) -> int:
     """The residue-trace sum of the gamma term at diag(gamma,1) * point,
     over the point's entries whose x is not the exact zero: psi is one
     character of A/k, so the psi values of all places multiply to psi_0
@@ -503,7 +506,14 @@ def _trace(specs: tuple, point: MirabolicPoint, gamma: RationalFunction,
     places would read it: datum_at raises IncompleteData at a place of
     the point that no rule covers, before any zero factor or psi-free
     fault beyond it, and the psi-free part's fault is raised after the
-    entries up to its place."""
+    entries up to its place.
+
+    memo, when given, maps (place, x, a2) to that entry's trace for this
+    gamma and free: an entry read before is added from it, and a new one
+    is stored once its trace is computed.  Only a trace that raised
+    nothing is stored, so an error still surfaces at the first entry that
+    meets it; everything the trace reads besides gamma and free is a
+    function of the key, since LocalElement equality is representational."""
     orders, terms, fault = free
     stops = [stop for _, _, stop in terms]
     trace = 0
@@ -516,6 +526,11 @@ def _trace(specs: tuple, point: MirabolicPoint, gamma: RationalFunction,
             live = [s for s, stop in zip(specs, stops) if stop is None or key <= stop]
             if not live:
                 break
+        if memo is not None:
+            known = memo.get((pl, x, a2))
+            if known is not None:
+                trace += known
+                continue
         data = [s.datum_at(pl) for s in live]
         need = psi_conductor(pl)
         if isinstance(data[0], TabulatedDatum):
@@ -523,7 +538,10 @@ def _trace(specs: tuple, point: MirabolicPoint, gamma: RationalFunction,
         xv = 0 if x.is_zero_like else x.v
         gexp = expand_at(gamma, pl, max(1, need - min(xv, 0) - orders.get(pl, 0) + 3))
         _check_mirabolic(data[0], a2)
-        trace += residue_trace(pl, x.shift(-a2) if a2 else x, gexp)
+        t = residue_trace(pl, x.shift(-a2) if a2 else x, gexp)
+        if memo is not None:
+            memo[pl, x, a2] = t
+        trace += t
     if fault is not None:
         raise fault
     return trace
@@ -548,23 +566,29 @@ def _gamma_term(spec: GlobalWhittakerSpec, point: MirabolicPoint,
 
 
 def _sums(specs: tuple, point: MirabolicPoint, gammas, sqrt_q: LocalNumber,
-          target: PsiTarget, terms: list) -> list:
+          target: PsiTarget, terms: list | None = None) -> list:
     """For each spec, the sum over gammas of its term at diag(gamma,1) *
     point, collapsed through the supplied sqrt of q: the one loop over
     gamma terms behind W, phi and every coset of a Fourier coefficient.
 
-    terms[i] is the i-th gamma's psi-free part at the point's torus and a
-    map (spec index, t) -> (coef * psi_0(t)) * sqrt_q^half, each value
-    formed the first time it is met.  A missing entry is filled in gamma
-    order, so an error surfaces at the same gamma however many points of
-    one torus share the list; each point adds only its traces."""
+    Without terms, each gamma's psi-free part and values live only while
+    its term is summed.  With terms, the list shared by the points of one
+    torus, terms[i] is the i-th gamma's psi-free part at the torus, a map
+    (spec index, t) -> (coef * psi_0(t)) * sqrt_q^half and _trace's memo,
+    (place, x, a2) -> that entry's trace; each value and trace is formed
+    the first time it is met.  A missing entry is filled in gamma order,
+    so an error surfaces at the same gamma however many points share the
+    list; each point adds only the traces of entries no earlier point had."""
     p = specs[0].ground.p
     sums = [specs[0].config.zero()] * len(specs)
     for i, gamma in enumerate(gammas):
-        if i == len(terms):
-            terms.append((_psi_free(specs, point.torus, gamma, target), {}))
-        free, values = terms[i]
-        t = _trace(specs, point, gamma, free) % p
+        if terms is None:
+            free, values, memo = _psi_free(specs, point.torus, gamma, target), {}, None
+        else:
+            if i == len(terms):
+                terms.append((_psi_free(specs, point.torus, gamma, target), {}, {}))
+            free, values, memo = terms[i]
+        t = _trace(specs, point, gamma, free, memo) % p
         for k, (coef, half, stop) in enumerate(free[1]):
             if stop is None:
                 value = values.get((k, t))
@@ -581,9 +605,9 @@ def _power(x: LocalNumber, e: int) -> LocalNumber:
     return x ** e
 
 
-# the psi-free terms shared by the cosets of the one fourier_coefficient
-# call under way, keyed on (spec, torus, sqrt_q, target, cap); None outside
-# such a call
+# the psi-free terms and traces shared by the cosets of the one
+# fourier_coefficient call under way, keyed on (spec, sqrt_q, target, cap,
+# torus); None outside such a call
 _COSET_TERMS: ContextVar = ContextVar("elladic_coset_terms", default=None)
 
 
@@ -593,26 +617,34 @@ def mirabolic_expand(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     """The finite sum over gamma of the Whittaker term at diag(gamma,1)g,
     collapsed to a plain field element through the supplied sqrt of q.
 
-    Inside a fourier_coefficient call, the psi-free part of every term is
-    computed once per (spec, torus, sqrt_q, target, cap), sqrt_q is
-    checked once per such entry, and each point adds only its traces;
-    outside one, each call checks sqrt_q and computes its own terms."""
+    Inside a fourier_coefficient call, one scope entry per (spec, sqrt_q,
+    target, cap, torus) holds the gamma support, the point supports it
+    was checked against and _sums' term list: sqrt_q is checked once per
+    entry, the gamma support once per distinct point support, each gamma's
+    psi-free part once and each trace once per (gamma, place, x, a2).
+    Outside one, each call checks sqrt_q and sums with nothing kept."""
     scope = _COSET_TERMS.get()
     if scope is None:
-        scope = {}      # outside a fourier_coefficient call nothing is kept
+        check_sqrt_q(sqrt_q, spec.ground.q)
+        return _sums((spec,), point, gamma_support(spec, point, cap), sqrt_q, target)[0]
     # the objects phi closes over are keyed by identity, which hashes in
     # constant time; the entry holds them, so no id is reused in the scope
     key = (id(spec), id(sqrt_q), id(target), cap, point.torus)
     entry = scope.get(key)
     if entry is None:
         check_sqrt_q(sqrt_q, spec.ground.q)
-        entry = scope[key] = (spec, sqrt_q, target, gamma_support(spec, point, cap), [])
-    elif entry[3] != gamma_support(spec, point, cap):
-        # the support reads no x (a place where only x is set has pole
-        # bound 0), so every point with this torus has the same one and
-        # the i-th term is the i-th gamma's
-        raise RuntimeError("gamma support differs between points of one torus")
-    return _sums((spec,), point, entry[3], sqrt_q, target, entry[4])[0]
+        entry = scope[key] = (spec, sqrt_q, target, gamma_support(spec, point, cap),
+                              {point.support()}, [])
+    support, checked, terms = entry[3:]
+    if point.support() not in checked:
+        # gamma_support reads a point only through its a1, a2 (fixed by the
+        # torus) and its support's places, and no x (a place where only x
+        # is set has pole bound 0), so every point with this torus has the
+        # same one and the i-th term is the i-th gamma's
+        if support != gamma_support(spec, point, cap):
+            raise RuntimeError("gamma support differs between points of one torus")
+        checked.add(point.support())
+    return _sums((spec,), point, support, sqrt_q, target, terms)[0]
 
 
 def whittaker_at(spec: GlobalWhittakerSpec, point: MirabolicPoint,
@@ -620,7 +652,7 @@ def whittaker_at(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     """The pure-tensor Whittaker function itself at the point: the one
     term gamma = 1."""
     check_sqrt_q(sqrt_q, spec.ground.q)
-    return _sums((spec,), point, (spec.ground.constant(1),), sqrt_q, target, [])[0]
+    return _sums((spec,), point, (spec.ground.constant(1),), sqrt_q, target)[0]
 
 
 def fourier_coefficient(phi, gamma: RationalFunction, point: MirabolicPoint,
@@ -637,8 +669,8 @@ def fourier_coefficient(phi, gamma: RationalFunction, point: MirabolicPoint,
     divisor, the check that target is over U's ground field, and the
     representatives.  Each coset's twist psi(-u gamma) is psi_0 of minus
     scaled_trace(u, gamma), which forms no product adele.  For the length
-    of the call, mirabolic_expand shares the psi-free part of its terms
-    across the shifted points and checks sqrt_q once per shared entry.
+    of the call, mirabolic_expand shares the psi-free part and the traces
+    of its terms across the shifted points (see mirabolic_expand).
     """
     reps = coset_reps(U, cap)
     index = quotient_index(U)
@@ -798,9 +830,9 @@ def congruence_pipeline(spec1: GlobalWhittakerSpec, spec2: GlobalWhittakerSpec,
     specs, one = (spec1, spec2), (spec1.ground.constant(1),)
     reports = []
     for idx, point in enumerate(samples):
-        w1, w2 = _sums(specs, point, one, sqrt_q, target, [])
+        w1, w2 = _sums(specs, point, one, sqrt_q, target)
         support = gamma_support(spec1, point, cap)
-        f1, f2 = _sums(specs, point, support, sqrt_q, target, [])
+        f1, f2 = _sums(specs, point, support, sqrt_q, target)
         w_cong = (min(w1.valuation(), w2.valuation()) >= 0
                   and congruent_mod_m(w1, w2))
         f_cong = (min(f1.valuation(), f2.valuation()) >= 0

@@ -467,6 +467,9 @@ S_PLACE = {"finite": [1, 1]}
         PSI_F4, ("items", 0, "x", "exact"), "no"))], "psi", "InputError"),
     (["rr", "--p", "2", "--input", json.dumps(replaced(
         DIVISOR, ("divisor", 0, 0), {"infinity": "no"}))], "rr", "InputError"),
+    *[(["rr", "--p", "2", "--input", json.dumps(replaced(
+        DIVISOR, ("divisor", 0, 0), {"infinity": inf, "finite": [0, 1]}))], "rr", "InputError")
+      for inf in (True, False)],
     (["satake", "--input", json.dumps({**SATAKE_INTEGRAL, "require_integral": "no"})],
      "satake", "InputError"),
     *[(["pipeline", "--input", json.dumps(replaced(PIPE_INPUT, ("spec1", "w"), w))],
@@ -491,7 +494,8 @@ S_PLACE = {"finite": [1, 1]}
         "congruence-bound-negative", "whittaker-bound-negative", "whittaker-params-3",
         "whittaker-pair-with-weights", "weight-bool", "weight-float", "weight-digit-string",
         "default-rule-degree-01", "zero-string", "zero-int", "exact-string",
-        "infinity-string", "require-integral-string", "w-empty-object", "w-empty-list",
+        "infinity-string", "infinity-and-finite", "not-infinity-and-finite",
+        "require-integral-string", "w-empty-object", "w-empty-list",
         "w-zero", "w-empty-string", "flag-d-0", "flag-precision-0", "flag-f-0",
         "bad-flag-value", "unknown-command"])
 def test_malformed_request_exits_two(capsys, argv, command, error):

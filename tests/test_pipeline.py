@@ -536,27 +536,40 @@ def test_a_table_reads_gamma_to_its_max_level(target):
     assert _gamma_term(spec, point, gamma, target) == (CFG.integer(3), 0)
 
 
-# a spec with tabulated places, for the hypothesis properties below
+# a spec with tabulated places, for the hypothesis properties below, and
+# two unramified ones: with the same default rule, and with the rule for
+# degrees 1 and 2 only, so that a gamma with a zero or pole of higher
+# degree meets IncompleteData
 PROPERTY_SPEC = build_spec_pair(random.Random(20260808))[0]
+UNRAMIFIED_SPECS = tuple(GlobalWhittakerSpec(G2, CFG, (), rule) for rule in (
+    PROPERTY_SPEC.default_rule, PROPERTY_SPEC.default_rule[:2]))
 SMALL_PLACES = tuple(enumerate_places(G2, 2))
 
 
 @st.composite
-def shifted_cases(draw):
-    """A point with nonzero x components and central exponents, and a
-    divisor U on two places of degree 1, whose 2 to 8 cosets shift it."""
+def shifted_cases(draw, inexact=False):
+    """A spec, a point with nonzero x components and central exponents,
+    and a divisor U on two places of degree 1, whose 2 to 8 cosets shift
+    the point.  The spec is PROPERTY_SPEC and every x exact, unless
+    inexact: then x may be known only to its listed digits, none
+    included, and on an unramified spec a2 may be 1."""
+    spec = draw(st.sampled_from((PROPERTY_SPEC,) + UNRAMIFIED_SPECS)) if inexact \
+        else PROPERTY_SPEC
+    a2s = st.integers(0, 1) if spec in UNRAMIFIED_SPECS else st.just(0)
     entries = []
     for pl in draw(st.lists(st.sampled_from(SMALL_PLACES), min_size=1, max_size=2,
                             unique=True)):
         K = pl.residue()
-        coeffs = draw(st.lists(st.integers(0, K.order - 1), min_size=1, max_size=3))
-        x = local(pl, draw(st.integers(-1, 1)), *coeffs)
-        entries.append((pl, x, draw(st.integers(-1, 1)), 0))
+        coeffs = draw(st.lists(st.integers(0, K.order - 1), min_size=int(not inexact),
+                               max_size=3))
+        exact = draw(st.booleans()) if inexact else True
+        x = local(pl, draw(st.integers(-1, 1)), *coeffs, exact=exact)
+        entries.append((pl, x, draw(st.integers(-1, 1)), draw(a2s)))
     central = draw(st.lists(st.tuples(st.sampled_from(SMALL_PLACES), st.integers(-1, 1)),
                             max_size=1))
     pairs = draw(st.lists(st.tuples(st.sampled_from(SMALL_PLACES[:3]), st.integers(1, 2)),
                           min_size=2, max_size=2, unique_by=lambda pm: pm[0]))
-    return MirabolicPoint(G2, tuple(entries), tuple(central)), Divisor.make(G2, pairs)
+    return spec, MirabolicPoint(G2, tuple(entries), tuple(central)), Divisor.make(G2, pairs)
 
 
 @settings(max_examples=25, deadline=None)
@@ -565,8 +578,8 @@ def test_coset_scope_gives_the_per_place_digits(case):
     """mirabolic_expand at each point a Fourier coefficient visits gives,
     inside the coefficient's scope and outside it, the digits of the sum
     over the support of the per-place product."""
-    point, U = case
-    spec, cfg = PROPERTY_SPEC, PROPERTY_SPEC.config
+    spec, point, U = case
+    cfg = spec.config
     target, sqrt_q = PsiTarget.create(G2, cfg), sqrt_unit(cfg, 2)
     inside = []
 
@@ -580,6 +593,36 @@ def test_coset_scope_gives_the_per_place_digits(case):
         want = collapsed_per_place(spec, p, gamma_support(spec, p), sqrt_q, target)
         outside = mirabolic_expand(spec, p, sqrt_q, target)
         assert digits((got, 0)) == digits((outside, 0)) == digits((want, 0))
+
+
+def expand_outcome(spec, point, sqrt_q, target):
+    """mirabolic_expand's digits, or the class and message of its error."""
+    try:
+        return digits((mirabolic_expand(spec, point, sqrt_q, target), 0))
+    except ElladicError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shifted_cases(inexact=True))
+def test_coset_scope_gives_the_value_or_error_of_a_call_outside_it(case):
+    """With x known to few digits, a2 = 1 and missing default rules, each
+    coset gives inside the coefficient's scope, where traces and support
+    checks are shared, the digits or the error (class and message) that
+    the same call gives outside any scope, where nothing is kept."""
+    spec, point, U = case
+    cfg = spec.config
+    target, sqrt_q = PsiTarget.create(G2, cfg), sqrt_unit(cfg, 2)
+    inside = []
+
+    def phi(p):
+        inside.append((p, expand_outcome(spec, p, sqrt_q, target)))
+        return cfg.zero()
+
+    fourier_coefficient(phi, G2.t(), point, U, target, cfg)
+    assert len(inside) == quotient_index(U)
+    for p, got in inside:
+        assert got == expand_outcome(spec, p, sqrt_q, target)
 
 
 def test_coset_scope_lasts_one_fourier_coefficient(target, sqrt2):
@@ -667,6 +710,51 @@ def test_coset_scope_refuses_a_support_that_moves_with_x(monkeypatch, target, sq
         fourier_coefficient(lambda p: mirabolic_expand(spec, p, sqrt2, target),
                             support[0], pt, U, target, CFG)
     assert len(calls) == 2
+
+
+def test_coset_scope_traces_once_per_gamma_place_and_x(monkeypatch, target, sqrt2):
+    """Within one coefficient, each (gamma, place, x, a2) is traced once
+    and each distinct point support checked once, though every coset
+    sums over every gamma of the support."""
+    spec, pl = PROPERTY_SPEC, G2.place([0, 1])
+    pt = MirabolicPoint(G2, ((pl, local(pl, -1, 1), 1, 0),))
+    U = invariance_divisor(spec, pt, Divisor.make(G2, [(pl, 1), (G2.infinity(), 1)]))
+    support = gamma_support(spec, pt)
+    traced, checked, gammas = Counter(), Counter(), []
+    real_trace, real_residue, real_support = (pipeline._trace, pipeline.residue_trace,
+                                              pipeline.gamma_support)
+
+    def tracing(specs, point, gamma, *rest):
+        gammas.append(gamma)
+        return real_trace(specs, point, gamma, *rest)
+
+    def residue(place, x, y):
+        # at one torus a2 is fixed per place, so x shifted by -a2 stands
+        # for the pair (x, a2)
+        traced[gammas[-1], place, x] += 1
+        return real_residue(place, x, y)
+
+    def checking(spec, point, cap):
+        checked[point.support()] += 1
+        return real_support(spec, point, cap)
+
+    for name, fn in (("_trace", tracing), ("residue_trace", residue),
+                     ("gamma_support", checking)):
+        monkeypatch.setattr(pipeline, name, fn)
+    visited = []
+
+    def phi(p):
+        visited.append(p)
+        return mirabolic_expand(spec, p, sqrt2, target)
+
+    fourier_coefficient(phi, support[0], pt, U, target, CFG)
+    assert len(visited) == quotient_index(U) > 1
+    assert len(gammas) == len(visited) * len(support)
+    assert traced and max(traced.values()) == 1
+    assert sum(traced.values()) < len(support) * sum(
+        not x.is_exact_zero for p in visited for _, x, _, _ in p.entries)
+    assert checked and max(checked.values()) == 1
+    assert len(checked) < len(visited)
 
 
 def test_spec_pair_validation_builds_each_char_poly_once(rng, target, sqrt2,
