@@ -673,15 +673,22 @@ def scale_adele(a: Adele, r: RationalFunction) -> Adele:
     return Adele.make(a.ground, comps)
 
 
-def scaled_trace(a: Adele, r: RationalFunction, orders: dict) -> int:
+def scaled_trace(a: Adele, r: RationalFunction, orders: dict, memo: dict) -> int:
     """The residue-trace sum of scale_adele(a, r), psi_global of which is
     psi_0 of it, with no product formed: product_coefficient raises
     exactly where the product's coefficient would.  r is nonzero and
-    orders maps places to its orders, as read from r.divisor()."""
+    orders maps places to its orders, as read from r.divisor().  memo
+    maps a component (place, x) to its trace against this r, so adeles
+    that share a component trace it once; only a trace that raised
+    nothing is stored."""
     trace = 0
-    for pl, x in a.items:
-        gexp = expand_at(r, pl, _scale_precision(pl, x, orders.get(pl, 0)))
-        trace += residue_trace(pl, x, gexp)
+    for item in a.items:
+        t = memo.get(item)
+        if t is None:
+            pl, x = item
+            gexp = expand_at(r, pl, _scale_precision(pl, x, orders.get(pl, 0)))
+            t = memo[item] = residue_trace(pl, x, gexp)
+        trace += t
     return trace
 
 

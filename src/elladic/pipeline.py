@@ -48,8 +48,8 @@ no earlier coset had and one read per gamma; sqrt_q is checked once per
 entry and the gamma support once per distinct point support.  Outside
 such a call nothing is kept.  The call itself reads the Fourier
 gamma's divisor and builds the representatives once, and each coset's
-twist is one trace sum.  An empty Kirillov table is the zero function
-wherever it is read.
+twist is one trace sum whose component traces are each taken once per
+call.  An empty Kirillov table is the zero function wherever it is read.
 
 Per-place data is read from maps built once per object: a spec's explicit
 data and its S, a point's entries, central exponents and support, and a
@@ -668,9 +668,10 @@ def fourier_coefficient(phi, gamma: RationalFunction, point: MirabolicPoint,
     What does not depend on the coset is done once per call: gamma's
     divisor, the check that target is over U's ground field, and the
     representatives.  Each coset's twist psi(-u gamma) is psi_0 of minus
-    scaled_trace(u, gamma), which forms no product adele.  For the length
-    of the call, mirabolic_expand shares the psi-free part and the traces
-    of its terms across the shifted points (see mirabolic_expand).
+    scaled_trace(u, gamma), which forms no product adele and traces each
+    component (place, u_v) once per call.  For the length of the call,
+    mirabolic_expand shares the psi-free part and the traces of its terms
+    across the shifted points (see mirabolic_expand).
     """
     reps = coset_reps(U, cap)
     index = quotient_index(U)
@@ -678,12 +679,12 @@ def fourier_coefficient(phi, gamma: RationalFunction, point: MirabolicPoint,
         if target.ground != U.ground:
             raise ConfigMismatch("psi target built for a different ground field")
         orders = dict(gamma.divisor().items)
-    acc = config.zero()
+    acc, traces = config.zero(), {}
     scope = _COSET_TERMS.set({})
     try:
         for u in reps:
             twist = config.one() if gamma.is_zero \
-                else target.psi0(-scaled_trace(u, gamma, orders))
+                else target.psi0(-scaled_trace(u, gamma, orders, traces))
             acc = acc + twist * phi(point.shifted_by(u))
     finally:
         _COSET_TERMS.reset(scope)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elladic import pipeline
+from elladic import function_field, pipeline
 from elladic.errors import (BadSquareRoot, ConfigMismatch, ElladicError,
                             IncompleteData, InsufficientPrecision,
                             NotCongruent, PrecisionLoss, SpecMismatch,
@@ -713,16 +713,18 @@ def test_coset_scope_refuses_a_support_that_moves_with_x(monkeypatch, target, sq
 
 
 def test_coset_scope_traces_once_per_gamma_place_and_x(monkeypatch, target, sqrt2):
-    """Within one coefficient, each (gamma, place, x, a2) is traced once
-    and each distinct point support checked once, though every coset
-    sums over every gamma of the support."""
+    """Within one coefficient, each (gamma, place, x, a2) is traced once,
+    each component of the twist once and each distinct point support
+    checked once, though every coset sums over every gamma of the
+    support and twists by every component of its representative."""
     spec, pl = PROPERTY_SPEC, G2.place([0, 1])
     pt = MirabolicPoint(G2, ((pl, local(pl, -1, 1), 1, 0),))
     U = invariance_divisor(spec, pt, Divisor.make(G2, [(pl, 1), (G2.infinity(), 1)]))
     support = gamma_support(spec, pt)
-    traced, checked, gammas = Counter(), Counter(), []
+    traced, twisted, checked, gammas = Counter(), Counter(), Counter(), []
     real_trace, real_residue, real_support = (pipeline._trace, pipeline.residue_trace,
                                               pipeline.gamma_support)
+    real_twist = function_field.residue_trace
 
     def tracing(specs, point, gamma, *rest):
         gammas.append(gamma)
@@ -734,6 +736,10 @@ def test_coset_scope_traces_once_per_gamma_place_and_x(monkeypatch, target, sqrt
         traced[gammas[-1], place, x] += 1
         return real_residue(place, x, y)
 
+    def twist(place, x, y):
+        twisted[place, x] += 1
+        return real_twist(place, x, y)
+
     def checking(spec, point, cap):
         checked[point.support()] += 1
         return real_support(spec, point, cap)
@@ -741,6 +747,7 @@ def test_coset_scope_traces_once_per_gamma_place_and_x(monkeypatch, target, sqrt
     for name, fn in (("_trace", tracing), ("residue_trace", residue),
                      ("gamma_support", checking)):
         monkeypatch.setattr(pipeline, name, fn)
+    monkeypatch.setattr(function_field, "residue_trace", twist)
     visited = []
 
     def phi(p):
@@ -753,6 +760,8 @@ def test_coset_scope_traces_once_per_gamma_place_and_x(monkeypatch, target, sqrt
     assert traced and max(traced.values()) == 1
     assert sum(traced.values()) < len(support) * sum(
         not x.is_exact_zero for p in visited for _, x, _, _ in p.entries)
+    assert twisted and max(twisted.values()) == 1
+    assert sum(twisted.values()) < sum(len(u.items) for u in coset_reps(U))
     assert checked and max(checked.values()) == 1
     assert len(checked) < len(visited)
 
