@@ -51,20 +51,14 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         report, ok = COMMANDS[args.command](args, load_input(args))
+        envelope = {"schema": jsonio.SCHEMA, "command": args.command, "seed": args.seed,
+                    "ok": ok, "result": report}
+        text = (json.dumps(envelope, sort_keys=True, indent=2) if args.format == "json"
+                else render_text(envelope))
     except Exception as exc:
         _emit_error(args, exc)
         return next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
-    envelope = {
-        "schema": jsonio.SCHEMA,
-        "command": args.command,
-        "seed": args.seed,
-        "ok": ok,
-        "result": report,
-    }
-    if args.format == "json":
-        print(json.dumps(envelope, sort_keys=True, indent=2))
-    else:
-        print(render_text(envelope))
+    print(text)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -181,7 +175,9 @@ def cmd_whittaker(args, data):
         if "param" in data or "weights" in data:
             raise InputError("'param' and 'weights' apply to one parameter, not to two 'params'")
         return _whittaker_pair(args, data, cfg, params)
-    obj = data.get("param") or (params[0] if params else None)
+    if "param" in data and params:
+        raise InputError("supply 'param' or one 'params' entry, not both")
+    obj = data.get("param", params[0] if params else None)
     if obj is None:
         raise InputError("supply 'param' (or 'params') for evaluation")
     S = jsonio.decode_satake(obj, cfg)
@@ -249,6 +245,8 @@ def cmd_psi(args, data):
     for item in items:
         item = jsonio._obj(item, "psi item")
         if "gamma" in item:
+            if "place" in item or "x" in item:
+                raise InputError("a psi item gives 'gamma' or 'place'+'x', not both")
             gamma = jsonio.decode_rational(item["gamma"], ground)
             if gamma.is_zero:
                 val = cfg.one()
@@ -280,6 +278,9 @@ def cmd_index(args, data):
     while m > 1:
         m //= ground.p
         exponent += 1
+    limit = sys.get_int_max_str_digits()
+    if limit and idx >= 10 ** limit:
+        raise TooLarge(f"the index {ground.p}^{exponent} has more than {limit} digits")
     return {"divisor": jsonio.encode_divisor(U), "index": idx,
             "p": ground.p, "p_exponent": exponent}, True
 
@@ -310,9 +311,11 @@ def cmd_pipeline(args, data):
         sq = jsonio.decode_local_number(sq_obj, cfg)
     samples_obj = data.get("samples", {"seed": args.seed, "count": 20})
     if isinstance(samples_obj, dict):
-        samples = default_sample_points(
-            ground, jsonio._int(samples_obj.get("seed", args.seed), "samples seed"),
-            jsonio._int(samples_obj.get("count", 20), "samples count"))
+        seed = jsonio._int(samples_obj.get("seed", args.seed), "samples seed")
+        count = jsonio._int(samples_obj.get("count", 20), "samples count")
+        if count < 0:
+            raise InputError("samples count must be >= 0")
+        samples = default_sample_points(ground, seed, count)
     else:
         samples = tuple(jsonio.decode_point(p, ground)
                         for p in jsonio._list(samples_obj, "'samples'"))

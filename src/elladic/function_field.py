@@ -560,6 +560,17 @@ def psi_conductor(place: Place) -> int:
     return 2 if place.is_infinity else 0
 
 
+def trace_digits(place: Place, xv: int, ordr: int, level: int = 0) -> int:
+    """The one rule for how far r is expanded at the place: for the residue
+    trace of x * r, with xv the valuation of x (read as 0 when positive,
+    so that all such x share one expansion) and ordr the order of r there,
+    absolute precision psi_conductor plus a margin of three digits; for a
+    Kirillov table whose cosets read level >= 1 digits of r's unit part,
+    one digit past the level and never fewer than level digits."""
+    need = max(psi_conductor(place), level + 1) if level else psi_conductor(place)
+    return max(1, level, need - min(xv, 0) - ordr + 3)
+
+
 def residue_trace(place: Place, x: LocalElement, y: LocalElement | None = None):
     """Tr_{kappa(v)/F_p}(res_v(x y dt)) as an int mod p; y = None means 1,
     and x y is not formed.
@@ -633,44 +644,31 @@ class Adele:
                 return x
         return LocalElement.exact_zero(place)
 
-    def support(self):
-        return tuple(pl for pl, _ in self.items)
-
     def __neg__(self):
         return Adele(self.ground, tuple((pl, -x) for pl, x in self.items))
 
 
 def principal_adele(r: RationalFunction) -> Adele:
     """The diagonal image of r, carried on its poles and infinity, with
-    enough precision to evaluate the residue character: absolute precision
-    psi_conductor plus a margin of two digits."""
+    enough precision to evaluate the residue character (trace_digits)."""
     ground = r.ground
     if r.is_zero:
         return Adele.zero(ground)
     orders = dict(r.divisor().items)
     places = {pl for pl, m in orders.items() if m < 0} | {ground.infinity()}
     return Adele.make(ground, [
-        (pl, expand_at(r, pl, max(1, psi_conductor(pl) - orders.get(pl, 0) + 2)))
+        (pl, expand_at(r, pl, trace_digits(pl, 0, orders.get(pl, 0))))
         for pl in places])
 
 
-def _scale_precision(place: Place, x: LocalElement, ordr: int) -> int:
-    """The digits of r expanded at the place for x * r: absolute precision
-    psi_conductor plus the margin of two digits that principal_adele uses,
-    with ordr the order of r there."""
-    return max(1, psi_conductor(place) - x.v - ordr + 2)
-
-
 def scale_adele(a: Adele, r: RationalFunction) -> Adele:
-    """Componentwise product of an adele with (the expansions of) r, to the
-    precision principal_adele uses."""
+    """Componentwise product of an adele with (the expansions of) r, each
+    to the digits trace_digits gives."""
     if r.is_zero:
         return Adele.zero(a.ground)
     orders = dict(r.divisor().items)
-    comps = []
-    for pl, x in a.items:
-        comps.append((pl, x * expand_at(r, pl, _scale_precision(pl, x, orders.get(pl, 0)))))
-    return Adele.make(a.ground, comps)
+    return Adele.make(a.ground, [
+        (pl, x * expand_at(r, pl, trace_digits(pl, x.v, orders.get(pl, 0)))) for pl, x in a.items])
 
 
 def scaled_trace(a: Adele, r: RationalFunction, orders: dict, memo: dict) -> int:
@@ -686,7 +684,7 @@ def scaled_trace(a: Adele, r: RationalFunction, orders: dict, memo: dict) -> int
         t = memo.get(item)
         if t is None:
             pl, x = item
-            gexp = expand_at(r, pl, _scale_precision(pl, x, orders.get(pl, 0)))
+            gexp = expand_at(r, pl, trace_digits(pl, x.v, orders.get(pl, 0)))
             t = memo[item] = residue_trace(pl, x, gexp)
         trace += t
     return trace

@@ -31,25 +31,23 @@ orders of gamma come from its divisor, one factorization per term.
 W(g), phi(g) and each coset of a Fourier coefficient are one finite sum
 over gamma of a psi-free factor times psi_0 of one trace: W is the term
 gamma = 1, the rational function 1, and phi the sum over the support.
-_sums is the only loop over gamma terms.  The psi-free part reads only
-the point's torus (the same point with every x the exact zero): gamma's
+_sums is the only loop over gamma terms.  The psi-free part (gamma's
 orders and each spec's product of Whittaker values, table values and
-central twists; it expands gamma only at tabulated places.  The trace
-reads the point's entries whose x is not the exact zero.  A unipotent
+central twists) reads only the point's torus signature, its nonzero a1,
+a2 and its central exponents; it expands gamma only at tabulated places.
+The trace reads the entries whose x is not the exact zero.  A unipotent
 shift changes only x, as in W(n(x)g) = psi(x)W(g), so the points of one
-torus share the psi-free part, and the trace is a sum over places of
-terms that each read one place's x.  W, phi and a spec pair keep
-nothing: each gamma's psi-free part lives only while its term is summed.
-For the length of one fourier_coefficient call, mirabolic_expand keeps
-one entry per (spec, torus, sqrt_q, target, cap): per gamma, the
-psi-free part, each value (coef * psi_0(t)) * sqrt_q^half and each
-place's trace per (x, a2), so a coset adds only the traces of x values
-no earlier coset had and one read per gamma; sqrt_q is checked once per
-entry and the gamma support once per distinct point support.  Outside
-such a call nothing is kept.  The call itself reads the Fourier
-gamma's divisor and builds the representatives once, and each coset's
-twist is one trace sum whose component traces are each taken once per
-call.  An empty Kirillov table is the zero function wherever it is read.
+torus share the psi-free part.  W, phi and a spec pair keep nothing past
+a gamma term.  mirabolic_expand keeps, until it returns or for the
+length of the fourier_coefficient call under way, one entry per (spec,
+torus signature, sqrt_q, target, cap): per gamma, the psi-free part,
+each value (coef * psi_0(t)) * sqrt_q^half and each place's trace per
+(x, a2), so a coset adds only the traces of x values no earlier coset
+had; sqrt_q is checked once per entry and the gamma support once per
+distinct point support.  fourier_coefficient reads its gamma's divisor
+and builds the representatives once, and traces each component of a
+coset's twist once.  An empty Kirillov table is the zero function
+wherever it is read.
 
 Per-place data is read from maps built once per object: a spec's explicit
 data and its S, a point's entries, central exponents and support, and a
@@ -69,7 +67,8 @@ from .function_field import (Adele, DEFAULT_ENUMERATION_CAP, Divisor,
                              GroundField, LocalElement, Place, PsiTarget,
                              RationalFunction, enumerate_places, expand_at,
                              coset_reps, psi_conductor, quotient_index,
-                             residue_trace, rr_nonzero, scaled_trace)
+                             residue_trace, rr_nonzero, scaled_trace,
+                             trace_digits)
 from .padic import FieldConfig, LocalNumber, congruent_mod_m
 from .satake import CharPoly, SatakeParam, char_poly, congruent, is_integral
 from .whittaker import check_sqrt_q, whittaker_value
@@ -303,6 +302,10 @@ class MirabolicPoint:
     [[u^a1, x], [0, u^a2]]; a2 must be 0 wherever tabulated data will be
     queried.  central lists uniformizer exponents of the central factor.
     A place appears at most once in each; a repeat raises ValueError.
+
+    torus, the torus signature, is the ground field, each entry's (place,
+    a1, a2) where a1 or a2 is nonzero, and central: what the psi-free part
+    of a gamma term reads, the same for every unipotent shift of the point.
     """
 
     ground: GroundField
@@ -325,13 +328,15 @@ class MirabolicPoint:
         if len({pl for pl, _ in cents}) != len(cents):
             raise ValueError("duplicate place in point central")
         object.__setattr__(self, "central", cents)
-        # place -> (x, a1, a2), place -> central exponent and the support,
-        # built once; attributes, not fields, so __eq__, hash and repr are
-        # unchanged
+        # place -> (x, a1, a2), place -> central exponent, the support and
+        # the torus signature, built once; attributes, not fields, so
+        # __eq__, hash and repr are unchanged
         object.__setattr__(self, "_at", {e[0]: e[1:] for e in ents})
         object.__setattr__(self, "_central_at", dict(cents))
         object.__setattr__(self, "_support", tuple(sorted(
             self._at.keys() | self._central_at.keys(), key=lambda p: p.sort_key())))
+        object.__setattr__(self, "torus", (self.ground, tuple(
+            (pl, a1, a2) for pl, _, a1, a2 in ents if a1 or a2), cents))
 
     def get(self, place: Place):
         at = self._at.get(place)
@@ -343,29 +348,14 @@ class MirabolicPoint:
     def support(self) -> tuple:
         return self._support
 
-    @cached_property
-    def torus(self) -> "MirabolicPoint":
-        """The same point with every x the exact zero, built on first use:
-        the psi-free part of a gamma term reads only this."""
-        if all(x.is_exact_zero for _, x, _, _ in self.entries):
-            return self
-        return MirabolicPoint(self.ground, tuple(
-            (pl, LocalElement.exact_zero(pl), a1, a2) for pl, _, a1, a2 in self.entries),
-            self.central)
-
     def shifted_by(self, u: Adele) -> "MirabolicPoint":
         """Left translation by the unipotent adele u: x_v += u_v * unif^a2."""
-        places = set(self.support()) | set(u.support())
-        entries = []
-        for pl in places:
-            x, a1, a2 = self.get(pl)
-            uv = u.get(pl)
-            if not uv.is_exact_zero:
-                x = x + (uv.shift(a2) if a2 else uv)
-            entries.append((pl, x, a1, a2))
-        shifted = MirabolicPoint(self.ground, tuple(entries), self.central)
-        shifted.__dict__["torus"] = self.torus   # a shift moves only x
-        return shifted
+        at = dict(self._at)
+        for pl, uv in u.items:
+            x, a1, a2 = at.get(pl) or (LocalElement.exact_zero(pl), 0, 0)
+            at[pl] = (x + (uv.shift(a2) if a2 else uv), a1, a2)
+        return MirabolicPoint(self.ground, tuple((pl, *e) for pl, e in at.items()),
+                              self.central)
 
 
 # ---------------------------------------------------------------------------
@@ -386,27 +376,26 @@ def _local_factor(datum, config: FieldConfig, place: Place, gamma: RationalFunct
     value at gamma's unit part times u^(a1 + ordg) times the central
     twist, zero for an empty table.
 
-    Only a table needs gamma's expansion: to the trace's precision rule
-    with x = 0, and never to fewer digits than the table's max level,
-    which is what its cosets read of gamma's unit part."""
+    Only a table needs gamma's expansion, to the digits trace_digits
+    gives for x = 0 and the table's max level."""
     if not isinstance(datum, TabulatedDatum):
         wv = whittaker_value(datum.satake, (a1 + ordg + central, a2 + central))
         return wv.coef, wv.q_half_exp * place.degree
     table = datum.table
     if table.is_empty:
         return config.zero(), 0
-    need = max(psi_conductor(place), table.max_level() + 1)
-    M = max(1, table.max_level(), need - ordg + 3)
+    M = trace_digits(place, 0, ordg, table.max_level())
     f_val = table.lookup(expand_at(gamma, place, M).shift(a1))
     if f_val.is_zero or not central:
         return f_val, 0
     return f_val * datum.central.value_at_uniformizer ** central, 0
 
 
-def _base_places(spec: GlobalWhittakerSpec, point: MirabolicPoint) -> set:
-    """The point's support, the exceptional set S and infinity: the places
-    every gamma term and every bound on the gamma support looks at."""
-    return set(point.support()) | set(spec.S) | {spec.ground.infinity()}
+def _base_places(spec: GlobalWhittakerSpec, places) -> set:
+    """The given places of a point, the exceptional set S and infinity:
+    the places every gamma term and every bound on the gamma support
+    looks at."""
+    return set(places) | set(spec.S) | {spec.ground.infinity()}
 
 
 def _pole_bound(spec: GlobalWhittakerSpec, point: MirabolicPoint, pl: Place):
@@ -414,10 +403,9 @@ def _pole_bound(spec: GlobalWhittakerSpec, point: MirabolicPoint, pl: Place):
     unramified, a1 - min_j tabulated, None if the table is empty."""
     _, a1, a2 = point.get(pl)
     datum = spec.datum_at(pl)
+    _check_mirabolic(datum, a2)
     if not isinstance(datum, TabulatedDatum):
         return a1 - a2
-    if a2 != 0:
-        raise UnsupportedPoint("tabulated place queried with a2 != 0")
     min_j = datum.table.min_valuation()
     return None if min_j is None else a1 - min_j
 
@@ -427,7 +415,7 @@ def gamma_support(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     """A finite superset of the gamma with nonzero term, as the nonzero
     part of a Riemann-Roch space built from the local vanishing bounds."""
     pairs = []
-    for pl in _base_places(spec, point):
+    for pl in _base_places(spec, point.support()):
         bound = _pole_bound(spec, point, pl)
         if bound is None:
             return ()
@@ -435,10 +423,11 @@ def gamma_support(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     return rr_nonzero(Divisor.make(spec.ground, pairs), cap)
 
 
-def _psi_free(specs: tuple, torus: MirabolicPoint, gamma: RationalFunction,
+def _psi_free(specs: tuple, point: MirabolicPoint, gamma: RationalFunction,
               target: PsiTarget) -> tuple:
-    """The psi-free part of the gamma term at diag(gamma,1) * torus, a
-    point whose x components are all exact zeros.
+    """The psi-free part of the gamma term at diag(gamma,1) * point, read
+    from the point's torus signature alone, so the same for every point
+    of that torus.
 
     Returns (orders, terms, fault): gamma's orders (place -> order on its
     divisor); for each spec, (coefficient, total half exponent, stop), the
@@ -448,24 +437,26 @@ def _psi_free(specs: tuple, torus: MirabolicPoint, gamma: RationalFunction,
     still live, None if there is none.  That place is then every live
     spec's stop, and _trace raises the error once it has read the
     point's entries up to it, so a term reports the fault a single pass
-    over the places meets first.  The places are the torus support, S,
-    infinity and the divisor of gamma; a place outside these has factor
-    W(0, 0) = 1.  A tabulated factor is computed once for all specs, so
+    over the places meets first.  The places are those of the torus
+    signature, S, infinity and the divisor of gamma; a place outside
+    these has factor W(0, 0) = 1.  A tabulated factor is computed once for all specs, so
     they must share S, w and the tables, the only spec data it reads;
     Whittaker values are the one factor computed per spec."""
     if target.ground != specs[0].ground:
         raise ConfigMismatch("psi target built for a different ground field")
     config = specs[0].config
     orders = dict(gamma.divisor().items)
-    relevant = _base_places(specs[0], torus) | orders.keys()
+    _, axes, central = point.torus
+    exps = {pl: (a1, a2) for pl, a1, a2 in axes}
+    relevant = _base_places(specs[0], exps.keys() | dict(central).keys()) | orders.keys()
     coefs = [config.one()] * len(specs)
     halves = [0] * len(specs)
     stops = [None] * len(specs)
     live = range(len(specs))      # the specs whose factors are all nonzero
     fault = None
     for pl in sorted(relevant, key=Place.sort_key):
-        _, a1, a2 = torus.get(pl)
-        c = torus.central_at(pl)
+        a1, a2 = exps.get(pl, (0, 0))
+        c = point.central_at(pl)
         ordg = orders.get(pl, 0)
         try:
             data = [specs[i].datum_at(pl) for i in live]
@@ -495,11 +486,11 @@ def _psi_free(specs: tuple, torus: MirabolicPoint, gamma: RationalFunction,
 
 
 def _trace(specs: tuple, point: MirabolicPoint, gamma: RationalFunction,
-           free: tuple, memo: dict | None = None) -> int:
+           free: tuple, memo: dict) -> int:
     """The residue-trace sum of the gamma term at diag(gamma,1) * point,
     over the point's entries whose x is not the exact zero: psi is one
     character of A/k, so the psi values of all places multiply to psi_0
-    of this one sum.  free is _psi_free's result at the point's torus.
+    of this one sum.  free is _psi_free's result at the point.
 
     An entry is read up to the last place where some spec's product is
     still live, with the data of those specs, as a single pass over the
@@ -508,8 +499,8 @@ def _trace(specs: tuple, point: MirabolicPoint, gamma: RationalFunction,
     fault beyond it, and the psi-free part's fault is raised after the
     entries up to its place.
 
-    memo, when given, maps (place, x, a2) to that entry's trace for this
-    gamma and free: an entry read before is added from it, and a new one
+    memo maps (place, x, a2) to that entry's trace for this gamma and
+    free: an entry read before is added from it, and a new one
     is stored once its trace is computed.  Only a trace that raised
     nothing is stored, so an error still surfaces at the first entry that
     meets it; everything the trace reads besides gamma and free is a
@@ -526,43 +517,31 @@ def _trace(specs: tuple, point: MirabolicPoint, gamma: RationalFunction,
             live = [s for s, stop in zip(specs, stops) if stop is None or key <= stop]
             if not live:
                 break
-        if memo is not None:
-            known = memo.get((pl, x, a2))
-            if known is not None:
-                trace += known
-                continue
+        known = memo.get((pl, x, a2))
+        if known is not None:
+            trace += known
+            continue
         data = [s.datum_at(pl) for s in live]
-        need = psi_conductor(pl)
-        if isinstance(data[0], TabulatedDatum):
-            need = max(need, data[0].table.max_level() + 1)
+        level = data[0].table.max_level() if isinstance(data[0], TabulatedDatum) else 0
         xv = 0 if x.is_zero_like else x.v
-        gexp = expand_at(gamma, pl, max(1, need - min(xv, 0) - orders.get(pl, 0) + 3))
+        gexp = expand_at(gamma, pl, trace_digits(pl, xv, orders.get(pl, 0), level))
         _check_mirabolic(data[0], a2)
-        t = residue_trace(pl, x.shift(-a2) if a2 else x, gexp)
-        if memo is not None:
-            memo[pl, x, a2] = t
+        t = memo[pl, x, a2] = residue_trace(pl, x.shift(-a2) if a2 else x, gexp)
         trace += t
     if fault is not None:
         raise fault
     return trace
 
 
-def _gamma_terms(specs: tuple, point: MirabolicPoint,
-                 gamma: RationalFunction, target: PsiTarget) -> list:
-    """The product of local values at diag(gamma,1) * point for each spec,
-    as (coefficient, total half exponent): the psi-free part at the
-    point's torus times psi_0 of the trace."""
-    free = _psi_free(specs, point.torus, gamma, target)
-    psi = target.psi0(_trace(specs, point, gamma, free))
-    return [(coef, 0) if stop is not None else (coef * psi, half)
-            for coef, half, stop in free[1]]
-
-
 def _gamma_term(spec: GlobalWhittakerSpec, point: MirabolicPoint,
                 gamma: RationalFunction, target: PsiTarget):
     """The product of local values at diag(gamma,1) * point, as
-    (coefficient, total half exponent)."""
-    return _gamma_terms((spec,), point, gamma, target)[0]
+    (coefficient, total half exponent): the psi-free part times psi_0 of
+    the trace."""
+    free = _psi_free((spec,), point, gamma, target)
+    psi = target.psi0(_trace((spec,), point, gamma, free, {}))
+    coef, half, stop = free[1][0]
+    return (coef, half) if stop is not None else (coef * psi, half)
 
 
 def _sums(specs: tuple, point: MirabolicPoint, gammas, sqrt_q: LocalNumber,
@@ -573,7 +552,7 @@ def _sums(specs: tuple, point: MirabolicPoint, gammas, sqrt_q: LocalNumber,
 
     Without terms, each gamma's psi-free part and values live only while
     its term is summed.  With terms, the list shared by the points of one
-    torus, terms[i] is the i-th gamma's psi-free part at the torus, a map
+    torus, terms[i] is the i-th gamma's psi-free part, a map
     (spec index, t) -> (coef * psi_0(t)) * sqrt_q^half and _trace's memo,
     (place, x, a2) -> that entry's trace; each value and trace is formed
     the first time it is met.  A missing entry is filled in gamma order,
@@ -583,10 +562,10 @@ def _sums(specs: tuple, point: MirabolicPoint, gammas, sqrt_q: LocalNumber,
     sums = [specs[0].config.zero()] * len(specs)
     for i, gamma in enumerate(gammas):
         if terms is None:
-            free, values, memo = _psi_free(specs, point.torus, gamma, target), {}, None
+            free, values, memo = _psi_free(specs, point, gamma, target), {}, {}
         else:
             if i == len(terms):
-                terms.append((_psi_free(specs, point.torus, gamma, target), {}, {}))
+                terms.append((_psi_free(specs, point, gamma, target), {}, {}))
             free, values, memo = terms[i]
         t = _trace(specs, point, gamma, free, memo) % p
         for k, (coef, half, stop) in enumerate(free[1]):
@@ -607,7 +586,7 @@ def _power(x: LocalNumber, e: int) -> LocalNumber:
 
 # the psi-free terms and traces shared by the cosets of the one
 # fourier_coefficient call under way, keyed on (spec, sqrt_q, target, cap,
-# torus); None outside such a call
+# torus signature); None outside such a call
 _COSET_TERMS: ContextVar = ContextVar("elladic_coset_terms", default=None)
 
 
@@ -617,16 +596,16 @@ def mirabolic_expand(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     """The finite sum over gamma of the Whittaker term at diag(gamma,1)g,
     collapsed to a plain field element through the supplied sqrt of q.
 
-    Inside a fourier_coefficient call, one scope entry per (spec, sqrt_q,
-    target, cap, torus) holds the gamma support, the point supports it
-    was checked against and _sums' term list: sqrt_q is checked once per
-    entry, the gamma support once per distinct point support, each gamma's
-    psi-free part once and each trace once per (gamma, place, x, a2).
-    Outside one, each call checks sqrt_q and sums with nothing kept."""
+    One scope entry per (spec, sqrt_q, target, cap, torus signature)
+    holds the gamma support, the point supports it was checked against
+    and _sums' term list: sqrt_q is checked once per entry, the gamma
+    support once per distinct point support, each gamma's psi-free part
+    once and each trace once per (gamma, place, x, a2).  The scope is the
+    one of the fourier_coefficient call under way, or outside such a call
+    a fresh one that lasts until this call returns."""
     scope = _COSET_TERMS.get()
     if scope is None:
-        check_sqrt_q(sqrt_q, spec.ground.q)
-        return _sums((spec,), point, gamma_support(spec, point, cap), sqrt_q, target)[0]
+        scope = {}
     # the objects phi closes over are keyed by identity, which hashes in
     # constant time; the entry holds them, so no id is reused in the scope
     key = (id(spec), id(sqrt_q), id(target), cap, point.torus)
@@ -638,9 +617,9 @@ def mirabolic_expand(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     support, checked, terms = entry[3:]
     if point.support() not in checked:
         # gamma_support reads a point only through its a1, a2 (fixed by the
-        # torus) and its support's places, and no x (a place where only x
-        # is set has pole bound 0), so every point with this torus has the
-        # same one and the i-th term is the i-th gamma's
+        # torus signature) and its support's places, and no x (a place where
+        # only x is set has pole bound 0), so every point with this torus
+        # has the same one and the i-th term is the i-th gamma's
         if support != gamma_support(spec, point, cap):
             raise RuntimeError("gamma support differs between points of one torus")
         checked.add(point.support())
@@ -705,7 +684,7 @@ def invariance_divisor(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     if extra is None:
         extra = Divisor.zero(spec.ground)
     pairs = []
-    for pl in _base_places(spec, point) | set(extra.support()):
+    for pl in _base_places(spec, point.support()) | set(extra.support()):
         bound = (_pole_bound(spec, point, pl) or 0) + max(extra.get(pl), 0)
         m_v = bound + psi_conductor(pl)
         if m_v > 0:
@@ -825,7 +804,8 @@ def congruence_pipeline(spec1: GlobalWhittakerSpec, spec2: GlobalWhittakerSpec,
     """Evaluate both Whittaker products and both expansions at every
     sample point and record integrality and residue agreement.  After
     validate_spec_pair the two specs share one gamma support per point
-    and one geometry per place (_gamma_terms): one pass serves both."""
+    and one geometry per place (_psi_free and _trace): one _sums pass
+    serves both."""
     validate_spec_pair(spec1, spec2)
     check_sqrt_q(sqrt_q, spec1.ground.q)
     specs, one = (spec1, spec2), (spec1.ground.constant(1),)

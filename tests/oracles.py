@@ -10,7 +10,8 @@ against.
   tables of elladic.gf.ExtField are checked against.
 * gamma_term_per_place, the gamma term of one spec as a product over
   places of psi_v times the local factor, which the one-trace kernel
-  elladic.pipeline._gamma_terms is checked against.
+  elladic.pipeline._gamma_term, and the pair sum elladic.pipeline._sums,
+  are checked against.
 * ord_by_division, the order of a rational function at a place by
   repeated division, which RationalFunction.divisor is checked against.
 * coset_reps_by_digit, the coset representatives of (A/k) / image(U)

@@ -479,6 +479,17 @@ S_PLACE = {"finite": [1, 1]}
     (["satake", "--precision", "0", "--input", json.dumps(SATAKE_PAIR)],
      "satake", "InputError"),
     (["rr", "--p", "2", "--f", "0", "--input", json.dumps(DIVISOR)], "rr", "InputError"),
+    (["whittaker", "--input", json.dumps({**WHITTAKER, "params": [WHITTAKER["param"]]})],
+     "whittaker", "InputError"),
+    (["whittaker", "--input", json.dumps({**WHITTAKER, "param": 0,
+                                          "params": [WHITTAKER["param"]]})],
+     "whittaker", "InputError"),
+    (["psi", "--p", "2", "--ell", "3", "--input", json.dumps(
+        {"items": [{**PSI["items"][0], "place": {"finite": [0, 1]},
+                    "x": {"place": {"finite": [0, 1]}, "v": -1, "coeffs": [1]}}]})],
+     "psi", "InputError"),
+    (["pipeline", "--input", json.dumps(replaced(PIPE_INPUT, ("samples", "count"), -3))],
+     "pipeline", "InputError"),
     (["rr", "--p", "x"], None, "InputError"),
     (["frobnicate", "--p", "2"], None, "InputError"),
 ], ids=["zero-denominator", "table-entry-5", "place-record-3", "default-rule-list",
@@ -497,6 +508,8 @@ S_PLACE = {"finite": [1, 1]}
         "infinity-string", "infinity-and-finite", "not-infinity-and-finite",
         "require-integral-string", "w-empty-object", "w-empty-list",
         "w-zero", "w-empty-string", "flag-d-0", "flag-precision-0", "flag-f-0",
+        "whittaker-param-and-params", "whittaker-falsy-param-and-params",
+        "psi-gamma-and-place", "samples-count-negative",
         "bad-flag-value", "unknown-command"])
 def test_malformed_request_exits_two(capsys, argv, command, error):
     """Malformed input or command line: exit 2 and a JSON record whose
@@ -605,6 +618,22 @@ def test_residue_field_order_limit(capsys):
     assert code == 0
     expansion = json.loads(out)["result"]["expansion"]
     assert expansion["v"] == 0 and len(expansion["coeffs"]) == 4
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_an_index_too_long_to_print_exits_three(capsys, fmt):
+    """An index of more decimal digits than Python will print, 2^14999
+    here, is refused with TooLarge: exit 3 and an error record, never a
+    traceback from encoding the report."""
+    code = main(["index", "--p", "2", "--format", fmt, "--input",
+                 json.dumps({"divisor": [[{"infinity": True}, 15000]]})])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    if fmt == "json":
+        record = json.loads(captured.err)
+        assert record["command"] == "index" and record["error"] == "TooLarge"
+    else:
+        assert captured.err.startswith("error [TooLarge]")
 
 
 def test_flags_may_precede_the_command(capsys):

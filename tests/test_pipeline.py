@@ -26,7 +26,7 @@ from elladic.pipeline import (CharacterFamily, GlobalWhittakerSpec,
                               fourier_coefficient, gamma_support,
                               invariance_divisor, mirabolic_expand, validate_spec_pair,
                               whittaker_at)
-from elladic.pipeline import _gamma_term, _gamma_terms
+from elladic.pipeline import _gamma_term, _sums
 from elladic.satake import SatakeParam
 from conftest import clear_elladic_caches, random_unit
 from oracles import coset_reps_by_digit, gamma_term_per_place
@@ -404,21 +404,29 @@ def outcome(fn, *args):
     return [digits(t) for t in out] if isinstance(out, list) else digits(out)
 
 
-def assert_kernel_matches(specs, point, gamma, target) -> list:
-    """_gamma_terms on the pair, and _gamma_term on each spec, against the
-    per-place product of each spec; returns the oracle's outcomes."""
+def pair_sums(specs, point, gamma, target, sqrt_q) -> list:
+    """The one-gamma _sums pass over the specs, the path congruence_pipeline
+    runs for a pair, as (value, 0) per spec."""
+    return [(v, 0) for v in _sums(specs, point, (gamma,), sqrt_q, target)]
+
+
+def assert_kernel_matches(specs, point, gamma, target, sqrt_q) -> list:
+    """_gamma_term on each spec against the per-place product of each
+    spec, and the pair's _sums against each spec's collapsed per-place
+    term or the oracle's error class; returns the oracle's outcomes."""
     want = [outcome(gamma_term_per_place, s, point, gamma, target) for s in specs]
     assert [outcome(_gamma_term, s, point, gamma, target) for s in specs] == want
-    pair = outcome(_gamma_terms, specs, point, gamma, target)
+    pair = outcome(pair_sums, specs, point, gamma, target, sqrt_q)
     errors = {w for w in want if isinstance(w, type)}
     if errors:
         assert pair in errors
     else:
-        assert pair == want
+        assert pair == [digits((collapsed_per_place(s, point, (gamma,), sqrt_q, target), 0))
+                        for s in specs]
     return want
 
 
-def test_gamma_terms_match_the_per_place_product(rng, target):
+def test_gamma_terms_match_the_per_place_product(rng, target, sqrt2):
     spec1, spec2 = build_spec_pair(rng, n_perturbed=3)
     specs = (spec1, spec2)
     s1_pl, t_pl = G2.place([1, 1]), G2.place([0, 1])
@@ -432,14 +440,14 @@ def test_gamma_terms_match_the_per_place_product(rng, target):
     zero_terms = 0
     for point in points + [tab_zero, unr_zero]:
         for gamma in (ONE,) + gamma_support(spec1, point):
-            want = assert_kernel_matches(specs, point, gamma, target)
+            want = assert_kernel_matches(specs, point, gamma, target, sqrt2)
             zero_terms += sum(not w[1] for w in want)
     for point in (tab_zero, unr_zero):
-        assert all(not w[1] for w in assert_kernel_matches(specs, point, ONE, target))
+        assert all(not w[1] for w in assert_kernel_matches(specs, point, ONE, target, sqrt2))
     assert zero_terms
 
 
-def test_gamma_terms_raise_where_the_per_place_product_does(rng, target):
+def test_gamma_terms_raise_where_the_per_place_product_does(rng, target, sqrt2):
     spec1, spec2 = build_spec_pair(rng)
     s1_pl, cubic = G2.place([1, 1]), G2.place([1, 0, 1, 1])
     gammas = (ONE, G2.t(), G2.rational([1], [1, 1]), G2.rational([1, 1], [0, 0, 1]))
@@ -449,18 +457,18 @@ def test_gamma_terms_raise_where_the_per_place_product_does(rng, target):
     at_cubic = MirabolicPoint(G2, ((cubic, LocalElement.exact_zero(cubic), 1, 0),))
     for specs, point, error in (((spec1, spec2), off_mirabolic, UnsupportedPoint),
                                 (short, at_cubic, IncompleteData)):
-        seen = [assert_kernel_matches(specs, point, g, target) for g in gammas]
+        seen = [assert_kernel_matches(specs, point, g, target, sqrt2) for g in gammas]
         assert seen[0] == [error, error]
     other = PsiTarget.create(GroundField(3), CFG)
     with pytest.raises(ConfigMismatch):
-        _gamma_terms((spec1, spec2), MirabolicPoint(G2), ONE, other)
+        _sums((spec1, spec2), MirabolicPoint(G2), (ONE,), sqrt2, other)
 
 
 def local(place, v, *coeffs, exact=True):
     return LocalElement.from_coeffs(place, v, coeffs, exact=exact)
 
 
-def test_gamma_terms_match_the_per_place_product_at_shifted_points(rng, target):
+def test_gamma_terms_match_the_per_place_product_at_shifted_points(rng, target, sqrt2):
     """The kernel where x is not zero: at a place with a1 = a2 = 0, with
     valuation -1 at the tabulated place w, beside central exponents, and
     at the points a Fourier coefficient shifts these to."""
@@ -481,7 +489,7 @@ def test_gamma_terms_match_the_per_place_product_at_shifted_points(rng, target):
         support = gamma_support(spec1, point)
         assert len(support) <= 63
         for gamma in (ONE,) + support:
-            want = assert_kernel_matches(specs, point, gamma, target)
+            want = assert_kernel_matches(specs, point, gamma, target, sqrt2)
             terms += sum(bool(w[1]) for w in want)
     assert terms
     # an empty table at w is the zero function
@@ -490,7 +498,7 @@ def test_gamma_terms_match_the_per_place_product_at_shifted_points(rng, target):
                                              for pl, d in s.explicit)) for s in specs)
     for point in (bare_x, at_w, central):
         for gamma in (ONE, G2.t()):
-            assert assert_kernel_matches(hollow, point, gamma, target) == [
+            assert assert_kernel_matches(hollow, point, gamma, target, sqrt2) == [
                 digits((CFG.zero(), 0))] * 2
     # default rules for degrees 1 and 2 only: x at the cubic place, where
     # a1 = a2 = 0, raises unless a zero factor at an earlier place stops
@@ -502,7 +510,7 @@ def test_gamma_terms_match_the_per_place_product_at_shifted_points(rng, target):
     for entries, error in (((), IncompleteData), (zero_first, None),
                            (short_digits, InsufficientPrecision)):
         point = MirabolicPoint(G2, entries + ((cubic, local(cubic, -1, 1), 0, 0),))
-        assert assert_kernel_matches(short, point, ONE, target)[0] == (
+        assert assert_kernel_matches(short, point, ONE, target, sqrt2)[0] == (
             error or digits((CFG.zero(), 0)))
     # two faults in one term, the later one at a place of the torus: the
     # term reports the one at the lower place, x's missing degree-3 rule
@@ -514,11 +522,12 @@ def test_gamma_terms_match_the_per_place_product_at_shifted_points(rng, target):
             (((t_pl, local(t_pl, -3, 1, exact=False), 0, 0),), InsufficientPrecision,
              "beyond precision")):
         point = MirabolicPoint(G2, entries + at_quartic)
-        assert assert_kernel_matches(short, point, ONE, target) == [error] * 2
-        for fn, arg in ((gamma_term_per_place, short[0]), (_gamma_term, short[0]),
-                        (_gamma_terms, short)):
+        assert assert_kernel_matches(short, point, ONE, target, sqrt2) == [error] * 2
+        for call in (lambda: gamma_term_per_place(short[0], point, ONE, target),
+                     lambda: _gamma_term(short[0], point, ONE, target),
+                     lambda: pair_sums(short, point, ONE, target, sqrt2)):
             with pytest.raises(error, match=match):
-                fn(arg, point, ONE, target)
+                call()
 
 
 def test_a_table_reads_gamma_to_its_max_level(target):
