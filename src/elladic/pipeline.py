@@ -586,7 +586,7 @@ def _power(x: LocalNumber, e: int) -> LocalNumber:
 
 # the psi-free terms and traces shared by the cosets of the one
 # fourier_coefficient call under way, keyed on (spec, sqrt_q, target, cap,
-# torus signature); None outside such a call
+# torus signature); unset, and so None, outside such a call
 _COSET_TERMS: ContextVar = ContextVar("elladic_coset_terms", default=None)
 
 
@@ -603,9 +603,7 @@ def mirabolic_expand(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     once and each trace once per (gamma, place, x, a2).  The scope is the
     one of the fourier_coefficient call under way, or outside such a call
     a fresh one that lasts until this call returns."""
-    scope = _COSET_TERMS.get()
-    if scope is None:
-        scope = {}
+    scope = _COSET_TERMS.get({})     # outside a call, a fresh scope
     # the objects phi closes over are keyed by identity, which hashes in
     # constant time; the entry holds them, so no id is reused in the scope
     key = (id(spec), id(sqrt_q), id(target), cap, point.torus)
@@ -917,7 +915,7 @@ def character_product(fam: CharacterFamily, y: RationalFunction,
         if pl in exclude:
             continue
         chi = fam.character_at(pl)
-        M = max(1, chi.level - orders.get(pl, 0) + 2)
+        M = max(1, chi.level, chi.level - orders.get(pl, 0) + 2)
         out = out * chi.evaluate(expand_at(y, pl, M))
     return out
 

@@ -926,6 +926,17 @@ def test_character_product_formula(rng):
         assert character_product(fam, y) == CFG.one()
 
 
+def test_a_ramified_character_reads_y_to_its_level():
+    """A character of level 2 reads two digits of y's unit part, however
+    high y's order there: t^3 / (1 + t) at t, whose unit part 1 + t + ...
+    lies in the coset of value 6, gives 3^3 * 6 at t and 1 elsewhere."""
+    t_pl = G2.place([0, 1])
+    chi = LocalCharacter(CFG.integer(3), 2, (((1, 0), CFG.one()), ((1, 1), CFG.integer(6))))
+    fam = CharacterFamily(G2, CFG, (t_pl,), tuple((d, CFG.one()) for d in range(1, 9)),
+                          ((t_pl, chi),))
+    assert character_product(fam, G2.rational([0, 0, 0, 1], [1, 1])) == CFG.integer(162)
+
+
 def test_central_char_propagation(rng):
     s_places = (G2.place([1, 1]),)
     fam1 = norm_family(1, 2, s_places)
