@@ -439,9 +439,10 @@ def _psi_free(specs: tuple, point: MirabolicPoint, gamma: RationalFunction,
     point's entries up to it, so a term reports the fault a single pass
     over the places meets first.  The places are those of the torus
     signature, S, infinity and the divisor of gamma; a place outside
-    these has factor W(0, 0) = 1.  A tabulated factor is computed once for all specs, so
-    they must share S, w and the tables, the only spec data it reads;
-    Whittaker values are the one factor computed per spec."""
+    these has factor W(0, 0) = 1.  A tabulated factor is computed once
+    for all specs, so they must share S, w and the tables, the only spec
+    data it reads; Whittaker values are the one factor computed per
+    spec."""
     if target.ground != specs[0].ground:
         raise ConfigMismatch("psi target built for a different ground field")
     config = specs[0].config
@@ -500,11 +501,11 @@ def _trace(specs: tuple, point: MirabolicPoint, gamma: RationalFunction,
     entries up to its place.
 
     memo maps (place, x, a2) to that entry's trace for this gamma and
-    free: an entry read before is added from it, and a new one
-    is stored once its trace is computed.  Only a trace that raised
-    nothing is stored, so an error still surfaces at the first entry that
-    meets it; everything the trace reads besides gamma and free is a
-    function of the key, since LocalElement equality is representational."""
+    free: an entry read before is added from it, and a new one is stored
+    once its trace is computed.  Only a trace that raised nothing is
+    stored, so an error still surfaces at the first entry that meets it;
+    everything the trace reads besides gamma and free is a function of
+    the key, since LocalElement equality is representational."""
     orders, terms, fault = free
     stops = [stop for _, _, stop in terms]
     trace = 0
