@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -24,7 +25,7 @@ from .errors import (ElladicError, InputError, InsufficientPrecision,
                      NotCongruent, NotIntegral, PrecisionLoss, TooLarge)
 from .function_field import (Divisor, GroundField, PsiTarget, expand_at,
                              principal_adele, psi_global, psi_local,
-                             quotient_index, rr_space)
+                             quotient_exponent, quotient_index, rr_space)
 from .padic import FieldConfig, sqrt_unit
 from .pipeline import (central_char_propagate, congruence_pipeline,
                        default_sample_points)
@@ -272,16 +273,13 @@ def cmd_index(args, data):
     U = jsonio.decode_divisor(data.get("divisor", []), ground)
     if any(m < 0 for _, m in U.items):
         raise InputError("'divisor' multiplicities must be >= 0 for an index")
-    idx = quotient_index(U)
-    exponent = 0
-    m = idx
-    while m > 1:
-        m //= ground.p
-        exponent += 1
+    exponent = quotient_exponent(U)
     limit = sys.get_int_max_str_digits()
-    if limit and idx >= 10 ** limit:
+    # p^e >= 10^limit, from logarithms, and exactly within one digit of it
+    gap = exponent * math.log10(ground.p) - limit
+    if limit and (ground.p ** exponent >= 10 ** limit if abs(gap) < 1 else gap > 0):
         raise TooLarge(f"the index {ground.p}^{exponent} has more than {limit} digits")
-    return {"divisor": jsonio.encode_divisor(U), "index": idx,
+    return {"divisor": jsonio.encode_divisor(U), "index": quotient_index(U),
             "p": ground.p, "p_exponent": exponent}, True
 
 

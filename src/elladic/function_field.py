@@ -550,6 +550,13 @@ class PsiTarget:
             powers.append(powers[-1] * zeta)
         return cls(ground, config, zeta, tuple(powers))
 
+    def __post_init__(self):
+        # the hash of the fields, stored once: a target keys the term tables
+        object.__setattr__(self, "_hash", hash((self.ground, self.config, self.zeta, self.powers)))
+
+    def __hash__(self):
+        return self._hash
+
     def psi0(self, a: int) -> LocalNumber:
         return self.powers[a % self.ground.p]
 
@@ -823,16 +830,20 @@ def quotient_index(U: Divisor) -> int:
 
     Exact for genus zero: the full integral adele ring surjects with
     kernel the constants, so the index is q^(sum m_v deg v - 1) when the
-    exponent sum is positive and 1 otherwise.  Always a power of p.
+    exponent sum is positive and 1 otherwise: p^quotient_exponent(U).
     """
+    return U.ground.p ** quotient_exponent(U)
+
+
+def quotient_exponent(U: Divisor) -> int:
+    """The e with quotient_index(U) = p^e, read from U without forming
+    the power: f * (sum m_v deg v - 1), or 0 when the sum is 0."""
     total = 0
     for pl, m in U.items:
         if m < 0:
             raise ValueError("quotient_index requires all exponents >= 0")
         total += m * pl.degree
-    if total == 0:
-        return 1
-    return U.ground.q ** (total - 1)
+    return U.ground.f * (total - 1) if total else 0
 
 
 def coset_reps(U: Divisor, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple:

@@ -37,17 +37,14 @@ central twists) reads only the point's torus signature, its nonzero a1,
 a2 and its central exponents; it expands gamma only at tabulated places.
 The trace reads the entries whose x is not the exact zero.  A unipotent
 shift changes only x, as in W(n(x)g) = psi(x)W(g), so the points of one
-torus share the psi-free part.  W, phi and a spec pair keep nothing past
-a gamma term.  mirabolic_expand keeps, until it returns or for the
-length of the fourier_coefficient call under way, one entry per (spec,
-torus signature, sqrt_q, target, cap): per gamma, the psi-free part,
-each value (coef * psi_0(t)) * sqrt_q^half and each place's trace per
-(x, a2), so a coset adds only the traces of x values no earlier coset
-had; sqrt_q is checked once per entry and the gamma support once per
-distinct point support.  fourier_coefficient reads its gamma's divisor
-and builds the representatives once, and traces each component of a
-coset's twist once.  An empty Kirillov table is the zero function
-wherever it is read.
+torus share the psi-free part: _sums reads every term from one table per
+(specs, torus signature, target, sqrt_q), gamma -> its psi-free part,
+its values per (spec, t) and its traces per entry.  The last _TABLES
+tables outlive the calls that fill them, and a gamma's traces start over
+past _TRACES; every entry is a function of its key, so W, phi, a pair
+and every coset share them in any order.  gamma_support is memoised per
+(spec, torus signature, support places, cap) and sqrt_q checked once per
+root.  An empty Kirillov table is the zero function wherever it is read.
 
 Per-place data is read from maps built once per object: a spec's explicit
 data and its S, a point's entries, central exponents and support, and a
@@ -57,7 +54,6 @@ character family's explicit and per-degree characters.
 from __future__ import annotations
 
 import random
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -260,8 +256,10 @@ class GlobalWhittakerSpec:
                 raise TypeError("unknown datum kind")
         # place -> datum, degree -> UnramifiedDatum and S, built once so
         # that datum_at reads one map and hands out one shared default
-        # datum; attributes, not fields, so __eq__, hash and repr are
-        # unchanged
+        # datum, and the hash of the fields, which keys the term tables;
+        # attributes, not fields, so __eq__ and repr are unchanged
+        object.__setattr__(self, "_hash", hash((self.ground, self.config, self.explicit,
+                                                self.default_rule, self.w)))
         object.__setattr__(self, "_explicit", dict(self.explicit))
         object.__setattr__(self, "S", tuple(pl for pl, d in self.explicit
                                             if isinstance(d, TabulatedDatum)))
@@ -282,6 +280,9 @@ class GlobalWhittakerSpec:
             if datum.table.is_empty or datum.table.value_at_one() != self.config.one():
                 raise ValueError(
                     f"tabulated place {place!r} must take the value 1 at the identity")
+
+    def __hash__(self):
+        return self._hash
 
     def datum_at(self, place: Place):
         datum = self._explicit.get(place)
@@ -398,10 +399,9 @@ def _base_places(spec: GlobalWhittakerSpec, places) -> set:
     return set(places) | set(spec.S) | {spec.ground.infinity()}
 
 
-def _pole_bound(spec: GlobalWhittakerSpec, point: MirabolicPoint, pl: Place):
+def _pole_bound(spec: GlobalWhittakerSpec, pl: Place, a1: int, a2: int):
     """The highest pole order at pl of a gamma with nonzero term: a1 - a2
     unramified, a1 - min_j tabulated, None if the table is empty."""
-    _, a1, a2 = point.get(pl)
     datum = spec.datum_at(pl)
     _check_mirabolic(datum, a2)
     if not isinstance(datum, TabulatedDatum):
@@ -413,10 +413,20 @@ def _pole_bound(spec: GlobalWhittakerSpec, point: MirabolicPoint, pl: Place):
 def gamma_support(spec: GlobalWhittakerSpec, point: MirabolicPoint,
                   cap: int = DEFAULT_ENUMERATION_CAP) -> tuple:
     """A finite superset of the gamma with nonzero term, as the nonzero
-    part of a Riemann-Roch space built from the local vanishing bounds."""
+    part of a Riemann-Roch space built from the local vanishing bounds.
+    It reads the point's a1, a2 (its torus signature) and the places of
+    its support, never x, so the cosets of a Fourier coefficient share it."""
+    return _support(spec, point.torus, point.support(), cap)
+
+
+@lru_cache(maxsize=64)
+def _support(spec: GlobalWhittakerSpec, torus: tuple, places: tuple, cap: int) -> tuple:
+    """gamma_support, memoised per (spec, torus signature, support places,
+    cap); an error is raised afresh at every call."""
+    exps = {pl: (a1, a2) for pl, a1, a2 in torus[1]}
     pairs = []
-    for pl in _base_places(spec, point.support()):
-        bound = _pole_bound(spec, point, pl)
+    for pl in _base_places(spec, places):
+        bound = _pole_bound(spec, pl, *exps.get(pl, (0, 0)))
         if bound is None:
             return ()
         pairs.append((pl, bound))
@@ -500,16 +510,14 @@ def _trace(specs: tuple, point: MirabolicPoint, gamma: RationalFunction,
     fault beyond it, and the psi-free part's fault is raised after the
     entries up to its place.
 
-    memo maps (place, x, a2) to that entry's trace for this gamma and
-    free: an entry read before is added from it, and a new one is stored
-    once its trace is computed.  Only a trace that raised nothing is
-    stored, so an error still surfaces at the first entry that meets it;
-    everything the trace reads besides gamma and free is a function of
-    the key, since LocalElement equality is representational."""
+    memo maps a point entry (place, x, a1, a2) to its trace, a function
+    of the entry, gamma and free; a trace that raised nothing is stored,
+    in a memo emptied first if it already holds _TRACES."""
     orders, terms, fault = free
     stops = [stop for _, _, stop in terms]
     trace = 0
-    for pl, x, _, a2 in point.entries:
+    for entry in point.entries:
+        pl, x, _, a2 = entry
         if x.is_exact_zero:
             continue
         live = specs
@@ -518,7 +526,7 @@ def _trace(specs: tuple, point: MirabolicPoint, gamma: RationalFunction,
             live = [s for s, stop in zip(specs, stops) if stop is None or key <= stop]
             if not live:
                 break
-        known = memo.get((pl, x, a2))
+        known = memo.get(entry)
         if known is not None:
             trace += known
             continue
@@ -527,7 +535,9 @@ def _trace(specs: tuple, point: MirabolicPoint, gamma: RationalFunction,
         xv = 0 if x.is_zero_like else x.v
         gexp = expand_at(gamma, pl, trace_digits(pl, xv, orders.get(pl, 0), level))
         _check_mirabolic(data[0], a2)
-        t = memo[pl, x, a2] = residue_trace(pl, x.shift(-a2) if a2 else x, gexp)
+        if len(memo) >= _TRACES:
+            memo.clear()
+        t = memo[entry] = residue_trace(pl, x.shift(-a2) if a2 else x, gexp)
         trace += t
     if fault is not None:
         raise fault
@@ -546,28 +556,26 @@ def _gamma_term(spec: GlobalWhittakerSpec, point: MirabolicPoint,
 
 
 def _sums(specs: tuple, point: MirabolicPoint, gammas, sqrt_q: LocalNumber,
-          target: PsiTarget, terms: list | None = None) -> list:
+          target: PsiTarget) -> list:
     """For each spec, the sum over gammas of its term at diag(gamma,1) *
     point, collapsed through the supplied sqrt of q: the one loop over
     gamma terms behind W, phi and every coset of a Fourier coefficient.
 
-    Without terms, each gamma's psi-free part and values live only while
-    its term is summed.  With terms, the list shared by the points of one
-    torus, terms[i] is the i-th gamma's psi-free part, a map
-    (spec index, t) -> (coef * psi_0(t)) * sqrt_q^half and _trace's memo,
-    (place, x, a2) -> that entry's trace; each value and trace is formed
-    the first time it is met.  A missing entry is filled in gamma order,
-    so an error surfaces at the same gamma however many points share the
-    list; each point adds only the traces of entries no earlier point had."""
+    Terms come from the _terms table of the point's torus signature,
+    gamma -> (psi-free part, (spec index, t) -> (coef * psi_0(t)) *
+    sqrt_q^half, _trace's memo), each part formed in gamma order the
+    first time it is met.  A psi-free part that met a fault is not kept,
+    so each call raises a fault of its own."""
     p = specs[0].ground.p
+    table = _terms(specs, point.torus, target, sqrt_q)
     sums = [specs[0].config.zero()] * len(specs)
-    for i, gamma in enumerate(gammas):
-        if terms is None:
-            free, values, memo = _psi_free(specs, point, gamma, target), {}, {}
-        else:
-            if i == len(terms):
-                terms.append((_psi_free(specs, point, gamma, target), {}, {}))
-            free, values, memo = terms[i]
+    for gamma in gammas:
+        entry = table.get(gamma)
+        if entry is None:
+            entry = (_psi_free(specs, point, gamma, target), {}, {})
+            if entry[0][2] is None:
+                table[gamma] = entry
+        free, values, memo = entry
         t = _trace(specs, point, gamma, free, memo) % p
         for k, (coef, half, stop) in enumerate(free[1]):
             if stop is None:
@@ -578,6 +586,19 @@ def _sums(specs: tuple, point: MirabolicPoint, gammas, sqrt_q: LocalNumber,
     return sums
 
 
+# how many gamma-term tables _terms keeps, and how many traces a gamma's
+# memo holds before it starts over
+_TABLES = 16
+_TRACES = 64
+
+
+@lru_cache(maxsize=_TABLES)
+def _terms(specs: tuple, torus: tuple, target: PsiTarget, sqrt_q: LocalNumber) -> dict:
+    """The gamma-term table _sums fills, empty when made and kept until
+    _TABLES newer ones evict it: every entry is a function of the key."""
+    return {}
+
+
 @lru_cache(maxsize=64)
 def _power(x: LocalNumber, e: int) -> LocalNumber:
     """x ** e, memoised: every sum collapses through the same few powers
@@ -585,44 +606,17 @@ def _power(x: LocalNumber, e: int) -> LocalNumber:
     return x ** e
 
 
-# the psi-free terms and traces shared by the cosets of the one
-# fourier_coefficient call under way, keyed on (spec, sqrt_q, target, cap,
-# torus signature); unset, and so None, outside such a call
-_COSET_TERMS: ContextVar = ContextVar("elladic_coset_terms", default=None)
-
-
 def mirabolic_expand(spec: GlobalWhittakerSpec, point: MirabolicPoint,
                      sqrt_q: LocalNumber, target: PsiTarget,
                      cap: int = DEFAULT_ENUMERATION_CAP) -> LocalNumber:
     """The finite sum over gamma of the Whittaker term at diag(gamma,1)g,
     collapsed to a plain field element through the supplied sqrt of q.
-
-    One scope entry per (spec, sqrt_q, target, cap, torus signature)
-    holds the gamma support, the point supports it was checked against
-    and _sums' term list: sqrt_q is checked once per entry, the gamma
-    support once per distinct point support, each gamma's psi-free part
-    once and each trace once per (gamma, place, x, a2).  The scope is the
-    one of the fourier_coefficient call under way, or outside such a call
-    a fresh one that lasts until this call returns."""
-    scope = _COSET_TERMS.get({})     # outside a call, a fresh scope
-    # the objects phi closes over are keyed by identity, which hashes in
-    # constant time; the entry holds them, so no id is reused in the scope
-    key = (id(spec), id(sqrt_q), id(target), cap, point.torus)
-    entry = scope.get(key)
-    if entry is None:
-        check_sqrt_q(sqrt_q, spec.ground.q)
-        entry = scope[key] = (spec, sqrt_q, target, gamma_support(spec, point, cap),
-                              {point.support()}, [])
-    support, checked, terms = entry[3:]
-    if point.support() not in checked:
-        # gamma_support reads a point only through its a1, a2 (fixed by the
-        # torus signature) and its support's places, and no x (a place where
-        # only x is set has pole bound 0), so every point with this torus
-        # has the same one and the i-th term is the i-th gamma's
-        if support != gamma_support(spec, point, cap):
-            raise RuntimeError("gamma support differs between points of one torus")
-        checked.add(point.support())
-    return _sums((spec,), point, support, sqrt_q, target, terms)[0]
+    sqrt_q is checked, once per root, before the memoised gamma support
+    is read; the terms come from the table of the point's torus signature
+    (see _sums), which outlives the call, so the points of one torus
+    share each gamma's psi-free part and traces."""
+    check_sqrt_q(sqrt_q, spec.ground.q)
+    return _sums((spec,), point, gamma_support(spec, point, cap), sqrt_q, target)[0]
 
 
 def whittaker_at(spec: GlobalWhittakerSpec, point: MirabolicPoint,
@@ -642,14 +636,12 @@ def fourier_coefficient(phi, gamma: RationalFunction, point: MirabolicPoint,
     phi must be invariant under translations from U (caller-asserted);
     the averaging denominator is a power of p, hence a unit in the
     coefficient field.  The cosets are summed in the order of coset_reps.
-
-    What does not depend on the coset is done once per call: gamma's
-    divisor, the check that target is over U's ground field, and the
-    representatives.  Each coset's twist psi(-u gamma) is psi_0 of minus
+    gamma's divisor, the target's check and the representatives are made
+    once per call; each coset's twist psi(-u gamma) is psi_0 of minus
     scaled_trace(u, gamma), which forms no product adele and traces each
-    component (place, u_v) once per call.  For the length of the call,
-    mirabolic_expand shares the psi-free part and the traces of its terms
-    across the shifted points (see mirabolic_expand).
+    component (place, u_v) once per call.  The shifted points share a
+    torus signature, so a phi built on mirabolic_expand reads one
+    gamma-term table for all of them (see _sums).
     """
     reps = coset_reps(U, cap)
     index = quotient_index(U)
@@ -658,14 +650,10 @@ def fourier_coefficient(phi, gamma: RationalFunction, point: MirabolicPoint,
             raise ConfigMismatch("psi target built for a different ground field")
         orders = dict(gamma.divisor().items)
     acc, traces = config.zero(), {}
-    scope = _COSET_TERMS.set({})
-    try:
-        for u in reps:
-            twist = config.one() if gamma.is_zero \
-                else target.psi0(-scaled_trace(u, gamma, orders, traces))
-            acc = acc + twist * phi(point.shifted_by(u))
-    finally:
-        _COSET_TERMS.reset(scope)
+    for u in reps:
+        twist = config.one() if gamma.is_zero \
+            else target.psi0(-scaled_trace(u, gamma, orders, traces))
+        acc = acc + twist * phi(point.shifted_by(u))
     return acc * config.integer(index).inv()
 
 
@@ -684,7 +672,7 @@ def invariance_divisor(spec: GlobalWhittakerSpec, point: MirabolicPoint,
         extra = Divisor.zero(spec.ground)
     pairs = []
     for pl in _base_places(spec, point.support()) | set(extra.support()):
-        bound = (_pole_bound(spec, point, pl) or 0) + max(extra.get(pl), 0)
+        bound = (_pole_bound(spec, pl, *point.get(pl)[1:]) or 0) + max(extra.get(pl), 0)
         m_v = bound + psi_conductor(pl)
         if m_v > 0:
             pairs.append((pl, m_v))

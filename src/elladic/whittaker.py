@@ -130,8 +130,10 @@ def _whittaker_value(S: SatakeParam, a: tuple) -> WhittakerValue:
     return WhittakerValue.make(schur_value(S, a), half_exponent(a))
 
 
+@lru_cache(maxsize=16)
 def check_sqrt_q(sqrt_q: LocalNumber, q: int):
-    """Raise BadSquareRoot unless sqrt_q squares to q to full precision."""
+    """Raise BadSquareRoot unless sqrt_q squares to q to full precision;
+    memoised, so a right root is checked once."""
     check = sqrt_q * sqrt_q - sqrt_q.config.integer(q)
     if not check.is_zero and check.valuation() < sqrt_q.config.precision:
         raise BadSquareRoot(f"supplied root does not square to {q}")

@@ -6,6 +6,11 @@ against.
   share nothing with the production Jacobi-Trudi table; det is the plain
   cofactor determinant both the bialternant and the per-weight reference
   sweep of test_whittaker expand.
+* residue_by_dual_jacobi_trudi, the residue of a Schur value mod l from
+  the dual Jacobi-Trudi determinant in the elementary symmetric
+  functions of the entries' residues, with no l-adic arithmetic, which
+  the residues of whittaker.schur_value and of the sweep behind
+  whittaker.check_congruence are checked against.
 * TupleField, the polynomial-arithmetic finite field that the int-coded
   tables of elladic.gf.ExtField are checked against.
 * gamma_term_per_place, the gamma term of one spec as a product over
@@ -24,7 +29,7 @@ import itertools
 from elladic.errors import TooLarge, UnsupportedPoint
 from elladic.function_field import (INF, Adele, LocalElement, Place,
                                     expand_at, psi_conductor, psi_local)
-from elladic.gf import factorize_int, fp_divmod, fp_factor, fp_monic
+from elladic.gf import factorize_int, fp_divmod, fp_factor, fp_monic, from_digits
 from elladic.pipeline import TabulatedDatum
 from elladic.satake import SatakeParam, elementary_symmetric_all
 from elladic.whittaker import is_dominant, whittaker_value
@@ -93,6 +98,41 @@ def schur_oracle(S: SatakeParam, a):
         return total
     e_n = elementary_symmetric_all(S)[n]
     return total * e_n ** c
+
+
+def residue_by_dual_jacobi_trudi(S: SatakeParam, a):
+    """The residue of s_a(mu), as a code of config.residue_field(), read
+    from the residues of the entries alone: det(e_(l'_i - i + j)) for l'
+    the conjugate of the partition a - a_n, times e_n^(a_n), where e_k is
+    the k-th elementary symmetric function of the residues.  The entries
+    must be integral; None when a_n < 0 and e_n reduces to zero, where
+    s_a need not be integral."""
+    cfg = S.config
+    F = cfg.residue_field()
+    e = [1]
+    for m in S.mu:
+        r = from_digits(m.reduce(), cfg.ell)
+        e = [F.add(hi, F.mul(r, lo)) for hi, lo in zip(e + [0], [0] + e)]
+    n, lam = S.n, [ai - a[-1] for ai in a]
+    if a[-1] < 0 and not e[n]:
+        return None
+    conj = [sum(1 for part in lam if part >= i) for i in range(1, lam[0] + 1)]
+    rows = [[e[k] if 0 <= (k := conj[i] - i + j) <= n else 0 for j in range(len(conj))]
+            for i in range(len(conj))]
+    value = 1
+    for col in range(len(rows)):      # Gaussian elimination over F
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            value = F.neg(value)
+        value = F.mul(value, rows[col][col])
+        inv = F.inv(rows[col][col])
+        for r in range(col + 1, len(rows)):
+            factor = F.mul(rows[r][col], inv)
+            rows[r] = [F.sub(x, F.mul(factor, y)) for x, y in zip(rows[r], rows[col])]
+    return F.mul(value, F.pow(e[n] if a[-1] >= 0 else F.inv(e[n]), abs(a[-1])))
 
 
 def _ssyt_fillings(shape, n):

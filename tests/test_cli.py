@@ -1,14 +1,16 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elladic import jsonio
+from elladic import cli, jsonio
 from elladic.cli import main
 from elladic.errors import InputError
 from elladic.function_field import GroundField, LocalElement
@@ -634,6 +636,36 @@ def test_an_index_too_long_to_print_exits_three(capsys, fmt):
         assert record["command"] == "index" and record["error"] == "TooLarge"
     else:
         assert captured.err.startswith("error [TooLarge]")
+
+
+def index_at_infinity(multiplicity):
+    return ["index", "--p", "2", "--input",
+            json.dumps({"divisor": [[{"infinity": True}, multiplicity]]})]
+
+
+def test_an_index_is_refused_exactly_at_the_print_limit(capsys):
+    """Over F_2 the index at infinity with multiplicity m is 2^(m - 1): the
+    largest exponent below 10^limit prints, the next is refused."""
+    limit = sys.get_int_max_str_digits()
+    e = next(e for e in itertools.count(int(limit * 3.3)) if 2 ** e >= 10 ** limit)
+    code, out = run(capsys, *index_at_infinity(e))
+    body = json.loads(out)["result"]
+    assert code == 0 and body["p_exponent"] == e - 1 and body["index"] == 2 ** (e - 1)
+    code, record = run_failing(capsys, *index_at_infinity(e + 1))
+    assert code == 3 and record["error"] == "TooLarge"
+    assert record["message"] == f"the index 2^{e} has more than {limit} digits"
+
+
+def test_a_huge_index_is_refused_before_the_power_is_formed(capsys, monkeypatch):
+    """The exponent is read from the divisor, so a multiplicity of 10^12
+    is refused at once, before quotient_index could form the power."""
+    def forming(U):
+        raise RuntimeError("the index was formed")
+
+    monkeypatch.setattr(cli, "quotient_index", forming)
+    code, record = run_failing(capsys, *index_at_infinity(10 ** 12))
+    assert code == 3 and record["error"] == "TooLarge"
+    assert record["message"].startswith(f"the index 2^{10 ** 12 - 1} has more than")
 
 
 def test_flags_may_precede_the_command(capsys):

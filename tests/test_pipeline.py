@@ -1,5 +1,6 @@
 import itertools
 import random
+import traceback
 from collections import Counter
 from dataclasses import replace
 
@@ -28,6 +29,7 @@ from elladic.pipeline import (CharacterFamily, GlobalWhittakerSpec,
                               whittaker_at)
 from elladic.pipeline import _gamma_term, _sums
 from elladic.satake import SatakeParam
+from elladic.whittaker import check_sqrt_q
 from conftest import clear_elladic_caches, random_unit
 from oracles import coset_reps_by_digit, gamma_term_per_place
 
@@ -358,7 +360,7 @@ def test_pipeline_congruence(rng, target, sqrt2):
 
 def test_pipeline_pair_shares_geometry(rng, target, sqrt2, monkeypatch):
     """The pair costs one gamma support per point and the expansions of
-    one spec, not two, with cold caches and with warm ones alike."""
+    one spec, not two, each run from cold caches."""
     spec1, spec2 = build_spec_pair(rng)
     samples = default_sample_points(G2, seed=3, count=4)
     calls = Counter()
@@ -370,10 +372,12 @@ def test_pipeline_pair_shares_geometry(rng, target, sqrt2, monkeypatch):
         return counted
 
     def counts():
-        """Calls made by the pair, then by spec1 alone."""
+        """Calls made by the pair, then by spec1 alone, from cold caches."""
+        clear_elladic_caches()
         calls.clear()
         congruence_pipeline(spec1, spec2, samples, sqrt2, target)
         pair = dict(calls)
+        clear_elladic_caches()
         calls.clear()
         for point in samples:
             whittaker_at(spec1, point, sqrt2, target)
@@ -382,7 +386,6 @@ def test_pipeline_pair_shares_geometry(rng, target, sqrt2, monkeypatch):
 
     for name in ("gamma_support", "expand_at"):
         monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
-    clear_elladic_caches()
     cold = counts()
     assert counts() == cold
     pair, single = cold
@@ -634,105 +637,49 @@ def test_coset_scope_gives_the_value_or_error_of_a_call_outside_it(case):
         assert got == expand_outcome(spec, p, sqrt_q, target)
 
 
-def test_coset_scope_lasts_one_fourier_coefficient(target, sqrt2):
-    """The psi-free terms are shared for the length of one call: every
-    coset sees one scope, and none is left after the call returns or
-    after phi raises."""
-    spec, pt = unramified_spec(), MirabolicPoint(G2)
-    U = invariance_divisor(spec, pt)
-    scopes = []
-
-    def phi(p):
-        scopes.append(pipeline._COSET_TERMS.get())
-        return mirabolic_expand(spec, p, sqrt2, target)
-
-    fourier_coefficient(phi, gamma_support(spec, pt)[0], pt, U, target, CFG)
-    assert len(scopes) == quotient_index(U) > 1
-    assert scopes[0] and all(s is scopes[0] for s in scopes)
-    assert pipeline._COSET_TERMS.get() is None
-
-    def failing(p):
-        raise UnsupportedPoint("phi refuses the point")
-
-    with pytest.raises(UnsupportedPoint):
-        fourier_coefficient(failing, G2.t(), pt, U, target, CFG)
-    assert pipeline._COSET_TERMS.get() is None
-
-
 def test_coset_scope_checks_sqrt_q_once_per_entry(monkeypatch, target, sqrt2):
-    """A wrong sqrt_q is refused at the first coset, leaving no scope;
-    inside a scope sqrt_q is checked once per shared entry, not once per
-    coset, and outside one at every call."""
+    """A wrong sqrt_q is refused at the first coset, before any gamma
+    support is read, and again at every call; a right one is checked
+    once per root, however many cosets and calls read it."""
     spec, pt = unramified_spec(), MirabolicPoint(G2)
     U = invariance_divisor(spec, pt)
     gamma = gamma_support(spec, pt)[0]
-    visited = []
+    clear_elladic_caches()
+    visited, supports = [], []
+    real = pipeline.gamma_support
+    monkeypatch.setattr(pipeline, "gamma_support",
+                        lambda *args: supports.append(args) or real(*args))
 
     def wrong_root(p):
         visited.append(p)
         return mirabolic_expand(spec, p, CFG.integer(2), target)
 
-    with pytest.raises(BadSquareRoot):
-        fourier_coefficient(wrong_root, gamma, pt, U, target, CFG)
-    assert len(visited) == 1
-    assert pipeline._COSET_TERMS.get() is None
-
-    checks = []
-    real = pipeline.check_sqrt_q
-
-    def counting(sqrt_q, q):
-        checks.append(sqrt_q)
-        return real(sqrt_q, q)
-
-    monkeypatch.setattr(pipeline, "check_sqrt_q", counting)
-    scopes = []
-
-    def phi(p):
-        scopes.append(pipeline._COSET_TERMS.get())
-        return mirabolic_expand(spec, p, sqrt2, target)
-
-    fourier_coefficient(phi, gamma, pt, U, target, CFG)
-    assert len(scopes) == quotient_index(U) > 1
-    assert len(checks) == len(scopes[0]) == 1
-    checks.clear()
     for _ in range(2):
-        mirabolic_expand(spec, pt, sqrt2, target)
-    assert len(checks) == 2
-
-
-def test_coset_scope_refuses_a_support_that_moves_with_x(monkeypatch, target, sqrt2):
-    """The shared terms are matched to gammas by position, so a support
-    that differed between two points of one torus is refused."""
-    spec, pl = unramified_spec(), G2.place([0, 1])
-    pt = MirabolicPoint(G2, ((pl, LocalElement.exact_zero(pl), 1, 0),))
-    U = invariance_divisor(spec, pt)
-    support = gamma_support(spec, pt)
-    assert len(support) == 3
-    calls = []
-
-    def moving_support(spec, point, cap):
-        calls.append(point)
-        return support if len(calls) == 1 else support[::-1]
-
-    monkeypatch.setattr(pipeline, "gamma_support", moving_support)
-    with pytest.raises(RuntimeError):
-        fourier_coefficient(lambda p: mirabolic_expand(spec, p, sqrt2, target),
-                            support[0], pt, U, target, CFG)
-    assert len(calls) == 2
+        with pytest.raises(BadSquareRoot):
+            fourier_coefficient(wrong_root, gamma, pt, U, target, CFG)
+    assert len(visited) == 2 and not supports
+    fourier_coefficient(lambda p: mirabolic_expand(spec, p, sqrt2, target),
+                        gamma, pt, U, target, CFG)
+    mirabolic_expand(spec, pt, sqrt2, target)
+    assert len(supports) == quotient_index(U) + 1 > 2
+    checks = check_sqrt_q.cache_info()
+    assert (checks.misses, checks.hits) == (3, quotient_index(U))
 
 
 def test_coset_scope_traces_once_per_gamma_place_and_x(monkeypatch, target, sqrt2):
-    """Within one coefficient, each (gamma, place, x, a2) is traced once,
-    each component of the twist once and each distinct point support
-    checked once, though every coset sums over every gamma of the
-    support and twists by every component of its representative."""
+    """Within one coefficient from cold caches, each (gamma, place, x, a2)
+    is traced once, each component of the twist once and each distinct
+    point support's divisor built once, though every coset sums over
+    every gamma of the support and twists by every component of its
+    representative."""
     spec, pl = PROPERTY_SPEC, G2.place([0, 1])
     pt = MirabolicPoint(G2, ((pl, local(pl, -1, 1), 1, 0),))
     U = invariance_divisor(spec, pt, Divisor.make(G2, [(pl, 1), (G2.infinity(), 1)]))
     support = gamma_support(spec, pt)
-    traced, twisted, checked, gammas = Counter(), Counter(), Counter(), []
-    real_trace, real_residue, real_support = (pipeline._trace, pipeline.residue_trace,
-                                              pipeline.gamma_support)
+    clear_elladic_caches()
+    traced, twisted, built, gammas = Counter(), Counter(), [], []
+    real_trace, real_residue, real_rr = (pipeline._trace, pipeline.residue_trace,
+                                         pipeline.rr_nonzero)
     real_twist = function_field.residue_trace
 
     def tracing(specs, point, gamma, *rest):
@@ -749,12 +696,12 @@ def test_coset_scope_traces_once_per_gamma_place_and_x(monkeypatch, target, sqrt
         twisted[place, x] += 1
         return real_twist(place, x, y)
 
-    def checking(spec, point, cap):
-        checked[point.support()] += 1
-        return real_support(spec, point, cap)
+    def building(D, cap):
+        built.append(D)
+        return real_rr(D, cap)
 
     for name, fn in (("_trace", tracing), ("residue_trace", residue),
-                     ("gamma_support", checking)):
+                     ("rr_nonzero", building)):
         monkeypatch.setattr(pipeline, name, fn)
     monkeypatch.setattr(function_field, "residue_trace", twist)
     visited = []
@@ -771,8 +718,7 @@ def test_coset_scope_traces_once_per_gamma_place_and_x(monkeypatch, target, sqrt
         not x.is_exact_zero for p in visited for _, x, _, _ in p.entries)
     assert twisted and max(twisted.values()) == 1
     assert sum(twisted.values()) < sum(len(u.items) for u in coset_reps(U))
-    assert checked and max(checked.values()) == 1
-    assert len(checked) < len(visited)
+    assert len(built) == len({p.support() for p in visited}) < len(visited)
 
 
 def test_spec_pair_validation_builds_each_char_poly_once(rng, target, sqrt2,
@@ -1014,3 +960,83 @@ def test_default_sample_points_deterministic():
     for pt in a:
         for _, x, _, a2 in pt.entries:
             assert a2 == 0
+
+
+def test_a_stream_of_x_at_one_torus_keeps_the_tables_bounded(target, sqrt2):
+    """2,000 points of one torus with distinct x leave each gamma's trace
+    memo within _TRACES and give the values of cleared caches; more tori
+    than _TABLES leave _TABLES tables."""
+    spec, pl, inf = unramified_spec(3), G2.place([0, 1]), G2.infinity()
+
+    def point(i, a1=1):
+        x = local(pl, -1, 1, *((i >> k) & 1 for k in range(11)))
+        return MirabolicPoint(G2, ((pl, x, a1, 0), (inf, local(inf, -1, 1, i & 1), 0, 0)))
+
+    clear_elladic_caches()
+    values = [mirabolic_expand(spec, point(i), sqrt2, target) for i in range(2000)]
+    table = pipeline._terms((spec,), point(0).torus, target, sqrt2)
+    assert len(table) == len(gamma_support(spec, point(0))) > 1
+    assert all(0 < len(memo) <= pipeline._TRACES for _, _, memo in table.values())
+    for i in (0, 777, 1999):
+        clear_elladic_caches()
+        assert digits((mirabolic_expand(spec, point(i), sqrt2, target), 0)) == \
+            digits((values[i], 0))
+    for a1 in range(pipeline._TABLES + 4):
+        whittaker_at(spec, point(a1, a1), sqrt2, target)
+    assert pipeline._terms.cache_info().currsize == pipeline._TABLES
+
+
+def test_a_psi_free_fault_raised_from_a_warm_table_keeps_its_traceback(target, sqrt2):
+    """Default rules for degrees 1 and 2 only: W at a cubic place of the
+    torus, and phi at a point whose support holds a gamma with a cubic
+    zero after gammas the table keeps, raise IncompleteData three times
+    from one table, each time a fresh error with a traceback as long."""
+    spec = unramified_spec()
+    short = replace(spec, default_rule=spec.default_rule[:2])
+    cubic, pl = G2.place([1, 0, 1, 1]), G2.place([0, 1])
+    at_cubic = MirabolicPoint(G2, ((cubic, LocalElement.exact_zero(cubic), 1, 0),))
+    at_t = MirabolicPoint(G2, ((pl, LocalElement.exact_zero(pl), 3, 0),))
+    clear_elladic_caches()
+    for call in (lambda: whittaker_at(short, at_cubic, sqrt2, target),
+                 lambda: mirabolic_expand(short, at_t, sqrt2, target)):
+        errors = []
+        for _ in range(3):
+            with pytest.raises(IncompleteData, match="degree 3") as info:
+                call()
+            errors.append(info.value)
+        assert len({id(e) for e in errors}) == 3
+        assert len({len(traceback.extract_tb(e.__traceback__)) for e in errors}) == 1
+    assert pipeline._terms((short,), at_t.torus, target, sqrt2)
+    assert pipeline._terms.cache_info().currsize == 2
+
+
+def test_a_phi_that_raises_midway_changes_no_later_coefficient(target, sqrt2):
+    """A coefficient whose phi raises at its third coset leaves the
+    tables as they would be filled anyway: the next coefficient, and
+    each coset's expansion, have the bytes of cleared caches."""
+    spec, pl = PROPERTY_SPEC, G2.place([0, 1])
+    pt = MirabolicPoint(G2, ((pl, local(pl, -1, 1), 1, 0),))
+    U = invariance_divisor(spec, pt, Divisor.make(G2, [(pl, 1), (G2.infinity(), 1)]))
+    gamma = gamma_support(spec, pt)[0]
+
+    def run():
+        coef = fourier_coefficient(lambda p: mirabolic_expand(spec, p, sqrt2, target),
+                                   gamma, pt, U, target, CFG)
+        return [digits((v, 0)) for v in [coef] + [
+            mirabolic_expand(spec, pt.shifted_by(u), sqrt2, target) for u in coset_reps(U)]]
+
+    clear_elladic_caches()
+    cold = run()
+    clear_elladic_caches()
+    visited = []
+
+    def failing(p):
+        visited.append(p)
+        if len(visited) == 3:
+            raise UnsupportedPoint("phi refuses the third coset")
+        return mirabolic_expand(spec, p, sqrt2, target)
+
+    with pytest.raises(UnsupportedPoint):
+        fourier_coefficient(failing, gamma, pt, U, target, CFG)
+    assert len(visited) == 3 < quotient_index(U)
+    assert run() == cold

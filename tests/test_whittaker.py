@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from elladic.errors import (BadSquareRoot, ConfigMismatch, NotCongruent,
                             NotIntegral, PrecisionLoss, TooLarge)
+from elladic.gf import from_digits
 from elladic.padic import FieldConfig, sqrt_unit
 from elladic.satake import (SatakeParam, complete_homogeneous_table,
                             elementary_symmetric, elementary_symmetric_all)
@@ -15,7 +16,7 @@ from elladic.whittaker import (CongruenceReport, Violation, WhittakerValue,
                                collapse, dominant_weights, half_exponent,
                                is_dominant, schur_value, whittaker_value)
 from conftest import perturbed_pair, random_unit_satake, same_value
-from oracles import det, schur_bialternant, schur_oracle
+from oracles import det, residue_by_dual_jacobi_trudi, schur_bialternant, schur_oracle
 
 CFG7 = FieldConfig(7, precision=8)
 CFG5 = FieldConfig(5, precision=8)
@@ -419,3 +420,78 @@ def test_report_serialization():
     s = S(CFG5, 3, 1, 2)
     d = check_congruence(s, s, 1).to_dict()
     assert d["checked"] == 6 and d["violations"] == []
+
+
+@st.composite
+def integral_pairs(draw, d):
+    """A congruent pair over Q_{l^d}, l in 3, 5, 7, 11, of rank 1..4, and a
+    bound 0..3.  Each entry of the first is a unit, a unit with the
+    residue all such entries share, or an element of valuation 1; the
+    second is the first times 1 + l * unit, in another order."""
+    cfg = CONFIGS[draw(st.sampled_from((3, 5, 7, 11))), d]
+    ell = cfg.ell
+    digits = st.lists(st.integers(0, ell ** cfg.precision - 1), min_size=d, max_size=d)
+    residue = draw(st.lists(st.integers(0, ell - 1), min_size=d, max_size=d).filter(any))
+
+    def entry():
+        coeffs, kind = draw(digits), draw(st.sampled_from(("unit", "shared", "valuation")))
+        if kind == "shared":
+            coeffs = [r + ell * x for r, x in zip(residue, coeffs)]
+        elif not any(x % ell for x in coeffs):
+            coeffs[0] += 1
+        return cfg.unit(int(kind == "valuation"), coeffs)
+
+    n = draw(st.integers(1, 4))
+    mu = [entry() for _ in range(n)]
+    lift = [m * (cfg.one() + cfg.integer(ell) * entry()) for m in mu]
+    q = draw(st.sampled_from([q for q in (2, 3, 4, 5) if q % ell]))
+    order = draw(st.permutations(range(n)))
+    return (SatakeParam(n, q, tuple(mu)), SatakeParam(n, q, tuple(lift[i] for i in order)),
+            draw(st.integers(0, 3)))
+
+
+def residue_code(x) -> int:
+    return from_digits(x.reduce(), x.config.ell)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_schur_values_reduce_to_the_dual_jacobi_trudi_residue(d, data):
+    """Wherever s_a is integral for every entry set with the residues
+    drawn, schur_value's residue is the one the dual Jacobi-Trudi oracle
+    reads from the entries' residues."""
+    S, _, bound = data.draw(integral_pairs(d))
+    for a in dominant_weights(S.n, bound):
+        want = residue_by_dual_jacobi_trudi(S, a)
+        if want is None:
+            continue
+        try:
+            got = schur_value(S, a)
+        except PrecisionLoss:
+            continue
+        assert residue_code(got) == want
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_check_congruence_values_reduce_to_the_dual_jacobi_trudi_residue(d, data):
+    """Every value of check_congruence's sweep where the oracle has a
+    residue reduces to it, on both sides; the report flags only weights
+    where it has none."""
+    s1, s2, bound = data.draw(integral_pairs(d))
+    try:
+        rep = check_congruence(s1, s2, bound)
+    except PrecisionLoss:
+        return
+    kmax = 2 * bound + s1.n - 1
+    sweeps = [_schur_evaluator(S, kmax) for S in (s1, s2)]
+    flagged = {v.weight for v in rep.violations}
+    for a in dominant_weights(s1.n, bound):
+        want = [residue_by_dual_jacobi_trudi(S, a) for S in (s1, s2)]
+        assert want[0] == want[1]
+        if want[0] is None:
+            continue
+        assert a not in flagged
+        assert [residue_code(sweep(a)) for sweep in sweeps] == want
