@@ -50,7 +50,7 @@ EXIT_CODES = {
 def main(argv=None) -> int:
     args = None
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         report, ok = COMMANDS[args.command](args, load_input(args))
         envelope = {"schema": jsonio.SCHEMA, "command": args.command, "seed": args.seed,
                     "ok": ok, "result": report}
@@ -522,6 +522,8 @@ COMMANDS = {
     "pipeline": cmd_pipeline,
     "selftest": cmd_selftest,
 }
+# the parser main reads, built once per process: parsing leaves it unchanged
+_PARSER = build_parser()
 
 
 if __name__ == "__main__":

@@ -1011,27 +1011,12 @@ def weak_approx(constraints) -> RationalFunction:
     if j0 < deg_pi:
         raise RuntimeError("auxiliary pole order too small")
 
-    # prescribed high coefficients from w = x_inf * expansion(B) at infinity
-    inf_pl = ground.infinity()
-    if x_inf.is_exact_zero:
-        w = LocalElement.exact_zero(inf_pl)
-        k_max = -1
-    else:
-        need_abs = -j0 + 1
-        Mw = max(1, int(need_abs - x_inf.v + deg_bw) + 2)
-        w = x_inf * expand_at(RationalFunction.make(ground, B, one), inf_pl, Mw)
-        k_max = -int(w.valuation()) if not w.is_zero_like else -1
-
-    coeffs_high = {}
-    for k in range(j0, max(k_max, j0 - 1) + 1):
-        c = w.coefficient(-k) if not w.is_exact_zero else 0
-        if c:
-            coeffs_high[k] = c   # kappa(inf) is F_q
-
-    A_high: tuple = ()
-    if coeffs_high:
-        top = max(coeffs_high)
-        A_high = fp_trim(tuple(coeffs_high.get(i, 0) for i in range(top + 1)))
+    # prescribed high coefficients, from j0 up, of w = x_inf * expansion(B)
+    # at infinity, whose residue field is F_q
+    Mw = max(1, deg_bw - j0 - x_inf.v + 3)
+    w = x_inf * expand_at(RationalFunction.make(ground, B, one), ground.infinity(), Mw)
+    k_max = -1 if w.is_zero_like else -w.valuation()
+    A_high = fp_trim(tuple(w.coefficient(-k) if k >= j0 else 0 for k in range(k_max + 1)))
 
     rem = fp_mod(F, fp_sub(F, A_crt, A_high), Pi)
     A = fp_add(F, A_high, rem)

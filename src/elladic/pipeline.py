@@ -33,9 +33,12 @@ over gamma of a psi-free factor times psi_0 of one trace: W is the term
 gamma = 1, the rational function 1, and phi the sum over the support.
 _sums is the only loop over gamma terms.  The psi-free part (gamma's
 orders and each spec's product of Whittaker values, table values and
-central twists) reads only the point's torus signature, its nonzero a1,
-a2 and its central exponents; it expands gamma only at tabulated places.
-The trace reads the entries whose x is not the exact zero.  A unipotent
+central twists, the exact zero once a factor is zero) is passed only
+gamma and the point's torus signature, its nonzero a1, a2 and its
+central exponents; it expands gamma only at tabulated places, and
+records the one place, last, where the last live product stopped or a
+fault was met.  The trace reads the entries whose x is not the exact
+zero, up to last, with the first spec's data.  A unipotent
 shift changes only x, as in W(n(x)g) = psi(x)W(g), so the points of one
 torus share the psi-free part: _sums reads every term from one table per
 (specs, torus signature, target, sqrt_q), gamma -> its psi-free part,
@@ -433,108 +436,91 @@ def _support(spec: GlobalWhittakerSpec, torus: tuple, places: tuple, cap: int) -
     return rr_nonzero(Divisor.make(spec.ground, pairs), cap)
 
 
-def _psi_free(specs: tuple, point: MirabolicPoint, gamma: RationalFunction,
+def _psi_free(specs: tuple, torus: tuple, gamma: RationalFunction,
               target: PsiTarget) -> tuple:
-    """The psi-free part of the gamma term at diag(gamma,1) * point, read
-    from the point's torus signature alone, so the same for every point
-    of that torus.
+    """The psi-free part of the gamma term at diag(gamma,1) times a point
+    of the torus signature torus, its whole input besides gamma, so the
+    same for every point of that torus.
 
-    Returns (orders, terms, fault): gamma's orders (place -> order on its
-    divisor); for each spec, (coefficient, total half exponent, stop), the
-    product of its local factors in place order and stop the sort key of
-    the place of its first zero factor, where its product stops, None if
-    there is none; and the error met at a place where some product was
-    still live, None if there is none.  That place is then every live
-    spec's stop, and _trace raises the error once it has read the
-    point's entries up to it, so a term reports the fault a single pass
-    over the places meets first.  The places are those of the torus
-    signature, S, infinity and the divisor of gamma; a place outside
-    these has factor W(0, 0) = 1.  A tabulated factor is computed once
-    for all specs, so they must share S, w and the tables, the only spec
-    data it reads; Whittaker values are the one factor computed per
-    spec."""
+    Returns (orders, terms, last, fault): gamma's orders (place -> order
+    on its divisor); for each spec, (coefficient, total half exponent),
+    the product of its local factors in place order, (exact zero, 0) once
+    a factor is zero; the sort key of the place where the last live
+    product stopped or where fault was met, None if neither; and the
+    error met at a place where some product was still live, None if
+    there is none.  _trace reads the point's entries up to last and then
+    raises fault, so a term reports the fault a single pass over the
+    places meets first; terms are read only when fault is None.  The
+    places are those of the torus signature, S, infinity and the divisor
+    of gamma; a place outside these has factor W(0, 0) = 1.  A datum's
+    kind is read from the first spec and a tabulated factor computed
+    once for all specs, so they must share S, w, the tables and the
+    degrees their rules cover, as validate_spec_pair makes them;
+    Whittaker values are the one factor computed per spec."""
     if target.ground != specs[0].ground:
         raise ConfigMismatch("psi target built for a different ground field")
     config = specs[0].config
     orders = dict(gamma.divisor().items)
-    _, axes, central = point.torus
+    _, axes, central = torus
     exps = {pl: (a1, a2) for pl, a1, a2 in axes}
-    relevant = _base_places(specs[0], exps.keys() | dict(central).keys()) | orders.keys()
-    coefs = [config.one()] * len(specs)
-    halves = [0] * len(specs)
-    stops = [None] * len(specs)
-    live = range(len(specs))      # the specs whose factors are all nonzero
-    fault = None
+    central = dict(central)
+    relevant = _base_places(specs[0], exps.keys() | central.keys()) | orders.keys()
+    terms = [(config.one(), 0)] * len(specs)
     for pl in sorted(relevant, key=Place.sort_key):
         a1, a2 = exps.get(pl, (0, 0))
-        c = point.central_at(pl)
-        ordg = orders.get(pl, 0)
+        args = (config, pl, gamma, orders.get(pl, 0), a1, a2, central.get(pl, 0))
         try:
-            data = [specs[i].datum_at(pl) for i in live]
-            _check_mirabolic(data[0], a2)
-            if isinstance(data[0], TabulatedDatum):
-                factors = [_local_factor(data[0], config, pl, gamma, ordg, a1, a2, c)] * len(live)
-            else:
-                factors = [_local_factor(d, config, pl, gamma, ordg, a1, a2, c) for d in data]
+            datum = specs[0].datum_at(pl)
+            _check_mirabolic(datum, a2)
+            shared = _local_factor(datum, *args) if isinstance(datum, TabulatedDatum) else None
+            for k, (coef, half) in enumerate(terms):
+                if not coef.is_zero:
+                    val, h = shared or _local_factor(specs[k].datum_at(pl), *args)
+                    terms[k] = (config.zero(), 0) if val.is_zero else (coef * val, half + h)
         except ElladicError as err:
-            fault = err
-            for i in live:
-                stops[i] = pl.sort_key()
-            break
-        nonzero = []
-        for i, (val, half) in zip(live, factors):
-            if val.is_zero:
-                stops[i] = pl.sort_key()
-            else:
-                coefs[i] = coefs[i] * val
-                halves[i] += half
-                nonzero.append(i)
-        live = nonzero
-        if not live:
-            break
-    return orders, [(coefs[i], halves[i], None) if stops[i] is None
-                    else (config.zero(), 0, stops[i]) for i in range(len(specs))], fault
+            return orders, terms, pl.sort_key(), err
+        if all(coef.is_zero for coef, _ in terms):
+            return orders, terms, pl.sort_key(), None
+    return orders, terms, None, None
 
 
-def _trace(specs: tuple, point: MirabolicPoint, gamma: RationalFunction,
+def _trace(spec: GlobalWhittakerSpec, point: MirabolicPoint, gamma: RationalFunction,
            free: tuple, memo: dict) -> int:
     """The residue-trace sum of the gamma term at diag(gamma,1) * point,
     over the point's entries whose x is not the exact zero: psi is one
     character of A/k, so the psi values of all places multiply to psi_0
-    of this one sum.  free is _psi_free's result at the point.
+    of this one sum.  free is _psi_free's result at the point's torus
+    signature.
 
-    An entry is read up to the last place where some spec's product is
-    still live, with the data of those specs, as a single pass over the
-    places would read it: datum_at raises IncompleteData at a place of
-    the point that no rule covers, before any zero factor or psi-free
-    fault beyond it, and the psi-free part's fault is raised after the
-    entries up to its place.
+    An entry is read up to free's last place, with spec's data, as a
+    single pass over the places would read it: datum_at raises
+    IncompleteData at a place of the point that no rule covers, before
+    any zero factor or psi-free fault beyond it, and the psi-free part's
+    fault is raised after the entries up to its place.  For a spec pair,
+    spec is the first: the specs share S, w, the tables and the degrees
+    their rules cover, as validate_spec_pair makes them, so each datum
+    kind, table level and missing rule is the same for both.
 
     memo maps a point entry (place, x, a1, a2) to its trace, a function
     of the entry, gamma and free; a trace that raised nothing is stored,
     in a memo emptied first if it already holds _TRACES."""
-    orders, terms, fault = free
-    stops = [stop for _, _, stop in terms]
+    orders, _, last, fault = free
     trace = 0
     for entry in point.entries:
         pl, x, _, a2 = entry
         if x.is_exact_zero:
             continue
-        live = specs
-        if any(stops):
-            key = pl.sort_key()
-            live = [s for s, stop in zip(specs, stops) if stop is None or key <= stop]
-            if not live:
-                break
+        if last is not None and pl.sort_key() > last:
+            break
         known = memo.get(entry)
         if known is not None:
             trace += known
             continue
-        data = [s.datum_at(pl) for s in live]
-        level = data[0].table.max_level() if isinstance(data[0], TabulatedDatum) else 0
+        datum = spec.datum_at(pl)
+        level = datum.table.max_level() if isinstance(datum, TabulatedDatum) else 0
         xv = 0 if x.is_zero_like else x.v
         gexp = expand_at(gamma, pl, trace_digits(pl, xv, orders.get(pl, 0), level))
-        _check_mirabolic(data[0], a2)
+        _check_mirabolic(datum, a2)
         if len(memo) >= _TRACES:
             memo.clear()
         t = memo[entry] = residue_trace(pl, x.shift(-a2) if a2 else x, gexp)
@@ -548,11 +534,11 @@ def _gamma_term(spec: GlobalWhittakerSpec, point: MirabolicPoint,
                 gamma: RationalFunction, target: PsiTarget):
     """The product of local values at diag(gamma,1) * point, as
     (coefficient, total half exponent): the psi-free part times psi_0 of
-    the trace."""
-    free = _psi_free((spec,), point, gamma, target)
-    psi = target.psi0(_trace((spec,), point, gamma, free, {}))
-    coef, half, stop = free[1][0]
-    return (coef, half) if stop is not None else (coef * psi, half)
+    the trace, (exact zero, 0) once a factor is zero."""
+    free = _psi_free((spec,), point.torus, gamma, target)
+    psi = target.psi0(_trace(spec, point, gamma, free, {}))
+    coef, half = free[1][0]
+    return coef * psi, half
 
 
 def _sums(specs: tuple, point: MirabolicPoint, gammas, sqrt_q: LocalNumber,
@@ -564,21 +550,26 @@ def _sums(specs: tuple, point: MirabolicPoint, gammas, sqrt_q: LocalNumber,
     Terms come from the _terms table of the point's torus signature,
     gamma -> (psi-free part, (spec index, t) -> (coef * psi_0(t)) *
     sqrt_q^half, _trace's memo), each part formed in gamma order the
-    first time it is met.  A psi-free part that met a fault is not kept,
-    so each call raises a fault of its own."""
+    first time it is met from gamma and the torus signature alone.  A
+    term whose coefficient is the exact zero adds nothing; the trace is
+    still read, up to the psi-free part's last place, as it may raise.
+    A psi-free part that met a fault is not kept, so each call raises a
+    fault of its own.  Several specs must share S, w, the tables and the
+    degrees their rules cover, as validate_spec_pair makes them: the
+    trace reads the first spec's data for all."""
     p = specs[0].ground.p
     table = _terms(specs, point.torus, target, sqrt_q)
     sums = [specs[0].config.zero()] * len(specs)
     for gamma in gammas:
         entry = table.get(gamma)
         if entry is None:
-            entry = (_psi_free(specs, point, gamma, target), {}, {})
-            if entry[0][2] is None:
+            entry = (_psi_free(specs, point.torus, gamma, target), {}, {})
+            if entry[0][3] is None:
                 table[gamma] = entry
         free, values, memo = entry
-        t = _trace(specs, point, gamma, free, memo) % p
-        for k, (coef, half, stop) in enumerate(free[1]):
-            if stop is None:
+        t = _trace(specs[0], point, gamma, free, memo) % p
+        for k, (coef, half) in enumerate(free[1]):
+            if not coef.is_zero:
                 value = values.get((k, t))
                 if value is None:
                     value = values[k, t] = (coef * target.powers[t]) * _power(sqrt_q, half)
@@ -956,13 +947,12 @@ def central_char_propagate(fam1: CharacterFamily, fam2: CharacterFamily,
 
     from .function_field import weak_approx
 
+    # one level per exceptional place, in S order, so the first place
+    # without a character raises first
+    h = {v: max(fam1.character_at(v).level, fam2.character_at(v).level, 1) for v in fam1.S}
     ratio_records = []
     for w0 in fam1.S:
-        levels = []
-        for fam in (fam1, fam2):
-            chi = fam.character_at(w0)
-            levels.append(chi.level)
-        m_w = max(max(levels), 1)
+        m_w = h[w0]
         test_elements = [LocalElement.uniformizer_power(w0, 1)]
         if w0.residue().order > 2:
             # the residue of code 2, the first that is neither 0 nor 1
@@ -970,14 +960,12 @@ def central_char_propagate(fam1: CharacterFamily, fam2: CharacterFamily,
         for x in test_elements:
             constraints = []
             for v in fam1.S:
-                h_v = max(max(fam1.character_at(v).level,
-                              fam2.character_at(v).level), 1)
                 if v == w0:
                     xv = int(x.valuation())
                     target = x.inverse(m_w + abs(xv) + 2)
                     constraints.append((v, target, -xv + m_w))
                 else:
-                    constraints.append((v, LocalElement.uniformizer_power(v, 0), h_v))
+                    constraints.append((v, LocalElement.uniformizer_power(v, 0), h[v]))
             y = weak_approx(constraints)
             r1 = character_product(fam1, y, exclude=fam1.S)
             r2 = character_product(fam2, y, exclude=fam2.S)

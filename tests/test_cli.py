@@ -142,6 +142,20 @@ def test_valid_request_output_is_golden(capsys, request, prefix, data):
     assert out == (GOLDEN / f"cli-{name}.json").read_text(), name
 
 
+def test_main_parses_with_the_parser_built_at_import(capsys, monkeypatch):
+    """main builds no parser per call: with build_parser refusing to run,
+    every valid request, and one after a usage error, still prints its
+    recorded bytes."""
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert run(capsys, "nonesuch")[0] == 2
+    for (prefix, data), name in zip(VALID_REQUESTS, VALID_NAMES):
+        _, out = run(capsys, *prefix, "--input", json.dumps(data))
+        assert out == (GOLDEN / f"cli-{name}.json").read_text(), name
+
+
 def test_satake_congruent_pair_exits_zero(capsys):
     code, out = run(capsys, "satake", "--input", json.dumps(SATAKE_PAIR))
     assert code == 0

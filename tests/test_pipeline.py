@@ -637,6 +637,85 @@ def test_coset_scope_gives_the_value_or_error_of_a_call_outside_it(case):
         assert got == expand_outcome(spec, p, sqrt_q, target)
 
 
+def split_pair(base):
+    """Two specs on base's places, with Satake data (1, -1) and (1, 6) at
+    each listed unramified place and for degrees 1 and 2 only: congruent
+    mod 7, but s_a(1, -1) is the exact zero wherever a1 - a2 is odd, so
+    at such a factor one spec's product stops and the other's does not."""
+    return tuple(replace(base, default_rule=((1, mu), (2, mu)), explicit=tuple(
+        (pl, d if isinstance(d, TabulatedDatum)
+         else UnramifiedDatum(SatakeParam(2, 2 ** pl.degree, mu)))
+        for pl, d in base.explicit)) for mu in ((CFG.one(), -CFG.one()),
+                                               (CFG.one(), CFG.integer(6))))
+
+
+SPLIT_PAIRS = (split_pair(PROPERTY_SPEC), split_pair(UNRAMIFIED_SPECS[0]))
+CUBIC = G2.place([1, 0, 1, 1])
+# gammas with a pole or zero at t, t + 1, a quadratic and a cubic place
+SPLIT_GAMMAS = (ONE, G2.t(), G2.rational([1], [1, 1]), G2.rational([1, 1], [0, 0, 1]),
+                G2.rational([1], [1, 1, 1]), G2.rational([1, 1, 0, 1], [1]))
+
+
+def test_a_split_pair_stops_one_spec_only(target):
+    """At a1 - a2 = 1 on an unramified place the first spec of each split
+    pair has a zero factor and the second a nonzero one."""
+    pl = G2.place([0, 1])
+    for specs in SPLIT_PAIRS:
+        validate_spec_pair(*specs)
+        point = MirabolicPoint(G2, ((pl, local(pl, -1, 1, exact=False), 1, 0),))
+        coefs = [_gamma_term(s, point, ONE, target)[0] for s in specs]
+        assert coefs[0].is_zero and not coefs[1].is_zero
+
+
+@st.composite
+def split_cases(draw):
+    """A split pair and a point with x possibly known to its listed digits
+    only, at places of degree at most 2 or the cubic place, where no
+    default rule applies."""
+    specs = draw(st.sampled_from(SPLIT_PAIRS))
+    entries = []
+    for pl in draw(st.lists(st.sampled_from(SMALL_PLACES + (CUBIC,)), min_size=1,
+                            max_size=2, unique=True)):
+        coeffs = draw(st.lists(st.integers(0, pl.residue().order - 1), max_size=3))
+        x = local(pl, draw(st.integers(-2, 1)), *coeffs, exact=draw(st.booleans()))
+        entries.append((pl, x, draw(st.integers(-2, 2)), draw(st.sampled_from((0, 0, 1)))))
+    central = draw(st.lists(st.tuples(st.sampled_from(SMALL_PLACES), st.integers(-1, 1)),
+                            max_size=1))
+    return specs, MirabolicPoint(G2, tuple(entries), tuple(central))
+
+
+def sums_outcome(specs, point, gammas, sqrt_q, target):
+    """_sums' digits per spec, or the class and message of its error."""
+    try:
+        return [digits((v, 0)) for v in _sums(specs, point, gammas, sqrt_q, target)]
+    except ElladicError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(split_cases())
+def test_a_validated_pair_gives_what_its_two_singles_give(case):
+    """_sums over a validated pair, whose products stop at different
+    places, gives each spec's digits wherever it returns, and returns
+    wherever both specs alone return; where it raises, one spec alone
+    raises the same class and message.  Each gamma is summed alone, and
+    then all of them."""
+    specs, point = case
+    target, sqrt_q = PsiTarget.create(G2, CFG), sqrt_unit(CFG, 2)
+    try:
+        support = gamma_support(specs[0], point)[:31]
+    except ElladicError:
+        support = ()
+    gammas = SPLIT_GAMMAS + tuple(g for g in support if g not in SPLIT_GAMMAS)
+    for some in [(g,) for g in gammas] + [gammas]:
+        pair = sums_outcome(specs, point, some, sqrt_q, target)
+        singles = [sums_outcome((s,), point, some, sqrt_q, target) for s in specs]
+        if isinstance(pair, list):
+            assert singles == [[d] for d in pair]
+        else:
+            assert pair in singles
+
+
 def test_coset_scope_checks_sqrt_q_once_per_entry(monkeypatch, target, sqrt2):
     """A wrong sqrt_q is refused at the first coset, before any gamma
     support is read, and again at every call; a right one is checked
