@@ -26,7 +26,7 @@ from .errors import (ElladicError, InputError, InsufficientPrecision,
 from .function_field import (Divisor, GroundField, PsiTarget, expand_at,
                              principal_adele, psi_global, psi_local,
                              quotient_exponent, quotient_index, rr_space)
-from .padic import FieldConfig, sqrt_unit
+from .padic import FieldConfig, difference_valuation, sqrt_unit
 from .pipeline import (central_char_propagate, congruence_pipeline,
                        default_sample_points)
 from .satake import char_poly, congruent, is_integral, reduce_char_poly
@@ -262,7 +262,8 @@ def cmd_psi(args, data):
         else:
             raise InputError("psi items need 'gamma' or 'place'+'x'")
         rec["value"] = jsonio.encode_local_number(val)
-        rec["is_one"] = val == cfg.one()
+        v, exact = difference_valuation(val, cfg.one())
+        rec["is_one"] = v == math.inf or not exact
         all_one = all_one and rec["is_one"]
         out.append(rec)
     return {"values": out, "all_one": all_one}, True

@@ -7,10 +7,10 @@ the class of s; Laurent coefficients therefore live in the residue field
 and multiply with no carries.  At infinity the coordinate is 1/t and the
 residue field is F_q.
 
-A rational function's orders at places are read from its divisor, built
-by RationalFunction.divisor from one factorization of the numerator and
-one of the denominator, plus the degree difference at infinity; ord_at
-and every caller that needs the orders of one function read that divisor.
+A rational function keeps its orders at places, RationalFunction.orders,
+built once per object from one factorization of the numerator and one of
+the denominator, plus the degree difference at infinity; divisor, ord_at
+and every caller that needs the orders of one function read that map.
 
 The additive character is the residue character of the differential dt:
 psi_v(x) = psi_0(Tr(res_v(x dt))) where psi_0 is a fixed nontrivial
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ConfigMismatch, InsufficientPrecision, TooLarge
 from .gf import (ext_field, fp_add, fp_crt, fp_divmod, fp_factor, fp_gcd,
@@ -227,23 +227,27 @@ class RationalFunction:
         return RationalFunction.make(self.ground, fp_mul(F, self.num, other.num),
                                      fp_mul(F, self.den, other.den))
 
-    def divisor(self) -> "Divisor":
-        """div(r): the zeros and poles at finite places from one
-        factorization of the numerator and one of the denominator, which
-        share no factor, and the order deg den - deg num at infinity."""
+    @cached_property
+    def orders(self) -> dict:
+        """{place: order} at every zero and pole of r: one factorization of
+        the numerator and one of the denominator, which share no factor,
+        and deg den - deg num at infinity.  Built once per object and not a
+        field, so __eq__, hash and repr ignore it; callers only read it."""
         if self.is_zero:
             raise ValueError("the zero function has no divisor")
         F, ground = self.ground.field(), self.ground
-        items = [(Place(ground, f), m) for f, m in fp_factor(F, fp_monic(F, self.num))]
-        items += [(Place(ground, f), -m) for f, m in fp_factor(F, self.den)]
+        orders = {Place(ground, f): m for f, m in fp_factor(F, fp_monic(F, self.num))}
+        orders.update((Place(ground, f), -m) for f, m in fp_factor(F, self.den))
         if len(self.den) != len(self.num):
-            items.append((ground.infinity(), len(self.den) - len(self.num)))
-        items.sort(key=lambda kv: kv[0].sort_key())
-        return Divisor(ground, tuple(items))
+            orders[ground.infinity()] = len(self.den) - len(self.num)
+        return orders
+
+    def divisor(self) -> "Divisor":
+        return Divisor.make(self.ground, self.orders.items())
 
     def ord_at(self, place: Place):
         """Exact valuation at a place; +inf for the zero function."""
-        return INF if self.is_zero else self.divisor().get(place)
+        return INF if self.is_zero else self.orders.get(place, 0)
 
     def __repr__(self):
         return f"RationalFunction({list(self.num)}/{list(self.den)} over F_{self.ground.q})"
@@ -661,11 +665,9 @@ def principal_adele(r: RationalFunction) -> Adele:
     ground = r.ground
     if r.is_zero:
         return Adele.zero(ground)
-    orders = dict(r.divisor().items)
-    places = {pl for pl, m in orders.items() if m < 0} | {ground.infinity()}
+    places = {pl for pl, m in r.orders.items() if m < 0} | {ground.infinity()}
     return Adele.make(ground, [
-        (pl, expand_at(r, pl, trace_digits(pl, 0, orders.get(pl, 0))))
-        for pl in places])
+        (pl, expand_at(r, pl, trace_digits(pl, 0, r.orders.get(pl, 0)))) for pl in places])
 
 
 def scale_adele(a: Adele, r: RationalFunction) -> Adele:
@@ -673,16 +675,15 @@ def scale_adele(a: Adele, r: RationalFunction) -> Adele:
     to the digits trace_digits gives."""
     if r.is_zero:
         return Adele.zero(a.ground)
-    orders = dict(r.divisor().items)
     return Adele.make(a.ground, [
-        (pl, x * expand_at(r, pl, trace_digits(pl, x.v, orders.get(pl, 0)))) for pl, x in a.items])
+        (pl, x * expand_at(r, pl, trace_digits(pl, x.v, r.orders.get(pl, 0))))
+        for pl, x in a.items])
 
 
-def scaled_trace(a: Adele, r: RationalFunction, orders: dict, memo: dict) -> int:
+def scaled_trace(a: Adele, r: RationalFunction, memo: dict) -> int:
     """The residue-trace sum of scale_adele(a, r), psi_global of which is
     psi_0 of it, with no product formed: product_coefficient raises
-    exactly where the product's coefficient would.  r is nonzero and
-    orders maps places to its orders, as read from r.divisor().  memo
+    exactly where the product's coefficient would.  r is nonzero.  memo
     maps a component (place, x) to its trace against this r, so adeles
     that share a component trace it once; only a trace that raised
     nothing is stored."""
@@ -691,7 +692,7 @@ def scaled_trace(a: Adele, r: RationalFunction, orders: dict, memo: dict) -> int
         t = memo.get(item)
         if t is None:
             pl, x = item
-            gexp = expand_at(r, pl, trace_digits(pl, x.v, orders.get(pl, 0)))
+            gexp = expand_at(r, pl, trace_digits(pl, x.v, r.orders.get(pl, 0)))
             t = memo[item] = residue_trace(pl, x, gexp)
         trace += t
     return trace

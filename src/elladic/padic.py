@@ -16,7 +16,9 @@ Precision policy:
   copies of the same digits);
 * any other cancellation of all certified digits raises PrecisionLoss;
   nothing is ever silently flushed to zero.  certified_sum applies this
-  to the total of a sum, not to its partial sums.
+  to the total of a sum, not to its partial sums;
+* == compares representations; difference_valuation compares values by
+  their certified digits, and is what a check that two values agree uses.
 
 All values are immutable; every operation is a pure function, so values
 can be shared freely across threads or tasks.
@@ -331,6 +333,17 @@ def _digit_sum(cfg: FieldConfig, terms) -> LocalNumber:
     new_mod = mod // shift
     return LocalNumber(cfg, base + s, tuple([(c // shift) % new_mod for c in summed]),
                        top - base - s)
+
+
+def difference_valuation(x: LocalNumber, y: LocalNumber) -> tuple:
+    """(v(x - y), True), v = inf for the exact zero, or, when every
+    certified digit of x - y cancels, (min(x.v + x.prec, y.v + y.prec),
+    False): the valuation is at least that bound, and x and y agree on
+    every digit either side certifies."""
+    try:
+        return (x - y).valuation(), True
+    except PrecisionLoss:
+        return min(x.v + x.prec, y.v + y.prec), False
 
 
 def congruent_mod_m(x: LocalNumber, y: LocalNumber) -> bool:

@@ -25,29 +25,30 @@ expansion of gamma are computed once and serve both specs.
 psi is one character of A/k, so in a gamma term the product over places
 of psi_v(x_v) is psi_0 of the sum of the residue traces: one trace sum
 per term, read as one psi value.  The traces, like the tabulated factors,
-serve both specs; only the unramified Whittaker values are per spec.  The
-orders of gamma come from its divisor, one factorization per term.
+serve both specs; only the unramified Whittaker values are per spec.
+Every term reads gamma's orders from the map gamma keeps (orders), built
+once per object.
 
 W(g), phi(g) and each coset of a Fourier coefficient are one finite sum
 over gamma of a psi-free factor times psi_0 of one trace: W is the term
 gamma = 1, the rational function 1, and phi the sum over the support.
-_sums is the only loop over gamma terms.  The psi-free part (gamma's
-orders and each spec's product of Whittaker values, table values and
-central twists, the exact zero once a factor is zero) is passed only
-gamma and the point's torus signature, its nonzero a1, a2 and its
-central exponents; it expands gamma only at tabulated places, and
-records the one place, last, where the last live product stopped or a
-fault was met.  The trace reads the entries whose x is not the exact
-zero, up to last, with the first spec's data.  A unipotent
-shift changes only x, as in W(n(x)g) = psi(x)W(g), so the points of one
-torus share the psi-free part: _sums reads every term from one table per
-(specs, torus signature, target, sqrt_q), gamma -> its psi-free part,
-its values per (spec, t) and its traces per entry.  The last _TABLES
-tables outlive the calls that fill them, and a gamma's traces start over
-past _TRACES; every entry is a function of its key, so W, phi, a pair
-and every coset share them in any order.  gamma_support is memoised per
-(spec, torus signature, support places, cap) and sqrt_q checked once per
-root.  An empty Kirillov table is the zero function wherever it is read.
+_sums is the only loop over gamma terms.  The psi-free part (each spec's
+product of Whittaker values, table values and central twists, the exact
+zero once a factor is zero) is passed only gamma and the point's torus
+signature, its nonzero a1, a2 and its central exponents; it expands
+gamma only at tabulated places, and records the one place, last, where
+the last live product stopped or a fault was met.  The trace reads the
+entries whose x is not the exact zero, up to last, with the first spec's
+data.  A unipotent shift changes only x, as in W(n(x)g) = psi(x)W(g), so
+the points of one torus share the psi-free part: _sums reads every term
+from one table per (specs, torus signature, target, sqrt_q), gamma -> its
+psi-free part, its values per (spec, t) and its traces per entry.  The
+last _TABLES tables outlive the calls that fill them, and a gamma's
+traces start over past _TRACES; every entry is a function of its key, so
+W, phi, a pair and every coset share them in any order.  gamma_support is
+memoised per (spec, torus signature, support places, cap) and sqrt_q
+checked once per root.  An empty Kirillov table is the zero function
+wherever it is read.
 
 Per-place data is read from maps built once per object: a spec's explicit
 data and its S, a point's entries, central exponents and support, and a
@@ -68,7 +69,7 @@ from .function_field import (Adele, DEFAULT_ENUMERATION_CAP, Divisor,
                              coset_reps, psi_conductor, quotient_index,
                              residue_trace, rr_nonzero, scaled_trace,
                              trace_digits)
-from .padic import FieldConfig, LocalNumber, congruent_mod_m
+from .padic import FieldConfig, LocalNumber, congruent_mod_m, difference_valuation
 from .satake import CharPoly, SatakeParam, char_poly, congruent, is_integral
 from .whittaker import check_sqrt_q, whittaker_value
 
@@ -279,8 +280,10 @@ class GlobalWhittakerSpec:
         for place in self.S:
             if self.w is not None and place == self.w:
                 continue
-            datum = self._explicit[place]
-            if datum.table.is_empty or datum.table.value_at_one() != self.config.one():
+            table = self._explicit[place].table
+            at_one = self.config.zero() if table.is_empty else table.value_at_one()
+            v, exact = difference_valuation(at_one, self.config.one())
+            if exact and v != INF:
                 raise ValueError(
                     f"tabulated place {place!r} must take the value 1 at the identity")
 
@@ -442,25 +445,23 @@ def _psi_free(specs: tuple, torus: tuple, gamma: RationalFunction,
     of the torus signature torus, its whole input besides gamma, so the
     same for every point of that torus.
 
-    Returns (orders, terms, last, fault): gamma's orders (place -> order
-    on its divisor); for each spec, (coefficient, total half exponent),
-    the product of its local factors in place order, (exact zero, 0) once
-    a factor is zero; the sort key of the place where the last live
-    product stopped or where fault was met, None if neither; and the
-    error met at a place where some product was still live, None if
-    there is none.  _trace reads the point's entries up to last and then
-    raises fault, so a term reports the fault a single pass over the
+    Returns (terms, last, fault): for each spec, (coefficient, total half
+    exponent), the product of its local factors in place order, (exact
+    zero, 0) once a factor is zero; the sort key of the place where the
+    last live product stopped or where fault was met, None if neither;
+    and the error met at a place where some product was still live, None
+    if there is none.  _trace reads the point's entries up to last and
+    then raises fault, so a term reports the fault a single pass over the
     places meets first; terms are read only when fault is None.  The
-    places are those of the torus signature, S, infinity and the divisor
-    of gamma; a place outside these has factor W(0, 0) = 1.  A datum's
-    kind is read from the first spec and a tabulated factor computed
-    once for all specs, so they must share S, w, the tables and the
-    degrees their rules cover, as validate_spec_pair makes them;
-    Whittaker values are the one factor computed per spec."""
+    places are those of the torus signature, S, infinity and the zeros
+    and poles of gamma; a place outside these has factor W(0, 0) = 1.  A datum's kind
+    is read from the first spec and a tabulated factor computed once for
+    all specs, so they must share S, w, the tables and the degrees their
+    rules cover, as validate_spec_pair makes them; Whittaker values are
+    the one factor computed per spec."""
     if target.ground != specs[0].ground:
         raise ConfigMismatch("psi target built for a different ground field")
-    config = specs[0].config
-    orders = dict(gamma.divisor().items)
+    config, orders = specs[0].config, gamma.orders
     _, axes, central = torus
     exps = {pl: (a1, a2) for pl, a1, a2 in axes}
     central = dict(central)
@@ -478,10 +479,10 @@ def _psi_free(specs: tuple, torus: tuple, gamma: RationalFunction,
                     val, h = shared or _local_factor(specs[k].datum_at(pl), *args)
                     terms[k] = (config.zero(), 0) if val.is_zero else (coef * val, half + h)
         except ElladicError as err:
-            return orders, terms, pl.sort_key(), err
+            return terms, pl.sort_key(), err
         if all(coef.is_zero for coef, _ in terms):
-            return orders, terms, pl.sort_key(), None
-    return orders, terms, None, None
+            return terms, pl.sort_key(), None
+    return terms, None, None
 
 
 def _trace(spec: GlobalWhittakerSpec, point: MirabolicPoint, gamma: RationalFunction,
@@ -492,19 +493,18 @@ def _trace(spec: GlobalWhittakerSpec, point: MirabolicPoint, gamma: RationalFunc
     of this one sum.  free is _psi_free's result at the point's torus
     signature.
 
-    An entry is read up to free's last place, with spec's data, as a
-    single pass over the places would read it: datum_at raises
+    Entries are read up to free's last place, with spec's data, as a
+    single pass over the places would read them: datum_at raises
     IncompleteData at a place of the point that no rule covers, before
-    any zero factor or psi-free fault beyond it, and the psi-free part's
-    fault is raised after the entries up to its place.  For a spec pair,
-    spec is the first: the specs share S, w, the tables and the degrees
-    their rules cover, as validate_spec_pair makes them, so each datum
-    kind, table level and missing rule is the same for both.
+    any zero factor or fault beyond it, and free's fault is raised after
+    the entries up to its place.  For a spec pair, spec is the first:
+    under _psi_free's precondition, each datum kind, table level and
+    missing rule is the same for both.
 
     memo maps a point entry (place, x, a1, a2) to its trace, a function
-    of the entry, gamma and free; a trace that raised nothing is stored,
-    in a memo emptied first if it already holds _TRACES."""
-    orders, _, last, fault = free
+    of the entry and gamma; a trace that raised nothing is stored, in a
+    memo emptied first if it already holds _TRACES."""
+    _, last, fault = free
     trace = 0
     for entry in point.entries:
         pl, x, _, a2 = entry
@@ -519,7 +519,7 @@ def _trace(spec: GlobalWhittakerSpec, point: MirabolicPoint, gamma: RationalFunc
         datum = spec.datum_at(pl)
         level = datum.table.max_level() if isinstance(datum, TabulatedDatum) else 0
         xv = 0 if x.is_zero_like else x.v
-        gexp = expand_at(gamma, pl, trace_digits(pl, xv, orders.get(pl, 0), level))
+        gexp = expand_at(gamma, pl, trace_digits(pl, xv, gamma.orders.get(pl, 0), level))
         _check_mirabolic(datum, a2)
         if len(memo) >= _TRACES:
             memo.clear()
@@ -537,7 +537,7 @@ def _gamma_term(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     the trace, (exact zero, 0) once a factor is zero."""
     free = _psi_free((spec,), point.torus, gamma, target)
     psi = target.psi0(_trace(spec, point, gamma, free, {}))
-    coef, half = free[1][0]
+    coef, half = free[0][0]
     return coef * psi, half
 
 
@@ -564,11 +564,11 @@ def _sums(specs: tuple, point: MirabolicPoint, gammas, sqrt_q: LocalNumber,
         entry = table.get(gamma)
         if entry is None:
             entry = (_psi_free(specs, point.torus, gamma, target), {}, {})
-            if entry[0][3] is None:
+            if entry[0][2] is None:
                 table[gamma] = entry
         free, values, memo = entry
         t = _trace(specs[0], point, gamma, free, memo) % p
-        for k, (coef, half) in enumerate(free[1]):
+        for k, (coef, half) in enumerate(free[0]):
             if not coef.is_zero:
                 value = values.get((k, t))
                 if value is None:
@@ -627,23 +627,21 @@ def fourier_coefficient(phi, gamma: RationalFunction, point: MirabolicPoint,
     phi must be invariant under translations from U (caller-asserted);
     the averaging denominator is a power of p, hence a unit in the
     coefficient field.  The cosets are summed in the order of coset_reps.
-    gamma's divisor, the target's check and the representatives are made
-    once per call; each coset's twist psi(-u gamma) is psi_0 of minus
-    scaled_trace(u, gamma), which forms no product adele and traces each
-    component (place, u_v) once per call.  The shifted points share a
-    torus signature, so a phi built on mirabolic_expand reads one
-    gamma-term table for all of them (see _sums).
+    The target's check and the representatives are made once per call;
+    each coset's twist psi(-u gamma) is psi_0 of minus scaled_trace(u,
+    gamma), which forms no product adele and traces each component
+    (place, u_v) once per call.  The shifted points share a torus
+    signature, so a phi built on mirabolic_expand reads one gamma-term
+    table for all of them (see _sums).
     """
     reps = coset_reps(U, cap)
     index = quotient_index(U)
-    if not gamma.is_zero:
-        if target.ground != U.ground:
-            raise ConfigMismatch("psi target built for a different ground field")
-        orders = dict(gamma.divisor().items)
+    if not gamma.is_zero and target.ground != U.ground:
+        raise ConfigMismatch("psi target built for a different ground field")
     acc, traces = config.zero(), {}
     for u in reps:
         twist = config.one() if gamma.is_zero \
-            else target.psi0(-scaled_trace(u, gamma, orders, traces))
+            else target.psi0(-scaled_trace(u, gamma, traces))
         acc = acc + twist * phi(point.shifted_by(u))
     return acc * config.integer(index).inv()
 
@@ -888,20 +886,21 @@ def character_product(fam: CharacterFamily, y: RationalFunction,
     less the places in exclude."""
     if y.is_zero:
         raise ValueError("characters are evaluated on nonzero elements")
-    orders = dict(y.divisor().items)
-    places = set(orders) | set(fam.ramified_places()) | set(fam.S)
+    places = set(y.orders) | set(fam.ramified_places()) | set(fam.S)
     out = fam.config.one()
     for pl in sorted(places, key=lambda p: p.sort_key()):
         if pl in exclude:
             continue
         chi = fam.character_at(pl)
-        M = max(1, chi.level, chi.level - orders.get(pl, 0) + 2)
+        M = max(1, chi.level, chi.level - y.orders.get(pl, 0) + 2)
         out = out * chi.evaluate(expand_at(y, pl, M))
     return out
 
 
 @dataclass(frozen=True)
 class RatioRecord:
+    """valuation_of_difference is v(ratio - 1) or difference_valuation's bound."""
+
     place: Place
     sample: str
     valuation_of_difference: object
@@ -941,8 +940,8 @@ def central_char_propagate(fam1: CharacterFamily, fam2: CharacterFamily,
     product_failures = []
     for i, y in enumerate(y_samples):
         for tag, fam in (("chi1", fam1), ("chi2", fam2)):
-            val = character_product(fam, y)
-            if val != config.one():
+            v, exact = difference_valuation(character_product(fam, y), config.one())
+            if exact and v != INF:
                 product_failures.append((i, tag))
 
     from .function_field import weak_approx
@@ -969,7 +968,6 @@ def central_char_propagate(fam1: CharacterFamily, fam2: CharacterFamily,
             y = weak_approx(constraints)
             r1 = character_product(fam1, y, exclude=fam1.S)
             r2 = character_product(fam2, y, exclude=fam2.S)
-            ratio = r1 / r2
-            diff = ratio - config.one()
-            ratio_records.append(RatioRecord(w0, repr(x), diff.valuation()))
+            v, _ = difference_valuation(r1 / r2, config.one())
+            ratio_records.append(RatioRecord(w0, repr(x), v))
     return CentralCharReport(tuple(product_failures), tuple(ratio_records))

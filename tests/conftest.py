@@ -7,23 +7,20 @@ import random
 import pytest
 
 import elladic
-from elladic.errors import PrecisionLoss
-from elladic.padic import FieldConfig
+from elladic.padic import FieldConfig, difference_valuation
 from elladic.satake import SatakeParam
 
 
 def same_value(x, y) -> bool:
     """Equality through every certified digit.
 
-    A successful nonzero subtraction certifies a genuine difference;
-    an exact zero certifies equality; PrecisionLoss means the two agree
-    on all digits either side can vouch for, which is as equal as capped
+    An exact finite valuation of x - y certifies a genuine difference;
+    an exact zero certifies equality; a bound means the two agree on all
+    digits either side can vouch for, which is as equal as capped
     arithmetic can state.
     """
-    try:
-        return (x - y).is_zero
-    except PrecisionLoss:
-        return True
+    v, exact = difference_valuation(x, y)
+    return v == float("inf") or not exact
 
 
 def elladic_caches() -> list:

@@ -780,3 +780,66 @@ def test_empty_table_at_w_reads_as_the_zero_function(capsys):
     points = json.loads(out)["result"]["points"]
     assert len(points) == 2
     assert all(p[k] == {"zero": True} for p in points for k in ("W1", "W2", "phi1", "phi2"))
+
+
+def digits_of(*digits):
+    """A unit of valuation 0 written with exactly these l-adic digits."""
+    return {"valuation": 0, "unit_digits": [[d] for d in digits]}
+
+
+def with_a_second_table(value):
+    """PIPE_INPUT with a tabulated place besides w, in both specs, whose
+    table takes value at the identity."""
+    data = copy.deepcopy(PIPE_INPUT)
+    for spec in ("spec1", "spec2"):
+        data[spec]["places"].append(
+            {"place": {"finite": [1, 1, 1]},
+             "datum": {"table": [{"j": 0, "level": 0, "rep": [1], "value": value}],
+                       "central": {"uniformizer_value": 1}}})
+    return data
+
+
+@pytest.mark.parametrize("value", [1, digits_of(1), digits_of(1, 0, 0)])
+def test_a_table_one_to_its_certified_digits_is_one_at_the_identity(capsys, value):
+    code, out = run(capsys, "pipeline", "--input", json.dumps(with_a_second_table(value)))
+    assert code == 0 and json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize("value", [2, digits_of(2), digits_of(1, 1)])
+def test_a_table_certified_off_one_at_the_identity_exits_two(capsys, value):
+    code, record = run_failing(capsys, "pipeline", "--input",
+                               json.dumps(with_a_second_table(value)))
+    assert code == 2 and record["error"] == "InputError"
+    assert "must take the value 1 at the identity" in record["message"]
+
+
+def trivial_families(chi2_at_w):
+    """PIPE_CENTRAL with both character families trivial, every value
+    written to three digits, and chi2 taking chi2_at_w at w."""
+    data = copy.deepcopy(PIPE_CENTRAL)
+    for fam, at_w in (("chi1", digits_of(1, 0, 0)), ("chi2", chi2_at_w)):
+        chars = data["central_chars"][fam]
+        chars["by_degree"] = {str(d): digits_of(1, 0, 0) for d in range(1, 9)}
+        chars["explicit"] = [{"place": S_PLACE, "character": {"uniformizer_value": at_w}}]
+    return data
+
+
+def test_three_digit_trivial_families_pass(capsys):
+    """1 to three digits is 1 as far as its digits certify: no product
+    failure, and each ratio at w is 1 modulo l."""
+    code, out = run(capsys, "pipeline", "--input",
+                    json.dumps(trivial_families(digits_of(1, 0, 0))))
+    assert code == 0
+    assert json.loads(out)["result"]["central"] == {
+        "ok": True, "product_failures": [], "ratio_ok": True}
+
+
+@pytest.mark.parametrize("at_w", [2, digits_of(2, 0, 0), digits_of(1, 1, 0)])
+def test_a_certified_product_failure_is_reported(capsys, at_w):
+    """chi2 off 1 at w by a certified digit breaks the product formula on
+    every sample, whose supports all meet w; the ratios, which read only
+    places outside S, stay 1."""
+    code, out = run(capsys, "pipeline", "--input", json.dumps(trivial_families(at_w)))
+    assert code == 1
+    assert json.loads(out)["result"]["central"] == {
+        "ok": False, "product_failures": [[i, "chi2"] for i in range(3)], "ratio_ok": True}

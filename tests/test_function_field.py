@@ -160,13 +160,29 @@ def test_divisor_agrees_with_repeated_division(r):
     support = dict(div.items)
     assert len(support) == len(div.items) and 0 not in support.values()
     assert list(div.items) == sorted(div.items, key=lambda kv: kv[0].sort_key())
+    assert r.orders == support
     for pl in PLACES_TO_3[r.ground]:
         assert support.get(pl, 0) == ord_by_division(r, pl) == r.ord_at(pl), pl
+        assert r.orders.get(pl, 0) == ord_by_division(r, pl), pl
     for pl, m in div.items:
         assert m == ord_by_division(r, pl)
     assert div.degree == 0
     if len(r.num) == 1 and len(r.den) == 1:
         assert div == Divisor.zero(r.ground)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonzero_rationals())
+def test_reading_the_orders_leaves_equality_hash_and_repr_alone(r):
+    """orders is kept on the object but is no field: a copy that never
+    read it is equal, hashes alike, prints alike and finds r in a dict."""
+    fresh = RationalFunction(r.ground, r.num, r.den)
+    before = (hash(r), repr(r))
+    assert r.orders is r.orders
+    assert "orders" not in vars(fresh)
+    assert r == fresh and fresh == r
+    assert (hash(r), repr(r)) == (hash(fresh), repr(fresh)) == before
+    assert {fresh: 1}[r] == 1
 
 
 def test_divisor_of_constants_and_zero():
@@ -176,6 +192,8 @@ def test_divisor_of_constants_and_zero():
         zero = ground.constant(0)
         with pytest.raises(ValueError):
             zero.divisor()
+        with pytest.raises(ValueError):
+            zero.orders
         assert zero.ord_at(ground.infinity()) == float("inf")
         assert principal_adele(zero) == Adele.zero(ground)
     t_pl = G2.place([0, 1])

@@ -1,5 +1,6 @@
 import math
 import operator
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from elladic.errors import (ConfigMismatch, NoSimpleRoot, NotIntegral,
                             PrecisionLoss, UnsupportedDegree)
 from elladic.padic import (FieldConfig, LocalNumber, certified_sum,
-                           congruent_mod_m, hensel_root, pth_roots_of_unity,
-                           sqrt_unit)
+                           congruent_mod_m, difference_valuation, hensel_root,
+                           pth_roots_of_unity, sqrt_unit)
 
 CFG5 = FieldConfig(5, precision=4)
 CFG7 = FieldConfig(7, precision=8)
@@ -308,3 +309,63 @@ def test_equal_numbers_hash_equal(a, b):
 def test_every_exact_zero_hashes_alike():
     a, b = LocalNumber(CFG5, 0, (), 4), LocalNumber(CFG5, 3, (), 2)
     assert a == b and hash(a) == hash(b) == hash(CFG5.zero())
+
+
+CFG9 = FieldConfig(3, d=2, precision=4)
+
+
+def mixed_precision(cfg):
+    """Exact zeros and units of valuation -2..2 at every precision, with
+    unit coefficients that agree with each other to 1, 2 or 3 digits."""
+    near = (1, 2, 1 + cfg.ell, 1 + cfg.ell ** 2, 1 + cfg.ell ** 3, cfg.ell ** 4 - 1)
+    return st.one_of(
+        st.builds(lambda v, prec: LocalNumber(cfg, v, (), prec),
+                  st.integers(-2, 2), st.integers(1, cfg.precision)),
+        st.builds(lambda v, cs, prec: cfg.unit(v, cs, prec), st.integers(-2, 2),
+                  st.tuples(*[st.sampled_from(near)] * cfg.d), st.integers(1, cfg.precision)))
+
+
+def true_difference_valuation(x, y):
+    """v(x - y) of the representatives, as exact rationals: the least
+    valuation of a coefficient in the basis 1, Y, ..., Y^(d-1)."""
+    ell = x.config.ell
+
+    def coefficients(z):
+        return [Fraction(ell) ** z.v * c for c in z.coeffs] if z.coeffs else [0] * z.config.d
+
+    best = math.inf
+    for c in (a - b for a, b in zip(coefficients(x), coefficients(y))):
+        if c:
+            num, den, v = c.numerator, c.denominator, 0
+            while num % ell == 0:
+                num, v = num // ell, v + 1
+            while den % ell == 0:
+                den, v = den // ell, v - 1
+            best = min(best, v)
+    return best
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from((CFG5, CFG9)).flatmap(
+    lambda cfg: st.tuples(mixed_precision(cfg), mixed_precision(cfg))))
+def test_difference_valuation_is_exact_or_a_certified_bound(pair):
+    """An exact v is the valuation of the representatives' difference,
+    inf for the exact zero; a bound A is the least absolute precision of
+    the two, and the true valuation is at least A."""
+    x, y = pair
+    v, exact = difference_valuation(x, y)
+    true = true_difference_valuation(x, y)
+    if exact:
+        assert v == true
+    else:
+        assert v == min(x.v + x.prec, y.v + y.prec) <= true
+
+
+def test_difference_valuation_examples():
+    one = CFG5.one()
+    assert difference_valuation(one, one) == (math.inf, True)
+    assert difference_valuation(CFG5.unit(0, (1,), prec=2), one) == (2, False)
+    assert difference_valuation(CFG5.unit(0, (6,), prec=2), one) == (1, True)
+    assert difference_valuation(CFG5.zero(), CFG5.unit(0, (1,), prec=1)) == (0, True)
+    # the values differ by 25, which two certified digits cannot see
+    assert difference_valuation(CFG5.unit(0, (1,), prec=2), CFG5.integer(26)) == (2, False)

@@ -1089,6 +1089,27 @@ def test_a_psi_free_fault_raised_from_a_warm_table_keeps_its_traceback(target, s
     assert pipeline._terms.cache_info().currsize == 2
 
 
+def test_each_gamma_is_factored_once(monkeypatch, target, sqrt2):
+    """A gamma keeps its orders: over the sums at two torus signatures, a
+    Fourier twist and a character product, the numerator and the
+    denominator of each gamma object are factored once."""
+    spec, pl = PROPERTY_SPEC, G2.place([0, 1])
+    points = [MirabolicPoint(G2, ((pl, local(pl, -1, 1), a1, 0),)) for a1 in (1, 2)]
+    gammas = tuple(G2.rational(g.num, g.den) for g in gamma_support(spec, points[1]))
+    assert len(gammas) > 2
+    calls = []
+    factor = function_field.fp_factor
+    monkeypatch.setattr(function_field, "fp_factor", lambda F, f: calls.append(f) or factor(F, f))
+    clear_elladic_caches()
+    for point in points:
+        _sums((spec,), point, gammas, sqrt2, target)
+    U = invariance_divisor(spec, points[0])
+    fourier_coefficient(lambda p: CFG.one(), gammas[-1], points[0], U, target, CFG)
+    character_product(norm_family(1, 2, (G2.place([1, 1]),)), gammas[-1])
+    # over F_2 every numerator is monic already
+    assert Counter(calls) == Counter([g.num for g in gammas] + [g.den for g in gammas])
+
+
 def test_a_phi_that_raises_midway_changes_no_later_coefficient(target, sqrt2):
     """A coefficient whose phi raises at its third coset leaves the
     tables as they would be filled anyway: the next coefficient, and
