@@ -23,10 +23,11 @@ import sys
 from . import jsonio
 from .errors import (ElladicError, InputError, InsufficientPrecision,
                      NotCongruent, NotIntegral, PrecisionLoss, TooLarge)
-from .function_field import (Divisor, GroundField, PsiTarget, expand_at,
+from .function_field import (DEFAULT_ENUMERATION_CAP, DEFAULT_SERIES_PRECISION,
+                             Divisor, GroundField, PsiTarget, expand_at,
                              principal_adele, psi_global, psi_local,
                              quotient_exponent, quotient_index, rr_space)
-from .padic import FieldConfig, difference_valuation, sqrt_unit
+from .padic import DEFAULT_PRECISION, FieldConfig, difference_valuation, sqrt_unit
 from .pipeline import (central_char_propagate, congruence_pipeline,
                        default_sample_points)
 from .satake import char_poly, congruent, is_integral, reduce_char_poly
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--p", type=int)
     parser.add_argument("--f", type=int, default=1)
     parser.add_argument("--bound", type=int, default=None)
-    parser.add_argument("--cap", type=int, default=10 ** 6)
+    parser.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=("text", "json"), default="json")
     return parser
@@ -119,7 +120,7 @@ def resolve_field(args, data) -> FieldConfig:
     if args.ell is None:
         raise InputError("no coefficient field: supply 'field' or --ell")
     return jsonio._make(FieldConfig, args.ell, args.d, None,
-                        32 if args.precision is None else args.precision)
+                        DEFAULT_PRECISION if args.precision is None else args.precision)
 
 
 def resolve_ground(args, data) -> GroundField:
@@ -288,7 +289,7 @@ def cmd_expand(args, data):
     ground = resolve_ground(args, data)
     r = jsonio.decode_rational(data.get("rational", {}), ground)
     place = jsonio.decode_place(data.get("place", {}), ground)
-    M = jsonio._int(data.get("precision", 16), "'precision'")
+    M = jsonio._int(data.get("precision", DEFAULT_SERIES_PRECISION), "'precision'")
     if M < 1:
         raise InputError("'precision' must be >= 1")
     le = expand_at(r, place, M)
@@ -308,7 +309,7 @@ def cmd_pipeline(args, data):
         sq = sqrt_unit(cfg, ground.q)
     else:
         sq = jsonio.decode_local_number(sq_obj, cfg)
-    samples_obj = data.get("samples", {"seed": args.seed, "count": 20})
+    samples_obj = data.get("samples", {})
     if isinstance(samples_obj, dict):
         seed = jsonio._int(samples_obj.get("seed", args.seed), "samples seed")
         count = jsonio._int(samples_obj.get("count", 20), "samples count")

@@ -571,15 +571,18 @@ def psi_conductor(place: Place) -> int:
     return 2 if place.is_infinity else 0
 
 
-def trace_digits(place: Place, xv: int, ordr: int, level: int = 0) -> int:
-    """The one rule for how far r is expanded at the place: for the residue
-    trace of x * r, with xv the valuation of x (read as 0 when positive,
-    so that all such x share one expansion) and ordr the order of r there,
-    absolute precision psi_conductor plus a margin of three digits; for a
-    Kirillov table whose cosets read level >= 1 digits of r's unit part,
-    one digit past the level and never fewer than level digits."""
+def trace_digits(place: Place, x: LocalElement | None, ordr: int, level: int = 0) -> int:
+    """The one rule for how far r is expanded at the place, read from the
+    element x the expansion will meet (None for a table or character
+    read) and ordr, the order of r there: for the residue trace of x * r,
+    absolute precision psi_conductor plus a margin of three digits, x's
+    valuation read as 0 when positive or x is zero-like, so that all such
+    x share one expansion; for a table or character that reads level >= 1
+    digits of r's unit part, one digit past the level and never fewer
+    than level digits."""
+    xv = 0 if x is None or x.is_zero_like else min(x.v, 0)
     need = max(psi_conductor(place), level + 1) if level else psi_conductor(place)
-    return max(1, level, need - min(xv, 0) - ordr + 3)
+    return max(1, level, need - xv - ordr + 3)
 
 
 def residue_trace(place: Place, x: LocalElement, y: LocalElement | None = None):
@@ -649,12 +652,6 @@ class Adele:
     def zero(cls, ground: GroundField) -> "Adele":
         return cls(ground, ())
 
-    def get(self, place: Place) -> LocalElement:
-        for pl, x in self.items:
-            if pl == place:
-                return x
-        return LocalElement.exact_zero(place)
-
     def __neg__(self):
         return Adele(self.ground, tuple((pl, -x) for pl, x in self.items))
 
@@ -667,7 +664,7 @@ def principal_adele(r: RationalFunction) -> Adele:
         return Adele.zero(ground)
     places = {pl for pl, m in r.orders.items() if m < 0} | {ground.infinity()}
     return Adele.make(ground, [
-        (pl, expand_at(r, pl, trace_digits(pl, 0, r.orders.get(pl, 0)))) for pl in places])
+        (pl, expand_at(r, pl, trace_digits(pl, None, r.orders.get(pl, 0)))) for pl in places])
 
 
 def scale_adele(a: Adele, r: RationalFunction) -> Adele:
@@ -676,7 +673,7 @@ def scale_adele(a: Adele, r: RationalFunction) -> Adele:
     if r.is_zero:
         return Adele.zero(a.ground)
     return Adele.make(a.ground, [
-        (pl, x * expand_at(r, pl, trace_digits(pl, x.v, r.orders.get(pl, 0))))
+        (pl, x * expand_at(r, pl, trace_digits(pl, x, r.orders.get(pl, 0))))
         for pl, x in a.items])
 
 
@@ -692,7 +689,7 @@ def scaled_trace(a: Adele, r: RationalFunction, memo: dict) -> int:
         t = memo.get(item)
         if t is None:
             pl, x = item
-            gexp = expand_at(r, pl, trace_digits(pl, x.v, r.orders.get(pl, 0)))
+            gexp = expand_at(r, pl, trace_digits(pl, x, r.orders.get(pl, 0)))
             t = memo[item] = residue_trace(pl, x, gexp)
         trace += t
     return trace

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .errors import InputError
 from .function_field import (Divisor, GroundField, LocalElement, Place,
                              RationalFunction, element_codes)
-from .padic import FieldConfig, LocalNumber
+from .padic import DEFAULT_PRECISION, FieldConfig, LocalNumber
 from .pipeline import (CharacterFamily, GlobalWhittakerSpec, KirillovEntry,
                        KirillovTable, LocalCharacter, MirabolicPoint,
                        TabulatedDatum, UnramifiedDatum)
@@ -100,7 +100,7 @@ def decode_field_config(obj) -> FieldConfig:
         ell=_int(_need(obj, "ell", "field config"), "ell"),
         d=_int(obj.get("d", 1), "d"),
         modulus=tuple(_ints(modulus, "modulus")) if modulus is not None else None,
-        precision=_int(obj.get("precision", 32), "precision"),
+        precision=_int(obj.get("precision", DEFAULT_PRECISION), "precision"),
     )
 
 

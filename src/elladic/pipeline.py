@@ -42,17 +42,21 @@ entries whose x is not the exact zero, up to last, with the first spec's
 data.  A unipotent shift changes only x, as in W(n(x)g) = psi(x)W(g), so
 the points of one torus share the psi-free part: _sums reads every term
 from one table per (specs, torus signature, target, sqrt_q), gamma -> its
-psi-free part, its values per (spec, t) and its traces per entry.  The
-last _TABLES tables outlive the calls that fill them, and a gamma's
-traces start over past _TRACES; every entry is a function of its key, so
-W, phi, a pair and every coset share them in any order.  gamma_support is
-memoised per (spec, torus signature, support places, cap) and sqrt_q
-checked once per root.  An empty Kirillov table is the zero function
-wherever it is read.
+psi-free part, its values per (spec, t) and its traces per point entry
+(place, x, a1, a2).  The last _TABLES tables outlive the calls that fill
+them, and a gamma's traces start over past _TRACES; every entry is a
+function of its key, so W, phi, a pair and every coset share them in any
+order.  gamma_support is memoised per (spec, torus signature, support
+places, cap) and sqrt_q checked once per root.  An empty Kirillov table
+is the zero function wherever it is read.
 
 Per-place data is read from maps built once per object: a spec's explicit
-data and its S, a point's entries, central exponents and support, and a
-character family's explicit and per-degree characters.
+data and its S, and a character family's explicit and per-degree
+characters.  A point stores its entries, central exponents, support and
+torus signature, and keeps no per-place map.  Every expansion of gamma
+or of a character's argument is sized by the one rule trace_digits from
+the element it meets (x * u^(-a2) in the trace of gamma * x * u^(-a2),
+none for a table or character read) and the level the read needs.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from .function_field import (Adele, DEFAULT_ENUMERATION_CAP, Divisor,
                              RationalFunction, enumerate_places, expand_at,
                              coset_reps, psi_conductor, quotient_index,
                              residue_trace, rr_nonzero, scaled_trace,
-                             trace_digits)
+                             trace_digits, weak_approx)
 from .padic import FieldConfig, LocalNumber, congruent_mod_m, difference_valuation
 from .satake import CharPoly, SatakeParam, char_poly, congruent, is_integral
 from .whittaker import check_sqrt_q, whittaker_value
@@ -335,29 +339,19 @@ class MirabolicPoint:
         if len({pl for pl, _ in cents}) != len(cents):
             raise ValueError("duplicate place in point central")
         object.__setattr__(self, "central", cents)
-        # place -> (x, a1, a2), place -> central exponent, the support and
-        # the torus signature, built once; attributes, not fields, so
-        # __eq__, hash and repr are unchanged
-        object.__setattr__(self, "_at", {e[0]: e[1:] for e in ents})
-        object.__setattr__(self, "_central_at", dict(cents))
+        # the support and the torus signature, built once; attributes, not
+        # fields, so __eq__, hash and repr are unchanged
         object.__setattr__(self, "_support", tuple(sorted(
-            self._at.keys() | self._central_at.keys(), key=lambda p: p.sort_key())))
+            {e[0] for e in ents} | {pl for pl, _ in cents}, key=lambda p: p.sort_key())))
         object.__setattr__(self, "torus", (self.ground, tuple(
             (pl, a1, a2) for pl, _, a1, a2 in ents if a1 or a2), cents))
-
-    def get(self, place: Place):
-        at = self._at.get(place)
-        return (LocalElement.exact_zero(place), 0, 0) if at is None else at
-
-    def central_at(self, place: Place) -> int:
-        return self._central_at.get(place, 0)
 
     def support(self) -> tuple:
         return self._support
 
     def shifted_by(self, u: Adele) -> "MirabolicPoint":
         """Left translation by the unipotent adele u: x_v += u_v * unif^a2."""
-        at = dict(self._at)
+        at = {pl: (x, a1, a2) for pl, x, a1, a2 in self.entries}
         for pl, uv in u.items:
             x, a1, a2 = at.get(pl) or (LocalElement.exact_zero(pl), 0, 0)
             at[pl] = (x + (uv.shift(a2) if a2 else uv), a1, a2)
@@ -384,15 +378,15 @@ def _local_factor(datum, config: FieldConfig, place: Place, gamma: RationalFunct
     twist, zero for an empty table.
 
     Only a table needs gamma's expansion, to the digits trace_digits
-    gives for x = 0 and the table's max level."""
+    gives for a table read at the table's max level."""
     if not isinstance(datum, TabulatedDatum):
         wv = whittaker_value(datum.satake, (a1 + ordg + central, a2 + central))
         return wv.coef, wv.q_half_exp * place.degree
     table = datum.table
     if table.is_empty:
         return config.zero(), 0
-    M = trace_digits(place, 0, ordg, table.max_level())
-    f_val = table.lookup(expand_at(gamma, place, M).shift(a1))
+    gexp = expand_at(gamma, place, trace_digits(place, None, ordg, table.max_level()))
+    f_val = table.lookup(gexp.shift(a1))
     if f_val.is_zero or not central:
         return f_val, 0
     return f_val * datum.central.value_at_uniformizer ** central, 0
@@ -490,7 +484,9 @@ def _trace(spec: GlobalWhittakerSpec, point: MirabolicPoint, gamma: RationalFunc
     """The residue-trace sum of the gamma term at diag(gamma,1) * point,
     over the point's entries whose x is not the exact zero: psi is one
     character of A/k, so the psi values of all places multiply to psi_0
-    of this one sum.  free is _psi_free's result at the point's torus
+    of this one sum.  At an entry (place, x, a1, a2) the trace is of
+    gamma * x * u^(-a2), gamma expanded as far as trace_digits gives for
+    x * u^(-a2).  free is _psi_free's result at the point's torus
     signature.
 
     Entries are read up to free's last place, with spec's data, as a
@@ -517,13 +513,13 @@ def _trace(spec: GlobalWhittakerSpec, point: MirabolicPoint, gamma: RationalFunc
             trace += known
             continue
         datum = spec.datum_at(pl)
-        level = datum.table.max_level() if isinstance(datum, TabulatedDatum) else 0
-        xv = 0 if x.is_zero_like else x.v
-        gexp = expand_at(gamma, pl, trace_digits(pl, xv, gamma.orders.get(pl, 0), level))
         _check_mirabolic(datum, a2)
+        level = datum.table.max_level() if isinstance(datum, TabulatedDatum) else 0
+        x = x.shift(-a2) if a2 else x
+        gexp = expand_at(gamma, pl, trace_digits(pl, x, gamma.orders.get(pl, 0), level))
         if len(memo) >= _TRACES:
             memo.clear()
-        t = memo[entry] = residue_trace(pl, x.shift(-a2) if a2 else x, gexp)
+        t = memo[entry] = residue_trace(pl, x, gexp)
         trace += t
     if fault is not None:
         raise fault
@@ -659,9 +655,10 @@ def invariance_divisor(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     """
     if extra is None:
         extra = Divisor.zero(spec.ground)
+    exps = {pl: (a1, a2) for pl, a1, a2 in point.torus[1]}
     pairs = []
     for pl in _base_places(spec, point.support()) | set(extra.support()):
-        bound = (_pole_bound(spec, pl, *point.get(pl)[1:]) or 0) + max(extra.get(pl), 0)
+        bound = (_pole_bound(spec, pl, *exps.get(pl, (0, 0))) or 0) + max(extra.get(pl), 0)
         m_v = bound + psi_conductor(pl)
         if m_v > 0:
             pairs.append((pl, m_v))
@@ -892,7 +889,7 @@ def character_product(fam: CharacterFamily, y: RationalFunction,
         if pl in exclude:
             continue
         chi = fam.character_at(pl)
-        M = max(1, chi.level, chi.level - y.orders.get(pl, 0) + 2)
+        M = trace_digits(pl, None, y.orders.get(pl, 0), chi.level)
         out = out * chi.evaluate(expand_at(y, pl, M))
     return out
 
@@ -943,8 +940,6 @@ def central_char_propagate(fam1: CharacterFamily, fam2: CharacterFamily,
             v, exact = difference_valuation(character_product(fam, y), config.one())
             if exact and v != INF:
                 product_failures.append((i, tag))
-
-    from .function_field import weak_approx
 
     # one level per exceptional place, in S order, so the first place
     # without a character raises first

@@ -87,13 +87,6 @@ def elementary_symmetric_all(S: SatakeParam) -> list:
     return e
 
 
-def elementary_symmetric(S: SatakeParam, r: int) -> LocalNumber:
-    """e_r(mu) = sum over r-subsets of products."""
-    if not 0 <= r <= S.n:
-        raise ValueError(f"r must lie in 0..{S.n}")
-    return elementary_symmetric_all(S)[r]
-
-
 def char_poly(S: SatakeParam) -> CharPoly:
     """Monic polynomial with the parameter entries as roots: c_r = (-1)^r e_r."""
     e = elementary_symmetric_all(S)
@@ -145,13 +138,6 @@ def match_residues(S1: SatakeParam, S2: SatakeParam):
             raise NoMatching("residue multisets differ")
         sigma[i1] = i2
     return tuple(sigma)
-
-
-def complete_homogeneous(S: SatakeParam, k: int) -> LocalNumber:
-    """h_k(mu) via the Newton-style recurrence in the e_r, division-free."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return complete_homogeneous_table(S, k)[k]
 
 
 def complete_homogeneous_table(S: SatakeParam, kmax: int) -> list:

@@ -249,11 +249,13 @@ def gamma_term_per_place(spec, point, gamma, target):
     total half exponent); gamma = None means 1.
 
     A product over places in place order, stopping at the first zero
-    factor: at each place x gamma is formed in full, psi_v is read from
+    factor: at each place x u^(-a2) gamma is formed in full, gamma
+    expanded to a margin sized from the shifted x, psi_v is read from
     it, and the local factor is psi_v times the Whittaker value, or psi_v
     times the table value at gamma's unit part times u^a1 times the
     central twist, an empty table being the zero function.  Nothing is
-    shared between places or between specs.
+    shared between places or between specs, and the point is read only
+    through its entries, central exponents and support.
     """
     ground, config = spec.ground, spec.config
     places = set(point.support()) | set(spec.S) | {ground.infinity()}
@@ -263,13 +265,16 @@ def gamma_term_per_place(spec, point, gamma, target):
         places |= {Place(ground, f) for poly in (fp_monic(F, gamma.num), gamma.den)
                    for f, _ in fp_factor(F, poly)}
         orders = {pl: ord_by_division(gamma, pl) for pl in places}
+    at = {pl: (x, a1, a2) for pl, x, a1, a2 in point.entries}
+    centrals = dict(point.central)
     coef, total = config.one(), 0
     for pl in sorted(places, key=lambda p: p.sort_key()):
-        x, a1, a2 = point.get(pl)
-        c = point.central_at(pl)
+        x, a1, a2 = at.get(pl, (LocalElement.exact_zero(pl), 0, 0))
+        c = centrals.get(pl, 0)
         datum = spec.datum_at(pl)
         tabulated = isinstance(datum, TabulatedDatum)
         torus_unit = None
+        x = x.shift(-a2)
         if gamma is not None:
             ordg = orders.get(pl, 0)
             need = psi_conductor(pl)
@@ -282,7 +287,7 @@ def gamma_term_per_place(spec, point, gamma, target):
             a1 += ordg
         if tabulated and a2 != 0:
             raise UnsupportedPoint("tabulated data queried with a2 != 0")
-        psi_val = psi_local(pl, x.shift(-a2), target)
+        psi_val = psi_local(pl, x, target)
         half = 0
         if tabulated:
             y = LocalElement.uniformizer_power(pl, a1)

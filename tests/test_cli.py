@@ -272,6 +272,19 @@ def test_pipeline_enumeration_cap_exits_three(capsys, tmp_path):
     assert main(["pipeline", "--input", str(path), "--cap", "1"]) == 3
 
 
+def test_pipeline_trace_at_a_large_a2_exits_zero(capsys):
+    """An exact x at t with a = [4, 4] beside a = [1, 0] at t + 1: the
+    trace of gamma x u^-4 at t needs four more digits of gamma than one
+    of gamma x, and the sample is evaluated with exit 0."""
+    point = {"entries": [
+        {"place": {"finite": [0, 1]},
+         "x": {"place": {"finite": [0, 1]}, "v": -1, "coeffs": [1, 1]}, "a": [4, 4]},
+        {"place": {"finite": [1, 1]}, "a": [1, 0]}], "central": []}
+    code, out = run(capsys, "pipeline", "--input", json.dumps({**PIPE_INPUT, "samples": [point]}))
+    assert code == 0
+    assert json.loads(out)["result"]["sample_count"] == 1
+
+
 def test_selftest(capsys):
     code, out = run(capsys, "selftest", "--seed", "3")
     assert code == 0

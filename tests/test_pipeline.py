@@ -15,9 +15,9 @@ from elladic.errors import (BadSquareRoot, ConfigMismatch, ElladicError,
                             UnsupportedPoint)
 from elladic.function_field import (Divisor, GroundField, LocalElement,
                                     Place, PsiTarget, coset_reps,
-                                    enumerate_places, psi_global,
-                                    quotient_index, rr_space, scale_adele,
-                                    span_nonzero)
+                                    enumerate_places, expand_at, psi_global,
+                                    psi_local, quotient_index, rr_space,
+                                    scale_adele, span_nonzero)
 from elladic.padic import FieldConfig, sqrt_unit
 from elladic.pipeline import (CharacterFamily, GlobalWhittakerSpec,
                               KirillovEntry, KirillovTable, LocalCharacter,
@@ -548,6 +548,25 @@ def test_a_table_reads_gamma_to_its_max_level(target):
     assert _gamma_term(spec, point, gamma, target) == (CFG.integer(3), 0)
 
 
+@pytest.mark.parametrize("a2", range(4, 10))
+def test_a_trace_sizes_gamma_from_the_shifted_x(target, a2):
+    """The trace at t is of gamma x u^(-a2), whose valuation is a2 below
+    x's: gamma is expanded as far as that element needs, so the term is
+    its psi-free part times psi_t of gamma x u^(-a2) read from a 60-digit
+    expansion of gamma, as in the per-place product.  Sized from x alone,
+    the expansion runs short from a2 = 4 on."""
+    spec, gamma = unramified_spec(), G2.rational([1], [1, 1])
+    t_pl, t1 = G2.place([0, 1]), G2.place([1, 1])
+    x = local(t_pl, -1, 1, 1)
+    point = MirabolicPoint(G2, ((t_pl, x, a2, a2), (t1, LocalElement.exact_zero(t1), 1, 0)))
+    assert gamma in gamma_support(spec, point)
+    ((coef, half),), _, fault = pipeline._psi_free((spec,), point.torus, gamma, target)
+    assert fault is None and not coef.is_zero
+    psi = psi_local(t_pl, expand_at(gamma, t_pl, 60) * x.shift(-a2), target)
+    assert _gamma_term(spec, point, gamma, target) == (coef * psi, half)
+    assert digits(gamma_term_per_place(spec, point, gamma, target)) == digits((coef * psi, half))
+
+
 # a spec with tabulated places, for the hypothesis properties below, and
 # two unramified ones: with the same default rule, and with the rule for
 # degrees 1 and 2 only, so that a gamma with a zero or pole of higher
@@ -564,10 +583,10 @@ def shifted_cases(draw, inexact=False):
     and a divisor U on two places of degree 1, whose 2 to 8 cosets shift
     the point.  The spec is PROPERTY_SPEC and every x exact, unless
     inexact: then x may be known only to its listed digits, none
-    included, and on an unramified spec a2 may be 1."""
+    included, and on an unramified spec a2 may reach 5."""
     spec = draw(st.sampled_from((PROPERTY_SPEC,) + UNRAMIFIED_SPECS)) if inexact \
         else PROPERTY_SPEC
-    a2s = st.integers(0, 1) if spec in UNRAMIFIED_SPECS else st.just(0)
+    a2s = st.integers(0, 5) if spec in UNRAMIFIED_SPECS else st.just(0)
     entries = []
     for pl in draw(st.lists(st.sampled_from(SMALL_PLACES), min_size=1, max_size=2,
                             unique=True)):
@@ -586,10 +605,11 @@ def shifted_cases(draw, inexact=False):
 
 @settings(max_examples=25, deadline=None)
 @given(shifted_cases())
-def test_coset_scope_gives_the_per_place_digits(case):
+def test_term_tables_give_the_per_place_digits(case):
     """mirabolic_expand at each point a Fourier coefficient visits gives,
-    inside the coefficient's scope and outside it, the digits of the sum
-    over the support of the per-place product."""
+    read from the gamma-term table that the coefficient's cosets share and
+    again after the coefficient, the digits of the sum over the support
+    of the per-place product."""
     spec, point, U = case
     cfg = spec.config
     target, sqrt_q = PsiTarget.create(G2, cfg), sqrt_unit(cfg, 2)
@@ -617,11 +637,11 @@ def expand_outcome(spec, point, sqrt_q, target):
 
 @settings(max_examples=100, deadline=None)
 @given(shifted_cases(inexact=True))
-def test_coset_scope_gives_the_value_or_error_of_a_call_outside_it(case):
-    """With x known to few digits, a2 = 1 and missing default rules, each
-    coset gives inside the coefficient's scope, where traces and support
-    checks are shared, the digits or the error (class and message) that
-    the same call gives outside any scope, where nothing is kept."""
+def test_term_tables_give_each_coset_the_value_or_error_of_a_lone_call(case):
+    """With x known to few digits, a2 up to 5 and missing default rules,
+    each coset gives, inside the coefficient, where the cosets share one
+    gamma-term table and its traces, the digits or the error (class and
+    message) that the same call gives alone after the coefficient."""
     spec, point, U = case
     cfg = spec.config
     target, sqrt_q = PsiTarget.create(G2, cfg), sqrt_unit(cfg, 2)
@@ -716,7 +736,7 @@ def test_a_validated_pair_gives_what_its_two_singles_give(case):
             assert pair in singles
 
 
-def test_coset_scope_checks_sqrt_q_once_per_entry(monkeypatch, target, sqrt2):
+def test_term_tables_check_sqrt_q_once_per_root(monkeypatch, target, sqrt2):
     """A wrong sqrt_q is refused at the first coset, before any gamma
     support is read, and again at every call; a right one is checked
     once per root, however many cosets and calls read it."""
@@ -745,9 +765,9 @@ def test_coset_scope_checks_sqrt_q_once_per_entry(monkeypatch, target, sqrt2):
     assert (checks.misses, checks.hits) == (3, quotient_index(U))
 
 
-def test_coset_scope_traces_once_per_gamma_place_and_x(monkeypatch, target, sqrt2):
-    """Within one coefficient from cold caches, each (gamma, place, x, a2)
-    is traced once, each component of the twist once and each distinct
+def test_term_tables_trace_once_per_gamma_and_point_entry(monkeypatch, target, sqrt2):
+    """Within one coefficient from cold caches, each gamma and point entry
+    (place, x, a1, a2) is traced once, each component of the twist once and each distinct
     point support's divisor built once, though every coset sums over
     every gamma of the support and twists by every component of its
     representative."""
@@ -885,8 +905,8 @@ def test_spec_default_rule_missing_degree():
 
 
 def test_lookups_read_the_maps_built_once(rng):
-    """datum_at, get, central_at and support: explicit data, the default
-    rule and IncompleteData, at equal but distinct Place objects; equal
+    """datum_at and support: explicit data, the default rule and
+    IncompleteData, at equal but distinct Place objects; equal
     specs and points still compare, hash and print alike."""
     spec, _ = build_spec_pair(rng)
     twin = replace(spec)
@@ -919,11 +939,6 @@ def test_lookups_read_the_maps_built_once(rng):
     assert repr(point) == (f"MirabolicPoint(ground={G2!r}, entries=((Place(0, 1), "
                            f"{x!r}, 2, 0),), central=((Place(infinity), -1), "
                            f"(Place(0, 1), 1)))")
-    assert point.get(Place(G2, (0, 1))) == (x, 2, 0)
-    assert point.get(inf) == (LocalElement.exact_zero(inf), 0, 0)
-    assert point.central_at(Place(G2, None)) == -1
-    assert point.central_at(Place(G2, (0, 1))) == 1
-    assert point.central_at(G2.place([1, 1])) == 0
     assert point.support() == (inf, t_pl)
     with pytest.raises(ValueError, match="duplicate place"):
         MirabolicPoint(G2, (), ((t_pl, 1), (Place(G2, (0, 1)), 2)))

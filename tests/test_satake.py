@@ -5,10 +5,9 @@ import pytest
 
 from elladic.errors import ConfigMismatch, NoMatching, NotIntegral
 from elladic.padic import FieldConfig
-from elladic.satake import (SatakeParam, char_poly, complete_homogeneous,
-                            complete_homogeneous_table, congruent,
-                            elementary_symmetric, is_integral, match_residues,
-                            reduce_char_poly)
+from elladic.satake import (SatakeParam, char_poly, complete_homogeneous_table,
+                            congruent, elementary_symmetric_all, is_integral,
+                            match_residues, reduce_char_poly)
 from conftest import random_unit
 
 CFG5 = FieldConfig(5, precision=8)
@@ -21,11 +20,11 @@ def S(cfg, q, *mu_ints):
 
 def test_elementary_symmetric_examples():
     s = S(CFG7, 3, 3, 2)
-    assert elementary_symmetric(s, 1) == CFG7.integer(5)
-    assert elementary_symmetric(s, 2) == CFG7.integer(6)
+    assert elementary_symmetric_all(s)[1] == CFG7.integer(5)
+    assert elementary_symmetric_all(s)[2] == CFG7.integer(6)
     ones = S(CFG7, 3, 1, 1, 1)
-    assert elementary_symmetric(ones, 2) == CFG7.integer(3)
-    assert elementary_symmetric(ones, 3) == CFG7.one()
+    assert elementary_symmetric_all(ones)[2] == CFG7.integer(3)
+    assert elementary_symmetric_all(ones)[3] == CFG7.one()
 
 
 def test_char_poly_examples():
@@ -109,10 +108,10 @@ def _h_oracle(S_param, k):
 
 def test_complete_homogeneous_examples():
     ones = S(CFG5, 3, 1, 1)
-    assert complete_homogeneous(ones, 0) == CFG5.one()
-    assert complete_homogeneous(ones, 2) == CFG5.integer(3)
+    assert complete_homogeneous_table(ones, 0)[0] == CFG5.one()
+    assert complete_homogeneous_table(ones, 2)[2] == CFG5.integer(3)
     s = S(CFG5, 3, 3, 2)
-    assert complete_homogeneous(s, 1) == elementary_symmetric(s, 1)
+    assert complete_homogeneous_table(s, 1)[1] == elementary_symmetric_all(s)[1]
 
 
 def test_complete_homogeneous_certifies_a_cancelling_partial_sum():
@@ -133,7 +132,7 @@ def test_complete_homogeneous_against_monomial_oracle(rng):
         n = rng.randrange(1, 4)
         s = SatakeParam(n, 2, tuple(random_unit(CFG7, rng) for _ in range(n)))
         for k in range(7):
-            got = complete_homogeneous(s, k)
+            got = complete_homogeneous_table(s, k)[k]
             want = _h_oracle(s, k)
             assert (got - want).is_zero
 
