@@ -250,10 +250,7 @@ def cmd_psi(args, data):
             if "place" in item or "x" in item:
                 raise InputError("a psi item gives 'gamma' or 'place'+'x', not both")
             gamma = jsonio.decode_rational(item["gamma"], ground)
-            if gamma.is_zero:
-                val = cfg.one()
-            else:
-                val = psi_global(principal_adele(gamma), target)
+            val = psi_global(principal_adele(gamma), target)
             rec = {"gamma": jsonio.encode_rational(gamma)}
         elif "place" in item:
             place = jsonio.decode_place(item["place"], ground)
@@ -276,7 +273,7 @@ def cmd_index(args, data):
     if any(m < 0 for _, m in U.items):
         raise InputError("'divisor' multiplicities must be >= 0 for an index")
     exponent = quotient_exponent(U)
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()    # 0: no limit
     # p^e >= 10^limit, from logarithms, and exactly within one digit of it
     gap = exponent * math.log10(ground.p) - limit
     if limit and (ground.p ** exponent >= 10 ** limit if abs(gap) < 1 else gap > 0):

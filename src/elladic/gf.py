@@ -450,7 +450,7 @@ class ExtField(_CodedField):
         self.deg = len(modulus) - 1
         self.order = base.order ** self.deg
         self.p = base.char()
-        self._gen = self._log = self._exp = self._zech = self._trace = None
+        self._gen = None
 
     def __eq__(self, other):
         return (isinstance(other, ExtField)
@@ -461,6 +461,14 @@ class ExtField(_CodedField):
 
     def __repr__(self):
         return f"ExtField({self.base!r}, deg={self.deg})"
+
+    def __getattr__(self, name):
+        # called only for a slot not yet set: the tables are built on
+        # their first read
+        if name not in ("_log", "_exp", "_zech", "_trace"):
+            raise AttributeError(name)
+        self._build()
+        return getattr(self, name)
 
     def deg_over_prime(self):
         return self.deg * self.base.deg_over_prime()
@@ -481,8 +489,8 @@ class ExtField(_CodedField):
                        for e in exps))
         return self._gen
 
-    def _build(self) -> list:
-        """Build the log, antilog, Zech-log and trace tables; returns log."""
+    def _build(self):
+        """Build the log, antilog, Zech-log (None for p = 2) and trace tables."""
         if self.order > MAX_TABLE_ORDER:
             raise TooLarge(f"F_{self.order} is above the field order limit {MAX_TABLE_ORDER}")
         base, q, p, n = self.base, self.base.order, self.p, self.order - 1
@@ -494,11 +502,10 @@ class ExtField(_CodedField):
             exp[k] = exp[k + n] = c
             log[c] = k
             x = fp_mod(base, fp_mul(base, x, g), self.modulus)
-        if p != 2:
-            # zech[k] = log(1 + g^k), -1 where 1 + g^k = 0; adding 1 to a
-            # code adds 1 to its lowest base-p digit
-            self._zech = [log[c1] if c1 else -1
-                          for c1 in (c - c % p + (c + 1) % p for c in exp[:n])]
+        # zech[k] = log(1 + g^k), -1 where 1 + g^k = 0; adding 1 to a code
+        # adds 1 to its lowest base-p digit
+        self._zech = None if p == 2 else [
+            log[c1] if c1 else -1 for c1 in (c - c % p + (c + 1) % p for c in exp[:n])]
         self._exp, self._log = exp, log
         # the trace is F_p-linear in the base-p digits of the code: fill
         # the codes [e p^k, (e + 1) p^k) from [0, p^k) and Tr(p^k)
@@ -510,7 +517,6 @@ class ExtField(_CodedField):
                 tk, y = self.add(tk, y), self.pow(y, p)
             trace += [(t + e * tk) % p for e in range(1, p) for t in trace]
         self._trace = trace
-        return log
 
     def add(self, x, y) -> int:
         if self.p == 2:
@@ -520,8 +526,6 @@ class ExtField(_CodedField):
         if not y:
             return x
         log = self._log
-        if log is None:
-            log = self._build()
         lx = log[x]
         z = self._zech[log[y] - lx]
         return self._exp[lx + z] if z >= 0 else 0
@@ -529,11 +533,8 @@ class ExtField(_CodedField):
     def neg(self, x) -> int:
         if self.p == 2 or not x:
             return x
-        log = self._log
-        if log is None:
-            log = self._build()
         # -1 = g^(n/2) for odd p
-        return self._exp[log[x] + (self.order - 1) // 2]
+        return self._exp[self._log[x] + (self.order - 1) // 2]
 
     def sub(self, x, y) -> int:
         if self.p == 2:
@@ -544,32 +545,22 @@ class ExtField(_CodedField):
         if not x or not y:
             return 0
         log = self._log
-        if log is None:
-            log = self._build()
         return self._exp[log[x] + log[y]]
 
     def inv(self, x) -> int:
         if not x:
             raise ZeroDivisionError("inverse of zero field element")
-        log = self._log
-        if log is None:
-            log = self._build()
-        return self._exp[self.order - 1 - log[x]]
+        return self._exp[self.order - 1 - self._log[x]]
 
     def pow(self, x, e: int) -> int:
         if not x:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero field element")
             return 0 if e else 1
-        log = self._log
-        if log is None:
-            log = self._build()
-        return self._exp[log[x] * e % (self.order - 1)]
+        return self._exp[self._log[x] * e % (self.order - 1)]
 
     def trace(self, x) -> int:
         """Tr to F_p, as an int mod p."""
-        if self._trace is None:
-            self._build()
         return self._trace[x]
 
 

@@ -424,7 +424,11 @@ def hensel_root(f: Sequence[LocalNumber], r0: tuple) -> LocalNumber:
 
 
 @lru_cache(maxsize=64)
-def _pth_roots_cached(config: FieldConfig, p: int) -> tuple:
+def pth_roots_of_unity(config: FieldConfig, p: int) -> tuple:
+    """All p-th roots of unity in the configured field, sorted by residue
+    coefficient tuple.  Requires p prime with p | l^d - 1."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     F = config.residue_field()
     if (F.order - 1) % p != 0:
         raise UnsupportedDegree(
@@ -435,14 +439,6 @@ def _pth_roots_cached(config: FieldConfig, p: int) -> tuple:
     residues = sorted({to_digits(F.pow(zeta_bar, j), config.ell, config.d) for j in range(p)})
     poly = [config.integer(-1)] + [config.zero()] * (p - 1) + [config.one()]
     return tuple(hensel_root(poly, r) for r in residues)
-
-
-def pth_roots_of_unity(config: FieldConfig, p: int) -> tuple:
-    """All p-th roots of unity in the configured field, sorted by residue
-    coefficient tuple.  Requires p prime with p | l^d - 1."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _pth_roots_cached(config, p)
 
 
 def sqrt_unit(config: FieldConfig, n: int) -> LocalNumber:

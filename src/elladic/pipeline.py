@@ -41,14 +41,15 @@ the last live product stopped or a fault was met.  The trace reads the
 entries whose x is not the exact zero, up to last, with the first spec's
 data.  A unipotent shift changes only x, as in W(n(x)g) = psi(x)W(g), so
 the points of one torus share the psi-free part: _sums reads every term
-from one table per (specs, torus signature, target, sqrt_q), gamma -> its
-psi-free part, its values per (spec, t) and its traces per point entry
-(place, x, a1, a2).  The last _TABLES tables outlive the calls that fill
-them, and a gamma's traces start over past _TRACES; every entry is a
-function of its key, so W, phi, a pair and every coset share them in any
-order.  gamma_support is memoised per (spec, torus signature, support
-places, cap) and sqrt_q checked once per root.  An empty Kirillov table
-is the zero function wherever it is read.
+from one table per (specs, torus signature, target, sqrt_q), gamma -> one
+record: per spec None for a zero product, or the p values
+(coef * psi_0(t)) * sqrt_q^half its sum adds at a trace t mod p, and
+the traces per point entry (place, x, a1, a2).  The last _TABLES tables
+outlive the calls that fill them, and a gamma's traces start over past
+_TRACES; every entry is a function of its key, so W, phi, a pair and
+every coset share them in any order.  gamma_support is memoised per
+(spec, torus signature, support places, cap) and sqrt_q checked once per
+root.  An empty Kirillov table is the zero function wherever it is read.
 
 Per-place data is read from maps built once per object: a spec's explicit
 data and its S, and a character family's explicit and per-degree
@@ -175,6 +176,8 @@ class LocalCharacter:
     def __post_init__(self):
         if self.value_at_uniformizer.is_zero:
             raise ValueError("character value at the uniformizer must be nonzero")
+        if self.level < 0:
+            raise ValueError("character level must be >= 0")
         if self.level == 0 and self.unit_values:
             raise ValueError("level 0 characters carry no unit table")
         if self.level >= 1:
@@ -480,35 +483,34 @@ def _psi_free(specs: tuple, torus: tuple, gamma: RationalFunction,
 
 
 def _trace(spec: GlobalWhittakerSpec, point: MirabolicPoint, gamma: RationalFunction,
-           free: tuple, memo: dict) -> int:
+           entry: tuple) -> int:
     """The residue-trace sum of the gamma term at diag(gamma,1) * point,
     over the point's entries whose x is not the exact zero: psi is one
     character of A/k, so the psi values of all places multiply to psi_0
     of this one sum.  At an entry (place, x, a1, a2) the trace is of
     gamma * x * u^(-a2), gamma expanded as far as trace_digits gives for
-    x * u^(-a2).  free is _psi_free's result at the point's torus
-    signature.
+    x * u^(-a2).  entry is gamma's record (see _sums); rows is not read.
 
-    Entries are read up to free's last place, with spec's data, as a
-    single pass over the places would read them: datum_at raises
+    Entries are read up to the record's last place, with spec's data, as
+    a single pass over the places would read them: datum_at raises
     IncompleteData at a place of the point that no rule covers, before
-    any zero factor or fault beyond it, and free's fault is raised after
-    the entries up to its place.  For a spec pair, spec is the first:
-    under _psi_free's precondition, each datum kind, table level and
-    missing rule is the same for both.
+    any zero factor or fault beyond it, and the record's fault is raised
+    after the entries up to its place.  For a spec pair, spec is the
+    first: under _psi_free's precondition, each datum kind, table level
+    and missing rule is the same for both.
 
-    memo maps a point entry (place, x, a1, a2) to its trace, a function
+    traces maps a point entry (place, x, a1, a2) to its trace, a function
     of the entry and gamma; a trace that raised nothing is stored, in a
-    memo emptied first if it already holds _TRACES."""
-    _, last, fault = free
+    map emptied first if it already holds _TRACES."""
+    _, last, fault, memo = entry
     trace = 0
-    for entry in point.entries:
-        pl, x, _, a2 = entry
+    for item in point.entries:
+        pl, x, _, a2 = item
         if x.is_exact_zero:
             continue
         if last is not None and pl.sort_key() > last:
             break
-        known = memo.get(entry)
+        known = memo.get(item)
         if known is not None:
             trace += known
             continue
@@ -519,7 +521,7 @@ def _trace(spec: GlobalWhittakerSpec, point: MirabolicPoint, gamma: RationalFunc
         gexp = expand_at(gamma, pl, trace_digits(pl, x, gamma.orders.get(pl, 0), level))
         if len(memo) >= _TRACES:
             memo.clear()
-        t = memo[entry] = residue_trace(pl, x, gexp)
+        t = memo[item] = residue_trace(pl, x, gexp)
         trace += t
     if fault is not None:
         raise fault
@@ -531,9 +533,9 @@ def _gamma_term(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     """The product of local values at diag(gamma,1) * point, as
     (coefficient, total half exponent): the psi-free part times psi_0 of
     the trace, (exact zero, 0) once a factor is zero."""
-    free = _psi_free((spec,), point.torus, gamma, target)
-    psi = target.psi0(_trace(spec, point, gamma, free, {}))
-    coef, half = free[0][0]
+    terms, last, fault = _psi_free((spec,), point.torus, gamma, target)
+    psi = target.psi0(_trace(spec, point, gamma, (None, last, fault, {})))
+    coef, half = terms[0]
     return coef * psi, half
 
 
@@ -543,38 +545,39 @@ def _sums(specs: tuple, point: MirabolicPoint, gammas, sqrt_q: LocalNumber,
     point, collapsed through the supplied sqrt of q: the one loop over
     gamma terms behind W, phi and every coset of a Fourier coefficient.
 
-    Terms come from the _terms table of the point's torus signature,
-    gamma -> (psi-free part, (spec index, t) -> (coef * psi_0(t)) *
-    sqrt_q^half, _trace's memo), each part formed in gamma order the
-    first time it is met from gamma and the torus signature alone.  A
-    term whose coefficient is the exact zero adds nothing; the trace is
-    still read, up to the psi-free part's last place, as it may raise.
-    A psi-free part that met a fault is not kept, so each call raises a
-    fault of its own.  Several specs must share S, w, the tables and the
-    degrees their rules cover, as validate_spec_pair makes them: the
-    trace reads the first spec's data for all."""
+    Terms come from the _terms table of the point's torus signature:
+    gamma -> (rows, last, fault, traces), made when gamma is first met
+    from gamma and the torus signature alone.  rows is None if every
+    product is the exact zero, else per spec None for a zero product or
+    the p values (coef * psi_0(t)) * sqrt_q^half, one per trace t mod p.
+    The trace, memoised in traces, is read up to last for every term, as
+    it may raise; a record whose fault is set is not kept, so each call
+    raises a fault of its own.  Several specs must share S, w, the tables
+    and the degrees their rules cover, as validate_spec_pair makes them:
+    the trace reads the first spec's data for all."""
     p = specs[0].ground.p
     table = _terms(specs, point.torus, target, sqrt_q)
     sums = [specs[0].config.zero()] * len(specs)
     for gamma in gammas:
         entry = table.get(gamma)
         if entry is None:
-            entry = (_psi_free(specs, point.torus, gamma, target), {}, {})
-            if entry[0][2] is None:
+            terms, last, fault = _psi_free(specs, point.torus, gamma, target)
+            rows = None if fault is not None or all(c.is_zero for c, _ in terms) else tuple(
+                None if coef.is_zero else
+                tuple([(coef * zeta) * _power(sqrt_q, half) for zeta in target.powers])
+                for coef, half in terms)
+            entry = (rows, last, fault, {})
+            if fault is None:
                 table[gamma] = entry
-        free, values, memo = entry
-        t = _trace(specs[0], point, gamma, free, memo) % p
-        for k, (coef, half) in enumerate(free[0]):
-            if not coef.is_zero:
-                value = values.get((k, t))
-                if value is None:
-                    value = values[k, t] = (coef * target.powers[t]) * _power(sqrt_q, half)
-                sums[k] = sums[k] + value
+        t = _trace(specs[0], point, gamma, entry) % p
+        for k, row in enumerate(entry[0] or ()):
+            if row is not None:
+                sums[k] = sums[k] + row[t]
     return sums
 
 
 # how many gamma-term tables _terms keeps, and how many traces a gamma's
-# memo holds before it starts over
+# traces map holds before it starts over
 _TABLES = 16
 _TRACES = 64
 

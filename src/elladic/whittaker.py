@@ -142,8 +142,6 @@ def check_sqrt_q(sqrt_q: LocalNumber, q: int):
 def collapse(W: WhittakerValue, sqrt_q: LocalNumber, q: int) -> LocalNumber:
     """coef * sqrt_q^m as a plain field element; sqrt_q must square to q."""
     check_sqrt_q(sqrt_q, q)
-    if W.is_zero:
-        return W.coef
     return W.coef * sqrt_q ** W.q_half_exp
 
 

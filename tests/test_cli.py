@@ -173,6 +173,18 @@ def test_satake_noncongruent_pair_exits_one(capsys):
     assert json.loads(out)["result"]["congruent"] is False
 
 
+def test_satake_pair_with_a_non_integral_second_parameter_is_not_congruent(capsys):
+    """Without require_integral, a pair whose second parameter is not
+    integral has no reduction to compare: congruent is false and the
+    request exits 1."""
+    data = {"field": {"ell": 5}, "params": [{"q": 3, "mu": [1, 1]}, {"q": 3, "mu": [[1, 5], 1]}]}
+    code, out = run(capsys, "satake", "--input", json.dumps(data))
+    result = json.loads(out)["result"]
+    assert code == 1
+    assert [p["integral"] for p in result["params"]] == [True, False]
+    assert result["congruent"] is False
+
+
 def test_satake_require_integral(capsys):
     code, out = run(capsys, "satake", "--input", json.dumps(SATAKE_INTEGRAL))
     assert code == 1
@@ -549,6 +561,18 @@ def test_malformed_request_exits_two(capsys, argv, command, error):
     assert error is None or record["error"] == error
 
 
+@pytest.mark.parametrize("data", [
+    replaced(PIPE_INPUT, ("spec1", "places", 1, "datum", "central", "level"), -1),
+    replaced(PIPE_CENTRAL, CHI1 + ("explicit", 0, "character", "level"), -1),
+], ids=["table-central", "central-chars"])
+def test_a_negative_character_level_exits_two(capsys, data):
+    """A character of level -1, in a table's central character or in a
+    central_chars family, is refused as malformed input."""
+    code, record = run_failing(capsys, "pipeline", "--input", json.dumps(data))
+    assert code == 2 and record["error"] == "InputError"
+    assert record["message"] == "character level must be >= 0"
+
+
 # the auto sqrt_q of PIPE_INPUT, given explicitly
 SQRT2_F7 = jsonio.encode_local_number(sqrt_unit(FieldConfig(7, precision=12), 2))
 
@@ -693,6 +717,16 @@ def test_a_huge_index_is_refused_before_the_power_is_formed(capsys, monkeypatch)
     code, record = run_failing(capsys, *index_at_infinity(10 ** 12))
     assert code == 3 and record["error"] == "TooLarge"
     assert record["message"].startswith(f"the index 2^{10 ** 12 - 1} has more than")
+
+
+def test_index_prints_its_golden_where_the_interpreter_has_no_digit_limit(capsys, monkeypatch):
+    """Python before 3.10.7 has no sys.get_int_max_str_digits and no limit
+    on the digits it prints: there the index request still prints its
+    golden bytes."""
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    prefix, data = VALID_REQUESTS[VALID_NAMES.index("index")]
+    code, out = run(capsys, *prefix, "--input", json.dumps(data))
+    assert code == 0 and out == (GOLDEN / "cli-index.json").read_text()
 
 
 def test_flags_may_precede_the_command(capsys):

@@ -219,6 +219,13 @@ def test_hensel_root_kills_polynomial_to_precision(rng):
         assert value.is_zero or value.valuation() >= CFG7.precision
 
 
+def test_hensel_root_of_a_zero_constant_over_residue_zero_is_the_exact_zero():
+    """f = X + X^2 (coefficients zero, one, one) has the simple root 0
+    over the residue (0,): the lift is the exact zero itself."""
+    root = hensel_root((CFG7.zero(), CFG7.one(), CFG7.one()), (0,))
+    assert root.is_zero and root == CFG7.zero()
+
+
 def test_pth_roots_of_unity():
     roots = pth_roots_of_unity(CFG7, 2)
     assert sorted(r.coeffs[0] % 7 for r in roots) == [1, 6]

@@ -21,7 +21,8 @@ from elladic.function_field import (Divisor, GroundField, LocalElement,
 from elladic.padic import FieldConfig, sqrt_unit
 from elladic.pipeline import (CharacterFamily, GlobalWhittakerSpec,
                               KirillovEntry, KirillovTable, LocalCharacter,
-                              MirabolicPoint, TabulatedDatum, UnramifiedDatum,
+                              MirabolicPoint, PipelineReport, PointReport,
+                              TabulatedDatum, UnramifiedDatum,
                               central_char_propagate, character_product,
                               congruence_pipeline, default_sample_points,
                               fourier_coefficient, gamma_support,
@@ -100,6 +101,15 @@ def test_local_character_evaluation():
     theta_unit = LocalElement.from_coeffs(quad, 0, (quad.theta,), exact=True)
     with pytest.raises(IncompleteData):
         ram.evaluate(theta_unit)
+
+
+def test_a_character_level_below_zero_is_refused():
+    """Level -1 would read no unit table, so the character would be 1 on
+    every unit: it is refused, with or without a table, as a Kirillov
+    coset level below 0 is."""
+    for units in ((), (((1,), CFG.integer(5)),)):
+        with pytest.raises(ValueError, match="character level must be >= 0"):
+            LocalCharacter(CFG.integer(3), -1, units)
 
 
 # -- local values -------------------------------------------------------------
@@ -736,6 +746,41 @@ def test_a_validated_pair_gives_what_its_two_singles_give(case):
             assert pair in singles
 
 
+def test_a_stored_gamma_keeps_the_values_its_sums_add(target, sqrt2):
+    """Each gamma a split pair's table stores is one record (rows, last,
+    fault, traces): last as _psi_free gives it, no fault, and per live
+    spec exactly the p values (coef * zeta^t) * sqrt_q^half of its
+    psi-free part, None for a zero product, and rows None when both
+    products are zero.  A gamma whose part met a fault is not stored.
+    The tables hold all three kinds of row."""
+    pl = G2.place([0, 1])
+    kinds = Counter()
+    for specs in SPLIT_PAIRS:
+        for a1 in (0, 1, 2):
+            point = MirabolicPoint(G2, ((pl, local(pl, -1, 1), a1, 0),))
+            gammas = SPLIT_GAMMAS + gamma_support(specs[0], point)[:15]
+            clear_elladic_caches()
+            for gamma in gammas:
+                sums_outcome(specs, point, (gamma,), sqrt2, target)
+            table = pipeline._terms(specs, point.torus, target, sqrt2)
+            assert set(table) == {g for g in gammas if pipeline._psi_free(
+                specs, point.torus, g, target)[2] is None}
+            for gamma, (rows, last, fault, traces) in table.items():
+                terms, want_last, _ = pipeline._psi_free(specs, point.torus, gamma, target)
+                assert (last, fault, type(traces)) == (want_last, None, dict)
+                want = [None if coef.is_zero else
+                        tuple((coef * zeta) * sqrt2 ** half for zeta in target.powers)
+                        for coef, half in terms]
+                if rows is None:
+                    assert want == [None, None]
+                else:
+                    assert [row and [digits((v, 0)) for v in row] for row in rows] == \
+                        [row and [digits((v, 0)) for v in row] for row in want]
+                    assert all(row is None or len(row) == G2.p for row in rows)
+                kinds[rows is None, rows is not None and None in rows] += 1
+    assert len(kinds) == 3
+
+
 def test_term_tables_check_sqrt_q_once_per_root(monkeypatch, target, sqrt2):
     """A wrong sqrt_q is refused at the first coset, before any gamma
     support is read, and again at every call; a right one is checked
@@ -1056,6 +1101,19 @@ def test_default_sample_points_deterministic():
             assert a2 == 0
 
 
+def test_a_report_with_a_w_of_valuation_minus_one_has_no_residue_and_fails():
+    """A W value of valuation -1 has no residue: the report emits null for
+    it, keeps the other residue, and is not ok, though both verdicts
+    are congruent."""
+    point = PointReport(0, (CFG.ell_power(-1), CFG.one()), (CFG.one(), CFG.one()), True, True)
+    report = PipelineReport((point,)).to_dict()
+    (record,) = report["points"]
+    assert record["W_valuations"] == [-1, 0]
+    assert record["W_residues"] == [None, [1]]
+    assert record["phi_residues"] == [[1], [1]]
+    assert (record["congruent"], record["ok"], report["ok"]) == (True, False, False)
+
+
 def test_a_stream_of_x_at_one_torus_keeps_the_tables_bounded(target, sqrt2):
     """2,000 points of one torus with distinct x leave each gamma's trace
     memo within _TRACES and give the values of cleared caches; more tori
@@ -1070,7 +1128,7 @@ def test_a_stream_of_x_at_one_torus_keeps_the_tables_bounded(target, sqrt2):
     values = [mirabolic_expand(spec, point(i), sqrt2, target) for i in range(2000)]
     table = pipeline._terms((spec,), point(0).torus, target, sqrt2)
     assert len(table) == len(gamma_support(spec, point(0))) > 1
-    assert all(0 < len(memo) <= pipeline._TRACES for _, _, memo in table.values())
+    assert all(0 < len(memo) <= pipeline._TRACES for _, _, _, memo in table.values())
     for i in (0, 777, 1999):
         clear_elladic_caches()
         assert digits((mirabolic_expand(spec, point(i), sqrt2, target), 0)) == \

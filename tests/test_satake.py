@@ -18,6 +18,10 @@ def S(cfg, q, *mu_ints):
     return SatakeParam(len(mu_ints), q, tuple(cfg.integer(m) for m in mu_ints))
 
 
+def test_char_polys_of_different_ranks_are_not_congruent():
+    assert congruent(char_poly(S(CFG5, 3, 1)), char_poly(S(CFG5, 3, 1, 1))) is False
+
+
 def test_elementary_symmetric_examples():
     s = S(CFG7, 3, 3, 2)
     assert elementary_symmetric_all(s)[1] == CFG7.integer(5)
