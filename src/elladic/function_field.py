@@ -63,9 +63,9 @@ class GroundField:
             object.__setattr__(self, "modulus", smallest_irreducible(self.p, self.f))
         else:
             object.__setattr__(self, "modulus", tuple(c % self.p for c in self.modulus))
-        gf_field(self.p, self.f, self.modulus)
         # built once: attributes, not fields, so __eq__ and repr are
         # unchanged, and the hash is the one of the fields
+        object.__setattr__(self, "_field", gf_field(self.p, self.f, self.modulus))
         object.__setattr__(self, "_hash", hash((self.p, self.f, self.modulus)))
         object.__setattr__(self, "_infinity", Place(self, None))
 
@@ -77,7 +77,7 @@ class GroundField:
         return self.p ** self.f
 
     def field(self):
-        return gf_field(self.p, self.f, self.modulus)
+        return self._field
 
     # -- element and polynomial builders -------------------------------------
 
@@ -172,6 +172,15 @@ def enumerate_places(ground: GroundField, max_degree: int):
             poly = tuple(reversed(code)) + (1,)
             if fp_is_irreducible(F, poly):
                 yield Place(ground, poly)
+
+
+def by_place(items, what: str) -> tuple:
+    """The records, each led by its place, as a tuple sorted by
+    Place.sort_key; a place listed twice raises ValueError naming what."""
+    items = tuple(sorted(items, key=lambda rec: rec[0].sort_key()))
+    if len({rec[0] for rec in items}) != len(items):
+        raise ValueError(f"duplicate place in {what}")
+    return items
 
 
 @dataclass(frozen=True)
@@ -571,18 +580,18 @@ def psi_conductor(place: Place) -> int:
     return 2 if place.is_infinity else 0
 
 
-def trace_digits(place: Place, x: LocalElement | None, ordr: int, level: int = 0) -> int:
-    """The one rule for how far r is expanded at the place, read from the
-    element x the expansion will meet (None for a table or character
-    read) and ordr, the order of r there: for the residue trace of x * r,
-    absolute precision psi_conductor plus a margin of three digits, x's
-    valuation read as 0 when positive or x is zero-like, so that all such
-    x share one expansion; for a table or character that reads level >= 1
-    digits of r's unit part, one digit past the level and never fewer
-    than level digits."""
+def trace_digits(place: Place, x: LocalElement | None, r: RationalFunction, level=0) -> int:
+    """The one rule for how far the nonzero r is expanded at the place,
+    read from the element x the expansion will meet (None for a table or
+    character read) and r's order there, from r.orders: for the residue
+    trace of x * r, absolute precision psi_conductor plus a margin of
+    three digits, x's valuation read as 0 when positive or x is
+    zero-like, so that all such x share one expansion; for a table or
+    character that reads level >= 1 digits of r's unit part, one digit
+    past the level and never fewer than level digits."""
     xv = 0 if x is None or x.is_zero_like else min(x.v, 0)
     need = max(psi_conductor(place), level + 1) if level else psi_conductor(place)
-    return max(1, level, need - xv - ordr + 3)
+    return max(1, level, need - xv - r.orders.get(place, 0) + 3)
 
 
 def residue_trace(place: Place, x: LocalElement, y: LocalElement | None = None):
@@ -635,18 +644,10 @@ class Adele:
 
     @classmethod
     def make(cls, ground: GroundField, components) -> "Adele":
-        cleaned = []
-        seen = set()
-        for place, x in components:
-            if place in seen:
-                raise ValueError("duplicate place in adele support")
-            seen.add(place)
-            if x.place != place:
-                raise ConfigMismatch("component attached to the wrong place")
-            if not x.is_exact_zero:
-                cleaned.append((place, x))
-        cleaned.sort(key=lambda kv: kv[0].sort_key())
-        return cls(ground, tuple(cleaned))
+        items = by_place(components, "adele support")
+        if any(x.place != place for place, x in items):
+            raise ConfigMismatch("component attached to the wrong place")
+        return cls(ground, tuple((pl, x) for pl, x in items if not x.is_exact_zero))
 
     @classmethod
     def zero(cls, ground: GroundField) -> "Adele":
@@ -664,7 +665,7 @@ def principal_adele(r: RationalFunction) -> Adele:
         return Adele.zero(ground)
     places = {pl for pl, m in r.orders.items() if m < 0} | {ground.infinity()}
     return Adele.make(ground, [
-        (pl, expand_at(r, pl, trace_digits(pl, None, r.orders.get(pl, 0)))) for pl in places])
+        (pl, expand_at(r, pl, trace_digits(pl, None, r))) for pl in places])
 
 
 def scale_adele(a: Adele, r: RationalFunction) -> Adele:
@@ -673,7 +674,7 @@ def scale_adele(a: Adele, r: RationalFunction) -> Adele:
     if r.is_zero:
         return Adele.zero(a.ground)
     return Adele.make(a.ground, [
-        (pl, x * expand_at(r, pl, trace_digits(pl, x, r.orders.get(pl, 0))))
+        (pl, x * expand_at(r, pl, trace_digits(pl, x, r)))
         for pl, x in a.items])
 
 
@@ -689,7 +690,7 @@ def scaled_trace(a: Adele, r: RationalFunction, memo: dict) -> int:
         t = memo.get(item)
         if t is None:
             pl, x = item
-            gexp = expand_at(r, pl, trace_digits(pl, x, r.orders.get(pl, 0)))
+            gexp = expand_at(r, pl, trace_digits(pl, x, r))
             t = memo[item] = residue_trace(pl, x, gexp)
         trace += t
     return trace
@@ -709,9 +710,7 @@ class Divisor:
             if place.ground != ground:
                 raise ConfigMismatch("place over a different ground field")
             acc[place] = acc.get(place, 0) + int(m)
-        items = tuple(sorted(((pl, m) for pl, m in acc.items() if m),
-                             key=lambda kv: kv[0].sort_key()))
-        return cls(ground, items)
+        return cls(ground, by_place(((pl, m) for pl, m in acc.items() if m), "divisor"))
 
     @classmethod
     def zero(cls, ground: GroundField) -> "Divisor":
@@ -861,7 +860,6 @@ def coset_reps(U: Divisor, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple:
         raise TooLarge(f"coset count {index} exceeds the cap {cap}")
     ground = U.ground
     supp = [(pl, m) for pl, m in U.items if m > 0]
-    supp.sort(key=lambda kv: kv[0].sort_key())
     if not supp:
         return (Adele.zero(ground),)
 
@@ -940,15 +938,11 @@ def weak_approx(constraints) -> RationalFunction:
     if not constraints:
         raise ValueError("weak_approx needs the ground field; pass at least one constraint")
     ground = constraints[0][0].ground
-    seen = set()
     inf_constraint = None
     finite = []
-    for place, target, h in constraints:
+    for place, target, h in by_place(constraints, "constraints"):
         if place.ground != ground:
             raise ConfigMismatch("constraints over different ground fields")
-        if place in seen:
-            raise ValueError("duplicate constraint place")
-        seen.add(place)
         if target.place != place:
             raise ConfigMismatch("target attached to the wrong place")
         if place.is_infinity:

@@ -571,7 +571,6 @@ def ext_field(base, modulus) -> ExtField:
     return ExtField(base, modulus)
 
 
-@lru_cache(maxsize=64)
 def gf_field(p: int, deg: int = 1, modulus: tuple | None = None):
     """F_{p^deg}: GF(p) for deg 1, else ExtField(GF(p), modulus) for a
     monic irreducible modulus of degree deg (the smallest by default)."""

@@ -66,13 +66,13 @@ class FieldConfig:
             object.__setattr__(self, "modulus", smallest_irreducible(self.ell, self.d))
         else:
             object.__setattr__(self, "modulus", tuple(c % self.ell for c in self.modulus))
-        # gf_field validates monicness and irreducibility
-        gf_field(self.ell, self.d, self.modulus)
+        # gf_field validates monicness and irreducibility; an attribute, not a field
+        object.__setattr__(self, "_residue_field", gf_field(self.ell, self.d, self.modulus))
 
     def residue_field(self):
         """F_{l^d}, whose integer codes are the residue digit tuples read
         in base l (from_digits)."""
-        return gf_field(self.ell, self.d, self.modulus)
+        return self._residue_field
 
     # -- constructors -------------------------------------------------------
 

@@ -42,9 +42,9 @@ entries whose x is not the exact zero, up to last, with the first spec's
 data.  A unipotent shift changes only x, as in W(n(x)g) = psi(x)W(g), so
 the points of one torus share the psi-free part: _sums reads every term
 from one table per (specs, torus signature, target, sqrt_q), gamma -> one
-record: per spec None for a zero product, or the p values
-(coef * psi_0(t)) * sqrt_q^half its sum adds at a trace t mod p, and
-the traces per point entry (place, x, a1, a2).  The last _TABLES tables
+record: per spec None for a zero product, or the p values v * psi_0(t)
+its sum adds at a trace t mod p, v = coef * sqrt_q^half and v itself at
+t = 0, and the traces per point entry (place, x, a1, a2).  The last _TABLES tables
 outlive the calls that fill them, and a gamma's traces start over past
 _TRACES; every entry is a function of its key, so W, phi, a pair and
 every coset share them in any order.  gamma_support is memoised per
@@ -53,11 +53,14 @@ root.  An empty Kirillov table is the zero function wherever it is read.
 
 Per-place data is read from maps built once per object: a spec's explicit
 data and its S, and a character family's explicit and per-degree
-characters.  A point stores its entries, central exponents, support and
-torus signature, and keeps no per-place map.  Every expansion of gamma
-or of a character's argument is sized by the one rule trace_digits from
-the element it meets (x * u^(-a2) in the trace of gamma * x * u^(-a2),
-none for a table or character read) and the level the read needs.
+characters.  Those records, and a point's entries and central exponents,
+are sorted by function_field.by_place, which refuses a repeated place
+before any entry is checked or dropped.  A point stores its entries,
+central exponents, support and torus signature, and keeps no per-place
+map.  Every expansion of gamma or of a character's argument is sized by
+the one rule trace_digits from the function, the element it meets
+(x * u^(-a2) in the trace of gamma * x * u^(-a2), none for a table or
+character read) and the level the read needs.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ from .errors import (ConfigMismatch, ElladicError, IncompleteData,
                      NotCongruent, NotIntegral, SpecMismatch, UnsupportedPoint)
 from .function_field import (Adele, DEFAULT_ENUMERATION_CAP, Divisor,
                              GroundField, LocalElement, Place, PsiTarget,
-                             RationalFunction, enumerate_places, expand_at,
+                             RationalFunction, by_place, enumerate_places, expand_at,
                              coset_reps, psi_conductor, quotient_index,
                              residue_trace, rr_nonzero, scaled_trace,
                              trace_digits, weak_approx)
@@ -182,6 +185,8 @@ class LocalCharacter:
             raise ValueError("level 0 characters carry no unit table")
         if self.level >= 1:
             keys = [k for k, _ in self.unit_values]
+            if any(len(k) != self.level or not k[0] for k in keys):
+                raise ValueError(f"unit cosets have length {self.level} and a nonzero first digit")
             if len(set(keys)) != len(keys):
                 raise ValueError("duplicate unit cosets")
 
@@ -244,15 +249,10 @@ class GlobalWhittakerSpec:
     w: Place | None = None
 
     def __post_init__(self):
-        listed = sorted(self.explicit, key=lambda kv: kv[0].sort_key())
-        object.__setattr__(self, "explicit", tuple(listed))
+        object.__setattr__(self, "explicit", by_place(self.explicit, "specification"))
         object.__setattr__(self, "default_rule",
                            tuple(sorted(self.default_rule, key=lambda kv: kv[0])))
-        seen = set()
         for place, datum in self.explicit:
-            if place in seen:
-                raise ValueError("duplicate place in specification")
-            seen.add(place)
             if place.ground != self.ground:
                 raise ConfigMismatch("place over a different ground field")
             if isinstance(datum, UnramifiedDatum):
@@ -315,7 +315,8 @@ class MirabolicPoint:
     component differs from the identity, giving the matrix
     [[u^a1, x], [0, u^a2]]; a2 must be 0 wherever tabulated data will be
     queried.  central lists uniformizer exponents of the central factor.
-    A place appears at most once in each; a repeat raises ValueError.
+    A place appears at most once in each, trivial entries and zero
+    exponents included: a repeat raises ValueError (by_place).
 
     torus, the torus signature, is the ground field, each entry's (place,
     a1, a2) where a1 or a2 is nonzero, and central: what the psi-free part
@@ -328,19 +329,13 @@ class MirabolicPoint:
 
     def __post_init__(self):
         ents = []
-        for place, x, a1, a2 in self.entries:
+        for place, x, a1, a2 in by_place(self.entries, "point support"):
             if x.place != place:
                 raise ConfigMismatch("x component at the wrong place")
             if not (x.is_exact_zero and a1 == 0 and a2 == 0):
                 ents.append((place, x, int(a1), int(a2)))
-        ents.sort(key=lambda e: e[0].sort_key())
-        if len({e[0] for e in ents}) != len(ents):
-            raise ValueError("duplicate place in point support")
         object.__setattr__(self, "entries", tuple(ents))
-        cents = tuple(sorted(((pl, int(c)) for pl, c in self.central if c),
-                             key=lambda kv: kv[0].sort_key()))
-        if len({pl for pl, _ in cents}) != len(cents):
-            raise ValueError("duplicate place in point central")
+        cents = tuple((pl, int(c)) for pl, c in by_place(self.central, "point central") if c)
         object.__setattr__(self, "central", cents)
         # the support and the torus signature, built once; attributes, not
         # fields, so __eq__, hash and repr are unchanged
@@ -388,7 +383,7 @@ def _local_factor(datum, config: FieldConfig, place: Place, gamma: RationalFunct
     table = datum.table
     if table.is_empty:
         return config.zero(), 0
-    gexp = expand_at(gamma, place, trace_digits(place, None, ordg, table.max_level()))
+    gexp = expand_at(gamma, place, trace_digits(place, None, gamma, table.max_level()))
     f_val = table.lookup(gexp.shift(a1))
     if f_val.is_zero or not central:
         return f_val, 0
@@ -518,7 +513,7 @@ def _trace(spec: GlobalWhittakerSpec, point: MirabolicPoint, gamma: RationalFunc
         _check_mirabolic(datum, a2)
         level = datum.table.max_level() if isinstance(datum, TabulatedDatum) else 0
         x = x.shift(-a2) if a2 else x
-        gexp = expand_at(gamma, pl, trace_digits(pl, x, gamma.orders.get(pl, 0), level))
+        gexp = expand_at(gamma, pl, trace_digits(pl, x, gamma, level))
         if len(memo) >= _TRACES:
             memo.clear()
         t = memo[item] = residue_trace(pl, x, gexp)
@@ -549,7 +544,8 @@ def _sums(specs: tuple, point: MirabolicPoint, gammas, sqrt_q: LocalNumber,
     gamma -> (rows, last, fault, traces), made when gamma is first met
     from gamma and the torus signature alone.  rows is None if every
     product is the exact zero, else per spec None for a zero product or
-    the p values (coef * psi_0(t)) * sqrt_q^half, one per trace t mod p.
+    the p values v * psi_0(t), one per trace t mod p, where v = coef *
+    sqrt_q^half is read once and is itself the value at t = 0.
     The trace, memoised in traces, is read up to last for every term, as
     it may raise; a record whose fault is set is not kept, so each call
     raises a fault of its own.  Several specs must share S, w, the tables
@@ -564,7 +560,7 @@ def _sums(specs: tuple, point: MirabolicPoint, gammas, sqrt_q: LocalNumber,
             terms, last, fault = _psi_free(specs, point.torus, gamma, target)
             rows = None if fault is not None or all(c.is_zero for c, _ in terms) else tuple(
                 None if coef.is_zero else
-                tuple([(coef * zeta) * _power(sqrt_q, half) for zeta in target.powers])
+                (v := coef * _power(sqrt_q, half), *[v * zeta for zeta in target.powers[1:]])
                 for coef, half in terms)
             entry = (rows, last, fault, {})
             if fault is None:
@@ -729,7 +725,7 @@ class PipelineReport:
 
 
 def _val_json(v):
-    return "inf" if v is INF or v == INF else int(v)
+    return "inf" if v == INF else int(v)
 
 
 def _residue_json(x: LocalNumber):
@@ -805,9 +801,7 @@ def default_sample_points(ground: GroundField, seed: int, count: int = 50) -> tu
     rng = random.Random(seed)
     places = list(enumerate_places(ground, 2))
     points = []
-    attempts = 0
-    while len(points) < count and attempts < 40 * count:
-        attempts += 1
+    for _ in range(count):
         k = rng.choice((1, 1, 2))
         chosen = rng.sample(places, k)
         entries = []
@@ -849,8 +843,7 @@ class CharacterFamily:
         object.__setattr__(self, "S", tuple(sorted(self.S, key=lambda p: p.sort_key())))
         object.__setattr__(self, "by_degree",
                            tuple(sorted(self.by_degree, key=lambda kv: kv[0])))
-        object.__setattr__(self, "explicit",
-                           tuple(sorted(self.explicit, key=lambda kv: kv[0].sort_key())))
+        object.__setattr__(self, "explicit", by_place(self.explicit, "explicit characters"))
         # place -> character and degree -> unramified character, built
         # once; attributes, not fields, so __eq__, hash and repr are
         # unchanged
@@ -859,8 +852,6 @@ class CharacterFamily:
                            {deg: LocalCharacter(val) for deg, val in self.by_degree})
         if len(set(self.S)) != len(self.S):
             raise ValueError("place listed twice in the exceptional set S")
-        if len(self._explicit) != len(self.explicit):
-            raise ValueError("place listed twice in the explicit characters")
         if len(self._by_degree) != len(self.by_degree):
             raise ValueError("degree listed twice in by_degree")
 
@@ -892,7 +883,7 @@ def character_product(fam: CharacterFamily, y: RationalFunction,
         if pl in exclude:
             continue
         chi = fam.character_at(pl)
-        M = trace_digits(pl, None, y.orders.get(pl, 0), chi.level)
+        M = trace_digits(pl, None, y, chi.level)
         out = out * chi.evaluate(expand_at(y, pl, M))
     return out
 
@@ -907,7 +898,7 @@ class RatioRecord:
 
     @property
     def ok(self) -> bool:
-        return self.valuation_of_difference == INF or self.valuation_of_difference >= 1
+        return self.valuation_of_difference >= 1
 
 
 @dataclass(frozen=True)

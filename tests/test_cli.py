@@ -634,6 +634,30 @@ def test_ramified_character_reads_its_unit_values():
             CFG7, place)
 
 
+@pytest.mark.parametrize("key", [[1, 0], [0]], ids=["two-digits", "zero"])
+def test_a_unit_coset_no_unit_can_meet_is_an_input_error(key):
+    """At level 1 a unit coset is the unit's one leading digit, never 0:
+    a key no unit can match is refused when the character is read."""
+    with pytest.raises(InputError, match="unit cosets have length 1"):
+        jsonio.decode_local_character(
+            {"uniformizer_value": 3, "level": 1, "unit_values": [[key, 1]]},
+            CFG7, G2.place([1, 1]))
+
+
+@pytest.mark.parametrize("point", [
+    {"entries": [{"place": T_PLACE, "x": {"place": T_PLACE, "v": -1, "coeffs": [1]},
+                  "a": [1, 0]}, {"place": T_PLACE}], "central": []},
+    {"entries": [], "central": [[T_PLACE, 1], [T_PLACE, 0]]},
+], ids=["entry-twice-once-trivially", "central-twice-once-zero"])
+def test_a_place_listed_twice_in_a_sample_point_exits_two(capsys, point):
+    """A sample point that lists a place twice is refused, even where one
+    listing is the identity entry or a zero central exponent."""
+    code, record = run_failing(capsys, "pipeline", "--input",
+                               json.dumps({**PIPE_INPUT, "samples": [point]}))
+    assert code == 2 and record["error"] == "InputError"
+    assert record["message"].startswith("duplicate place in point")
+
+
 def test_zero_and_exact_flags_are_read_as_booleans():
     """"zero": false with digits is the number the digits give, and
     "exact": false keeps the tail unknown; no other value stands for a

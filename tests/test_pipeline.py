@@ -989,6 +989,71 @@ def test_lookups_read_the_maps_built_once(rng):
         MirabolicPoint(G2, (), ((t_pl, 1), (Place(G2, (0, 1)), 2)))
 
 
+# -- place-keyed records --------------------------------------------------------
+
+KEYED_PLACES = tuple(enumerate_places(G2, 2))
+KEYED_BUILDERS = {
+    "adele": lambda recs: function_field.Adele.make(G2, recs),
+    "constraints": function_field.weak_approx,
+    "spec": lambda recs: GlobalWhittakerSpec(G2, CFG, tuple(recs), ()),
+    "point entries": lambda recs: MirabolicPoint(G2, tuple(recs)),
+    "point central": lambda recs: MirabolicPoint(G2, (), tuple(recs)),
+    "family": lambda recs: CharacterFamily(G2, CFG, (), (), tuple(recs)),
+}
+
+
+def keyed_record(kind, pl, trivial):
+    """A record of the kind at pl.  trivial gives the one an adele or a
+    point drops (an exact zero, an identity entry, a zero exponent), and
+    another value where the kind has no such record."""
+    x = LocalElement.exact_zero(pl) if trivial else LocalElement.uniformizer_power(pl, 1)
+    return {
+        "adele": (pl, x),
+        "constraints": (pl, LocalElement.uniformizer_power(pl, 1 + trivial), 2),
+        "spec": (pl, UnramifiedDatum(SatakeParam(2, 2 ** pl.degree,
+                                                 (CFG.integer(3 + trivial), CFG.one())))),
+        "point entries": (pl, x, 0 if trivial else 1, 0),
+        "point central": (pl, 0 if trivial else 1),
+        "family": (pl, LocalCharacter(CFG.integer(3 + trivial))),
+    }[kind]
+
+
+@st.composite
+def keyed_records(draw):
+    """A kind, its records at distinct places, a permutation of them, and
+    the records with one place listed again, trivially or not."""
+    kind = draw(st.sampled_from(sorted(KEYED_BUILDERS)))
+    places = draw(st.lists(st.sampled_from(KEYED_PLACES), min_size=1, unique=True))
+    recs = [keyed_record(kind, pl, draw(st.booleans())) for pl in places]
+    again = keyed_record(kind, draw(st.sampled_from(places)), draw(st.booleans()))
+    at = draw(st.integers(0, len(recs)))
+    return kind, recs, draw(st.permutations(recs)), recs[:at] + [again] + recs[at:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed_records())
+def test_a_place_keyed_record_is_sorted_and_refuses_a_repeated_place(case):
+    """An adele, weak-approximation constraints, a spec's local data, a
+    point's entries and central exponents and a family's explicit
+    characters build the same object from any order of their records,
+    and refuse a place listed twice, even where one listing is a record
+    the object drops."""
+    kind, recs, shuffled, repeated = case
+    build = KEYED_BUILDERS[kind]
+    assert build(shuffled) == build(recs)
+    with pytest.raises(ValueError, match="duplicate place in "):
+        build(repeated)
+
+
+@pytest.mark.parametrize("key", [(1, 0), (), (0,)], ids=["two-digits", "no-digits", "zero"])
+def test_a_unit_coset_no_unit_can_meet_is_refused(key):
+    """A level-1 character's unit cosets are one digit, and that digit is
+    a unit's leading coefficient, so never 0: any other key would never
+    match, and evaluating there would fail later."""
+    with pytest.raises(ValueError, match="unit cosets have length 1 and a nonzero first digit"):
+        LocalCharacter(CFG.integer(3), 1, ((key, CFG.one()),))
+
+
 # -- central characters ---------------------------------------------------------
 
 def norm_family(c_num, c_den, S_places):
