@@ -14,6 +14,9 @@ Precision policy:
   the two operands are identical representations of opposite sign at the
   same certified precision (x + (-x), x - x, or two independently built
   copies of the same digits);
+* a + b adds the two units itself, to the least absolute precision of the
+  two, and defers to the one-step digit sum (_digit_sum) only when no
+  digit of that sum is a unit, that is when it must renormalise or cancel;
 * any other cancellation of all certified digits raises PrecisionLoss;
   nothing is ever silently flushed to zero.  certified_sum applies this
   to the total of a sum, not to its partial sums;
@@ -66,8 +69,9 @@ class FieldConfig:
             object.__setattr__(self, "modulus", smallest_irreducible(self.ell, self.d))
         else:
             object.__setattr__(self, "modulus", tuple(c % self.ell for c in self.modulus))
-        # gf_field validates monicness and irreducibility; an attribute, not a field
+        # gf_field validates monicness and irreducibility; attributes, not fields
         object.__setattr__(self, "_residue_field", gf_field(self.ell, self.d, self.modulus))
+        object.__setattr__(self, "_powers", _Powers(self.ell))
 
     def residue_field(self):
         """F_{l^d}, whose integer codes are the residue digit tuples read
@@ -122,8 +126,20 @@ class FieldConfig:
 # unit-polynomial arithmetic mod (l^k, modulus)
 # ---------------------------------------------------------------------------
 
+class _Powers(dict):
+    """l^k by k, each computed when it is first read: nothing is sized by
+    the precision, which is unbounded."""
+
+    def __init__(self, ell: int):
+        self.ell = ell
+
+    def __missing__(self, k: int) -> int:
+        self[k] = power = self.ell ** k
+        return power
+
+
 def _umul(cfg: FieldConfig, a, b, k: int) -> tuple:
-    mod = cfg.ell ** k
+    mod = cfg._powers[k]
     d = cfg.d
     if d == 1:
         return ((a[0] * b[0]) % mod,)
@@ -150,9 +166,9 @@ def _uinv(cfg: FieldConfig, a, k: int) -> tuple:
     while known < k:
         known = min(2 * known, k)
         az = _umul(cfg, a, z, known)
-        two_minus = tuple((-c) % cfg.ell ** known for c in az)
-        two_minus = (two_minus[0] + 2,) + two_minus[1:]
-        two_minus = tuple(c % cfg.ell ** known for c in two_minus)
+        mod = cfg._powers[known]
+        two_minus = tuple((-c) % mod for c in az)
+        two_minus = ((two_minus[0] + 2) % mod,) + two_minus[1:]
         z = _umul(cfg, z, two_minus, known)
     return z
 
@@ -210,41 +226,56 @@ class LocalNumber:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other):
-        if other.config is not self.config and other.config != self.config:
-            raise ConfigMismatch("operands use different field configurations")
-
     def __neg__(self):
-        if self.is_zero:
+        if not self.coeffs:
             return self
-        mod = self.config.ell ** self.prec
-        return LocalNumber(self.config, self.v,
-                           tuple((-c) % mod for c in self.coeffs), self.prec)
+        mod = self.config._powers[self.prec]
+        return LocalNumber(self.config, self.v, tuple([(-c) % mod for c in self.coeffs]), self.prec)
 
     def __add__(self, other):
-        self._check(other)
-        if self.is_zero:
+        cfg = self.config
+        if other.config is not cfg and other.config != cfg:
+            raise ConfigMismatch("operands use different field configurations")
+        if not self.coeffs:
             return other
-        if other.is_zero:
+        if not other.coeffs:
             return self
-        # structural cancellation: identical representations of opposite
-        # sign, compared digit by digit without forming -self
-        if self.v == other.v and self.prec == other.prec:
-            mod = self.config.ell ** self.prec
-            if all(o == (-c) % mod for c, o in zip(self.coeffs, other.coeffs)):
-                return self.config.zero()
-        return _digit_sum(self.config, (self, other))
+        a, b = (self, other) if self.v <= other.v else (other, self)
+        gap = b.v - a.v
+        k = a.prec if a.prec <= gap + b.prec else gap + b.prec
+        if gap >= k:
+            return a   # b lies wholly below a's certified digits
+        powers, ell = cfg._powers, cfg.ell
+        mod, scale = powers[k], powers[gap] if gap else 1
+        if cfg.d == 1:
+            c = (a.coeffs[0] + b.coeffs[0] * scale) % mod
+            if c % ell:
+                return LocalNumber(cfg, a.v, (c,), k)
+            summed = (c,)
+        else:
+            summed = tuple([(x + y * scale) % mod for x, y in zip(a.coeffs, b.coeffs)])
+            for c in summed:
+                if c % ell:
+                    return LocalNumber(cfg, a.v, summed, k)
+        # structural cancellation: identical representations of opposite sign
+        if not gap and a.prec == b.prec and not any(summed):
+            return cfg.zero()
+        return _digit_sum(cfg, (self, other))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return self.config.zero()
-        prec = min(self.prec, other.prec)
-        coeffs = _umul(self.config, self.coeffs, other.coeffs, prec)
-        return LocalNumber(self.config, self.v + other.v, coeffs, prec)
+        cfg = self.config
+        if other.config is not cfg and other.config != cfg:
+            raise ConfigMismatch("operands use different field configurations")
+        if not self.coeffs or not other.coeffs:
+            return cfg.zero()
+        k = self.prec if self.prec <= other.prec else other.prec
+        if cfg.d == 1:
+            mod = cfg._powers[k]
+            return LocalNumber(cfg, self.v + other.v, (self.coeffs[0] * other.coeffs[0] % mod,), k)
+        return LocalNumber(cfg, self.v + other.v, _umul(cfg, self.coeffs, other.coeffs, k), k)
 
     def inv(self) -> "LocalNumber":
         if self.is_zero:

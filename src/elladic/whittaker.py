@@ -12,21 +12,26 @@ a = 0 is exactly 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .errors import BadSquareRoot, ConfigMismatch, NotCongruent, NotIntegral
+from .errors import BadSquareRoot, ConfigMismatch, NotCongruent, NotIntegral, TooLarge
+from .function_field import DEFAULT_ENUMERATION_CAP
 from .padic import LocalNumber, certified_sum
 from .satake import (SatakeParam, char_poly, complete_homogeneous_table,
                      congruent, elementary_symmetric_all, is_integral)
 
 
 def _weight(a) -> tuple:
-    """The exponent vector a as an int tuple of length >= 1."""
-    a = tuple(int(x) for x in a)
+    """The exponent vector a as an int tuple of length >= 1; a float or a
+    bool entry is refused, not truncated."""
+    a = tuple(a)
     if not a:
         raise ValueError("weight must have length >= 1")
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in a):
+        raise ValueError(f"weight entries must be integers, not {a!r}")
     return a
 
 
@@ -76,16 +81,17 @@ def schur_value(S: SatakeParam, a) -> LocalNumber:
 
 def _schur_evaluator(S: SatakeParam, kmax: int):
     """schur_value of S as a function of dominant a with a_1 - a_n + n - 1
-    <= kmax.  The h table, e_n, each power of e_n and each minor (see
-    _minor) are computed once, shared by the weights it is called on."""
+    <= kmax.  The h table and its negation, e_n, each power of e_n and
+    each minor (see _minor) are computed once, shared by its weights."""
     n = S.n
     h = complete_homogeneous_table(S, kmax)
+    neg = [-x for x in h]
     e_n = elementary_symmetric_all(S)[n]
     minors, powers = {}, {}
 
     def value(a):
         c = a[n - 1]
-        d = _minor(h, minors, tuple(a[i] - c - i for i in range(n)))
+        d = _minor(h, neg, minors, tuple([a[i] - c - i for i in range(n)]))
         if c == 0:
             return d
         if c not in powers:
@@ -95,22 +101,25 @@ def _schur_evaluator(S: SatakeParam, kmax: int):
     return value
 
 
-def _minor(h, minors, starts):
+def _minor(h, neg, minors, starts):
     """det(h_{s_i + j}) for row starts s_i, zero below h_0: the cofactor
     expansion along the first column memoised in minors, each alternating
     sum a certified_sum (so the plain expansion's digits wherever it
-    returns).  A module function, not a closure, so a finished sweep
-    leaves no reference cycle."""
+    returns).  An odd row's term takes its entry from neg = -h: the digits
+    of the negated product.  A module function, not a closure, so a
+    finished sweep leaves no reference cycle."""
     if len(starts) == 1:
         return h[starts[0]] if starts[0] >= 0 else h[0].config.zero()
-    if starts not in minors:
+    d = minors.get(starts)
+    if d is None:
+        shifted = tuple([t + 1 for t in starts])
         terms = []
         for i, s in enumerate(starts):
-            if s >= 0 and not h[s].is_zero:
-                term = h[s] * _minor(h, minors, tuple(t + 1 for t in starts[:i] + starts[i + 1:]))
-                terms.append(term if i % 2 == 0 else -term)
-        minors[starts] = certified_sum(h[0].config, terms)
-    return minors[starts]
+            if s >= 0 and h[s].coeffs:
+                sub = _minor(h, neg, minors, shifted[:i] + shifted[i + 1:])
+                terms.append((neg if i % 2 else h)[s] * sub)
+        minors[starts] = d = certified_sum(h[0].config, terms)
+    return d
 
 
 def whittaker_value(S: SatakeParam, a) -> WhittakerValue:
@@ -186,10 +195,11 @@ def check_congruence(S1: SatakeParam, S2: SatakeParam, bound: int) -> Congruence
     box [-bound, bound]^n.
 
     Preconditions: equal rank and q, both characteristic polynomials
-    integral with equal reductions, and bound >= 0.  For each weight the
-    checker demands integral coefficients on both sides, equal
-    q-half-exponents and equal residues; any failure is recorded as a
-    violation.
+    integral with equal reductions, bound >= 0, and at most
+    DEFAULT_ENUMERATION_CAP weights (TooLarge before any table is built).
+    For each weight the checker demands integral coefficients on both
+    sides, equal q-half-exponents and equal residues; any failure is
+    recorded as a violation.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -197,6 +207,8 @@ def check_congruence(S1: SatakeParam, S2: SatakeParam, bound: int) -> Congruence
         raise ConfigMismatch("parameters use different configurations")
     if S1.n != S2.n or S1.q != S2.q:
         raise ConfigMismatch("parameters have different rank or residual cardinality")
+    if (count := math.comb(2 * bound + S1.n, S1.n)) > DEFAULT_ENUMERATION_CAP:
+        raise TooLarge(f"{count} dominant weights exceed the cap {DEFAULT_ENUMERATION_CAP}")
     P1, P2 = char_poly(S1), char_poly(S2)
     if not (is_integral(P1) and is_integral(P2)):
         raise NotIntegral("both parameter sets must have integral characteristic polynomials")

@@ -22,14 +22,19 @@ against.
 * coset_reps_by_digit, the coset representatives of (A/k) / image(U)
   enumerated one digit position at a time, which the per-place
   function_field.coset_reps is checked against, order included.
+* add_by_digit_sum and mul_by_umul, a + b as the structural-cancellation
+  check then the one-step digit sum, and a * b through the general
+  unit-polynomial product, which the two-term operators of
+  padic.LocalNumber are checked against, PrecisionLoss messages included.
 """
 
 import itertools
 
-from elladic.errors import TooLarge, UnsupportedPoint
+from elladic.errors import ConfigMismatch, TooLarge, UnsupportedPoint
 from elladic.function_field import (INF, Adele, LocalElement, Place,
                                     expand_at, psi_conductor, psi_local)
 from elladic.gf import factorize_int, fp_divmod, fp_factor, fp_monic, from_digits
+from elladic.padic import LocalNumber, _digit_sum, _umul
 from elladic.pipeline import TabulatedDatum
 from elladic.satake import SatakeParam, elementary_symmetric_all
 from elladic.whittaker import is_dominant, whittaker_value
@@ -54,6 +59,34 @@ def det(config, rows):
         term = c * det(config, minor)
         acc = acc + term if i % 2 == 0 else acc - term
     return acc
+
+
+def add_by_digit_sum(a: LocalNumber, b: LocalNumber) -> LocalNumber:
+    """a + b: the exact zero for identical representations of opposite
+    sign at one precision, else the one-step digit sum of the two."""
+    cfg = a.config
+    if b.config != cfg:
+        raise ConfigMismatch("operands use different field configurations")
+    if a.is_zero:
+        return b
+    if b.is_zero:
+        return a
+    if a.v == b.v and a.prec == b.prec:
+        mod = cfg.ell ** a.prec
+        if all(y == (-x) % mod for x, y in zip(a.coeffs, b.coeffs)):
+            return cfg.zero()
+    return _digit_sum(cfg, (a, b))
+
+
+def mul_by_umul(a: LocalNumber, b: LocalNumber) -> LocalNumber:
+    """a * b through _umul, to the lesser of the two precisions."""
+    cfg = a.config
+    if b.config != cfg:
+        raise ConfigMismatch("operands use different field configurations")
+    if a.is_zero or b.is_zero:
+        return cfg.zero()
+    prec = min(a.prec, b.prec)
+    return LocalNumber(cfg, a.v + b.v, _umul(cfg, a.coeffs, b.coeffs, prec), prec)
 
 
 def schur_bialternant(S: SatakeParam, a):

@@ -228,6 +228,17 @@ def test_congruence_command(capsys):
     assert body["result"]["violations"] == []
 
 
+@pytest.mark.parametrize("command", ["congruence", "whittaker"])
+def test_a_congruence_box_beyond_the_cap_exits_three(capsys, command):
+    """A bound of 10^5 at rank 4 is refused with a JSON record, before any
+    weight is enumerated."""
+    data = {"field": {"ell": 5}, "params": [{"q": 3, "mu": [1, 1, 1, 1]}] * 2}
+    code, record = run_failing(capsys, command, "--bound", str(10 ** 5),
+                               "--input", json.dumps(data))
+    assert code == 3 and record["error"] == "TooLarge"
+    assert record["message"].endswith("dominant weights exceed the cap 1000000")
+
+
 def test_rr_command(capsys):
     code, out = run(capsys, "rr", "--p", "2", "--input", json.dumps(DIVISOR))
     assert code == 0

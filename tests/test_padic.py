@@ -11,6 +11,7 @@ from elladic.errors import (ConfigMismatch, NoSimpleRoot, NotIntegral,
 from elladic.padic import (FieldConfig, LocalNumber, certified_sum,
                            congruent_mod_m, difference_valuation, hensel_root,
                            pth_roots_of_unity, sqrt_unit)
+from oracles import add_by_digit_sum, mul_by_umul
 
 CFG5 = FieldConfig(5, precision=4)
 CFG7 = FieldConfig(7, precision=8)
@@ -376,3 +377,82 @@ def test_difference_valuation_examples():
     assert difference_valuation(CFG5.zero(), CFG5.unit(0, (1,), prec=1)) == (0, True)
     # the values differ by 25, which two certified digits cannot see
     assert difference_valuation(CFG5.unit(0, (1,), prec=2), CFG5.integer(26)) == (2, False)
+
+
+# ---------------------------------------------------------------------------
+# the two-term operators against the digit-sum and _umul reference
+# ---------------------------------------------------------------------------
+
+KERNEL_CONFIGS = tuple(FieldConfig(ell, d=d, precision=6) for ell in (2, 3, 5) for d in (1, 2, 3))
+
+
+def unit_or_bumped(cfg, v, coeffs, prec):
+    """cfg.unit(v, coeffs, prec), the first coefficient raised by 1 when no
+    coefficient is a unit mod l."""
+    mod = cfg.ell ** prec
+    coeffs = [c % mod for c in coeffs]
+    if not any(c % cfg.ell for c in coeffs):
+        coeffs[0] += 1
+    return cfg.unit(v, coeffs, prec)
+
+
+def opposite(x):
+    """-x built from its digits, not by LocalNumber.__neg__."""
+    mod = x.config.ell ** x.prec
+    return LocalNumber(x.config, x.v, tuple((-c) % mod for c in x.coeffs), x.prec)
+
+
+@st.composite
+def operand_pairs(draw):
+    """(a, b) over Q_{l^d}, d in 1, 2, 3, with v in [-40, 40] (so that
+    valuation gaps exceed the precision) and every prec from 1 to N: b is
+    an independent unit, an exact zero, the structural opposite of a, or a
+    near cancellation of a that agrees with -a to j digits."""
+    cfg = draw(st.sampled_from(KERNEL_CONFIGS))
+    N, ell = cfg.precision, cfg.ell
+    coeffs = st.lists(st.integers(0, ell ** N - 1), min_size=cfg.d, max_size=cfg.d)
+    precs = st.integers(1, N)
+    a = unit_or_bumped(cfg, draw(st.integers(-40, 40)), draw(coeffs), draw(precs))
+    kind = draw(st.sampled_from(("independent", "zero", "opposite", "near")))
+    if kind == "independent":
+        b = unit_or_bumped(cfg, draw(st.integers(-40, 40)), draw(coeffs), draw(precs))
+    elif kind == "zero":
+        b = draw(st.sampled_from((cfg.zero(), LocalNumber(cfg, a.v, (), a.prec))))
+    elif kind == "opposite":
+        b = opposite(a)
+    else:
+        j = draw(st.integers(0, N))
+        b = unit_or_bumped(cfg, a.v + draw(st.integers(-1, 1)) * draw(st.integers(0, 1)),
+                           [-c + ell ** j * x for c, x in zip(a.coeffs, draw(coeffs))],
+                           draw(precs))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+def outcome(f, *args):
+    """(v, coeffs, prec) of f(*args), or the PrecisionLoss message."""
+    try:
+        x = f(*args)
+    except PrecisionLoss as exc:
+        return str(exc)
+    return x.v, x.coeffs, x.prec
+
+
+@settings(max_examples=600, deadline=None)
+@given(operand_pairs())
+def test_two_term_operators_match_the_digit_sum_reference(pair):
+    """a + b, a - b and a * b give the reference's (v, coeffs, prec), or
+    its PrecisionLoss message."""
+    a, b = pair
+    assert outcome(operator.add, a, b) == outcome(add_by_digit_sum, a, b)
+    assert outcome(operator.sub, a, b) == outcome(add_by_digit_sum, a, opposite(b))
+    assert outcome(operator.mul, a, b) == outcome(mul_by_umul, a, b)
+
+
+def test_powers_of_ell_are_read_on_demand():
+    """N = 10^5 sizes nothing: a sum and a product of two 2-digit units
+    read l^1 and l^2 and no other power."""
+    cfg = FieldConfig(3, precision=10 ** 5)
+    x, y = cfg.unit(0, (4,), prec=2), cfg.unit(1, (5,), prec=2)
+    assert outcome(operator.add, x, y) == (0, (1,), 2)
+    assert outcome(operator.mul, x, y) == (1, (2,), 2)
+    assert sorted(cfg._powers) == [1, 2]

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -5,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elladic.errors import (BadSquareRoot, ConfigMismatch, NotCongruent,
+from elladic.errors import (BadSquareRoot, ConfigMismatch, ElladicError, NotCongruent,
                             NotIntegral, PrecisionLoss, TooLarge)
+from elladic import whittaker
+from elladic.function_field import DEFAULT_ENUMERATION_CAP
 from elladic.gf import from_digits
 from elladic.padic import FieldConfig, sqrt_unit
 from elladic.satake import SatakeParam, complete_homogeneous_table, elementary_symmetric_all
@@ -338,6 +342,43 @@ def test_congruent_pairs_pass_as_in_the_per_weight_sweep(key, n, bound, rng):
     assert rep.to_dict() == reference_sweep(s1, s2, bound)
 
 
+SCHUR_DIGITS_SHA256 = "937eeada240a70fe796508d2e74d824e0b2fec2be995e15d0d7b1bdbc1fc6e64"
+
+
+def test_schur_values_keep_their_digits():
+    """Every value of the shared Schur table, on a seeded grid shaped like
+    perfbench's congruence_box (l = 3, 5, 7, 11, ranks 1-4, precision 16,
+    bound 4, plus Q_9), and on the same grid with one entry of reduced
+    precision and one of positive valuation, hashes to the recorded digest:
+    a faster kernel must return every (v, coeffs, prec), and every error,
+    as before."""
+    rng = random.Random(2027)
+    digest = hashlib.sha256()
+    for ell, d in ((3, 1), (5, 1), (7, 1), (11, 1), (3, 2)):
+        cfg = FieldConfig(ell, d=d, precision=16)
+        for n in range(1, 5):
+            for variant in ("units", "mixed"):
+                mu = [cfg.unit(0, [rng.randrange(1, ell) + ell * rng.randrange(ell ** 15)]
+                               + [rng.randrange(ell ** 16) for _ in range(d - 1)])
+                      for _ in range(n)]
+                if variant == "mixed":
+                    mu[0] = cfg.unit(0, mu[0].coeffs, rng.randrange(3, 16))
+                    mu[-1] = cfg.unit(rng.randrange(1, 3), mu[-1].coeffs)
+                try:
+                    table = _schur_evaluator(SatakeParam(n, 2, tuple(mu)), 2 * 4 + n - 1)
+                    records = []
+                    for a in dominant_weights(n, 4):
+                        try:
+                            x = table(a)
+                            records.append((x.v, x.coeffs, x.prec))
+                        except ElladicError as exc:
+                            records.append(type(exc).__name__)
+                except ElladicError as exc:
+                    records = type(exc).__name__
+                digest.update(repr((ell, d, n, variant, records)).encode())
+    assert digest.hexdigest() == SCHUR_DIGITS_SHA256
+
+
 def test_check_congruence_self():
     s = S(CFG5, 3, 1, 2)
     rep = check_congruence(s, s, 4)
@@ -362,6 +403,34 @@ def test_check_congruence_preconditions():
         check_congruence(bad, bad, 2)
     with pytest.raises(ValueError):
         check_congruence(s1, s1, -1)
+
+
+def test_a_box_beyond_the_enumeration_cap_is_refused_before_any_table(monkeypatch):
+    """C(2 bound + n, n) dominant weights above DEFAULT_ENUMERATION_CAP
+    raise TooLarge before the h table is built; one weight fewer passes."""
+    def forming(S, kmax):
+        raise RuntimeError("the h table was built")
+
+    monkeypatch.setattr(whittaker, "complete_homogeneous_table", forming)
+    s4 = S(CFG5, 3, 1, 2, 3, 4)
+    with pytest.raises(TooLarge, match="dominant weights exceed the cap"):
+        check_congruence(s4, s4, 10 ** 5)
+    s1 = S(CFG5, 3, 1)
+    bound = (DEFAULT_ENUMERATION_CAP - 1) // 2      # 2 bound + 1 <= cap
+    with pytest.raises(TooLarge):
+        check_congruence(s1, s1, bound + 1)
+    with pytest.raises(RuntimeError, match="h table"):
+        check_congruence(s1, s1, bound)
+
+
+@pytest.mark.parametrize("a", [(1.9, 0), (2.5, True), (1, False), (1.0, 0)])
+def test_a_weight_entry_that_is_no_int_is_refused(a):
+    """A float or a bool is refused, not truncated to an int."""
+    s = S(CFG5, 3, 1, 2)
+    with pytest.raises(ValueError, match="must be integers"):
+        whittaker_value(s, a)
+    with pytest.raises(ValueError, match="must be integers"):
+        schur_value(s, a)
 
 
 def test_check_congruence_flags_nonunit_boundary():
