@@ -422,7 +422,7 @@ def operand_pairs(draw):
         b = opposite(a)
     else:
         j = draw(st.integers(0, N))
-        b = unit_or_bumped(cfg, a.v + draw(st.integers(-1, 1)) * draw(st.integers(0, 1)),
+        b = unit_or_bumped(cfg, a.v + draw(st.sampled_from((0, 0, -1, 1))),
                            [-c + ell ** j * x for c, x in zip(a.coeffs, draw(coeffs))],
                            draw(precs))
     return (a, b) if draw(st.booleans()) else (b, a)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elladic import whittaker
 from elladic.errors import (BadSquareRoot, ConfigMismatch, ElladicError, NotCongruent,
                             NotIntegral, PrecisionLoss, TooLarge)
-from elladic import whittaker
 from elladic.function_field import DEFAULT_ENUMERATION_CAP
 from elladic.gf import from_digits
 from elladic.padic import FieldConfig, sqrt_unit
@@ -407,7 +407,8 @@ def test_check_congruence_preconditions():
 
 def test_a_box_beyond_the_enumeration_cap_is_refused_before_any_table(monkeypatch):
     """C(2 bound + n, n) dominant weights above DEFAULT_ENUMERATION_CAP
-    raise TooLarge before the h table is built; one weight fewer passes."""
+    raise TooLarge before the h table is built; a box within the cap gets
+    as far as the table."""
     def forming(S, kmax):
         raise RuntimeError("the h table was built")
 
