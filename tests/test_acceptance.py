@@ -294,10 +294,11 @@ def test_criterion_09_fourier_whittaker_duality():
 CRITERION10_GOLDEN = Path(__file__).parent / "golden" / "criterion10.json"
 
 
-def criterion10_report_json() -> str:
-    """The criterion-10 report (seed 110, 50 sample points) as the JSON
-    text tests/golden/criterion10.json holds; asserts that the pair passed."""
-    rng = random.Random(110)
+def criterion10_pair(seed: int = 110, degrees=range(1, 13)):
+    """The field, coefficient field, psi target, sqrt(2) and spec pair of
+    criterion 10, units drawn from Random(seed), the default rules
+    covering the given degrees; seed 110 gives the criterion's input."""
+    rng = random.Random(seed)
     ground = GroundField(2)
     cfg = FieldConfig(7, precision=12)
     target = PsiTarget.create(ground, cfg)
@@ -326,13 +327,19 @@ def criterion10_report_json() -> str:
         places1.append((pl, UnramifiedDatum(SatakeParam(2, 2 ** pl.degree, mu))))
         places2.append((pl, UnramifiedDatum(SatakeParam(2, 2 ** pl.degree,
                                                         (pert[1], pert[0])))))
-    rule1 = tuple((d, (unit(), unit())) for d in range(1, 13))
+    rule1 = tuple((d, (unit(), unit())) for d in degrees)
     rule2 = tuple((d, (m1 * (cfg.one() + ell * unit()),
                        m2 * (cfg.one() + ell * unit())))
                   for (d, (m1, m2)) in rule1)
     spec1 = GlobalWhittakerSpec(ground, cfg, tuple(places1), rule1, w=s1_pl)
     spec2 = GlobalWhittakerSpec(ground, cfg, tuple(places2), rule2, w=s1_pl)
+    return ground, cfg, target, sq, spec1, spec2
 
+
+def criterion10_report_json() -> str:
+    """The criterion-10 report (seed 110, 50 sample points) as the JSON
+    text tests/golden/criterion10.json holds; asserts that the pair passed."""
+    ground, _, target, sq, spec1, spec2 = criterion10_pair()
     samples = default_sample_points(ground, seed=110, count=50)
     assert len(samples) == 50
     rep = congruence_pipeline(spec1, spec2, samples, sq, target)

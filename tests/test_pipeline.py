@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import traceback
 from collections import Counter
@@ -33,6 +35,7 @@ from elladic.satake import SatakeParam
 from elladic.whittaker import check_sqrt_q
 from conftest import clear_elladic_caches, random_unit
 from oracles import coset_reps_by_digit, gamma_term_per_place
+from test_acceptance import criterion10_pair
 
 G2 = GroundField(2)
 CFG = FieldConfig(7, precision=12)
@@ -1278,3 +1281,54 @@ def test_a_phi_that_raises_midway_changes_no_later_coefficient(target, sqrt2):
         fourier_coefficient(failing, gamma, pt, U, target, CFG)
     assert len(visited) == 3 < quotient_index(U)
     assert run() == cold
+
+
+# -- the pipeline's output, pinned --------------------------------------------
+
+def pole_degree(spec, point) -> int:
+    """deg D of the pole bound of the gammas that can contribute at the
+    point, as the benchmark's round mix reads it from the input."""
+    bounds = {pl: a1 - a2 for pl, _, a1, a2 in point.entries}
+    for pl in spec.S:
+        bounds[pl] = bounds.get(pl, 0) - spec.datum_at(pl).table.min_valuation()
+    return sum(b * pl.degree for pl, b in bounds.items())
+
+
+def pipeline_outcome(spec1, spec2, points, sqrt_q, target) -> str:
+    """The report's JSON text, or the error's class and message."""
+    try:
+        return json.dumps(congruence_pipeline(spec1, spec2, points, sqrt_q, target).to_dict(),
+                          sort_keys=True)
+    except ElladicError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_the_pipeline_keeps_its_reports_and_errors():
+    """Every deg D <= 5 point of default_sample_points seeds 0-3 on the
+    criterion-10 pair; each such point of seed 0 alone on a pair whose
+    rules omit degree 3, which its gammas reach; and a point with a2 != 0
+    at a tabulated place.  The hashes were recorded before the gamma
+    terms shared a per-point plan."""
+    ground, _, target, sq, spec1, spec2 = criterion10_pair()
+    clear_elladic_caches()
+    digest = hashlib.sha256()
+    for seed in range(4):
+        points = tuple(p for p in default_sample_points(ground, seed)
+                       if pole_degree(spec1, p) <= 5)
+        digest.update(pipeline_outcome(spec1, spec2, points, sq, target).encode())
+    assert digest.hexdigest()[:16] == "7a22ebfdc0f553c1"
+
+    ground, _, target, sq, short1, short2 = criterion10_pair(degrees=(1, 2, 4))
+    digest, errors = hashlib.sha256(), Counter()
+    for point in default_sample_points(ground, 0):
+        if pole_degree(short1, point) <= 5:
+            out = pipeline_outcome(short1, short2, (point,), sq, target)
+            errors[out] += out.startswith("IncompleteData")
+            digest.update(out.encode())
+    assert +errors == {"IncompleteData: no default Satake rule for places of degree 3": 25}
+    assert digest.hexdigest()[:16] == "99ec12f14ccfebd0"
+
+    pl = spec1.S[0]
+    off_mirabolic = MirabolicPoint(ground, ((pl, LocalElement.exact_zero(pl), 1, 1),))
+    assert pipeline_outcome(spec1, spec2, (off_mirabolic,), sq, target) == (
+        "UnsupportedPoint: tabulated data is defined on the mirabolic subgroup (a2 = 0)")
