@@ -34,9 +34,11 @@ over gamma of a psi-free factor times psi_0 of one trace: W is the term
 gamma = 1, the rational function 1, and phi the sum over the support.
 _sums is the only loop over gamma terms.  The psi-free part (each spec's
 product of Whittaker values, table values and central twists, the exact
-zero once a factor is zero) is passed only gamma and the point's torus
-signature, its nonzero a1, a2 and its central exponents; it expands
-gamma only at tabulated places, and records the one place, last, where
+zero once a factor is zero) is passed only gamma and a plan of the
+point's torus signature (its nonzero a1, a2 and its central exponents),
+which _sums builds once per call for all its gammas: the base places in
+order and each spec's unramified factor per (place, ord gamma); it
+expands gamma only at tabulated places, and records the one place, last, where
 the last live product stopped or a fault was met.  The trace reads the
 entries whose x is not the exact zero, up to last, with the first spec's
 data.  A unipotent shift changes only x, as in W(n(x)g) = psi(x)W(g), so
@@ -48,8 +50,8 @@ t = 0, and the traces per point entry (place, x, a1, a2).  The last _TABLES tabl
 outlive the calls that fill them, and a gamma's traces start over past
 _TRACES; every entry is a function of its key, so W, phi, a pair and
 every coset share them in any order.  gamma_support is memoised per
-(spec, torus signature, support places, cap) and sqrt_q checked once per
-root.  An empty Kirillov table is the zero function wherever it is read.
+(spec, torus signature, support places, cap), sqrt_q checked once per
+root and a valid spec pair once per pair.  An empty Kirillov table is the zero function wherever it is read.
 
 Per-place data is read from maps built once per object: a spec's explicit
 data and its S, and a character family's explicit and per-degree
@@ -367,27 +369,21 @@ def _check_mirabolic(datum, a2: int):
             "tabulated data is defined on the mirabolic subgroup (a2 = 0)")
 
 
-def _local_factor(datum, config: FieldConfig, place: Place, gamma: RationalFunction,
-                  ordg: int, a1: int, a2: int, central: int):
-    """The local factor at diag(gamma,1) * torus without its psi value, as
-    (coefficient, m), m = 0 once the coefficient is zero: the Whittaker
-    value at the shifted exponents for unramified data, else the table
-    value at gamma's unit part times u^(a1 + ordg) times the central
-    twist, zero for an empty table.
-
-    Only a table needs gamma's expansion, to the digits trace_digits
-    gives for a table read at the table's max level."""
-    if not isinstance(datum, TabulatedDatum):
-        wv = whittaker_value(datum.satake, (a1 + ordg + central, a2 + central))
-        return wv.coef, wv.q_half_exp * place.degree
+def _table_factor(datum: TabulatedDatum, config: FieldConfig, place: Place,
+                  gamma: RationalFunction, a1: int, central: int) -> LocalNumber:
+    """The tabulated factor at diag(gamma,1) * torus without its psi value:
+    the table value at gamma's unit part times u^(a1 + ord gamma) times
+    the central twist, zero for an empty table.  Only a table needs
+    gamma's expansion, to the digits trace_digits gives for a table read
+    at the table's max level."""
     table = datum.table
     if table.is_empty:
-        return config.zero(), 0
+        return config.zero()
     gexp = expand_at(gamma, place, trace_digits(place, None, gamma, table.max_level()))
     f_val = table.lookup(gexp.shift(a1))
     if f_val.is_zero or not central:
-        return f_val, 0
-    return f_val * datum.central.value_at_uniformizer ** central, 0
+        return f_val
+    return f_val * datum.central.value_at_uniformizer ** central
 
 
 def _base_places(spec: GlobalWhittakerSpec, places) -> set:
@@ -431,11 +427,26 @@ def _support(spec: GlobalWhittakerSpec, torus: tuple, places: tuple, cap: int) -
     return rr_nonzero(Divisor.make(spec.ground, pairs), cap)
 
 
-def _psi_free(specs: tuple, torus: tuple, gamma: RationalFunction,
+def _plan(specs: tuple, torus: tuple) -> tuple:
+    """What _psi_free reads of a point besides gamma, built once per point
+    by _sums and passed to each of its gammas: the base places of the
+    torus signature (_base_places) as {place: (a1, a2, central)} and as
+    [(sort key, place)] in Place.sort_key order, and an empty map from
+    (place, ord gamma) to each spec's unramified factor there, None until
+    computed."""
+    _, axes, central = torus
+    exps = {pl: (a1, a2) for pl, a1, a2 in axes}
+    central = dict(central)
+    keyed = sorted((pl.sort_key(), pl) for pl in _base_places(
+        specs[0], exps.keys() | central.keys()))
+    return {pl: (*exps.get(pl, (0, 0)), central.get(pl, 0)) for _, pl in keyed}, keyed, {}
+
+
+def _psi_free(specs: tuple, plan: tuple, gamma: RationalFunction,
               target: PsiTarget) -> tuple:
     """The psi-free part of the gamma term at diag(gamma,1) times a point
-    of the torus signature torus, its whole input besides gamma, so the
-    same for every point of that torus.
+    of the torus signature that plan (see _plan) was built from, its
+    whole input besides gamma, so the same for every point of that torus.
 
     Returns (terms, last, fault): for each spec, (coefficient, total half
     exponent), the product of its local factors in place order, (exact
@@ -445,35 +456,44 @@ def _psi_free(specs: tuple, torus: tuple, gamma: RationalFunction,
     if there is none.  _trace reads the point's entries up to last and
     then raises fault, so a term reports the fault a single pass over the
     places meets first; terms are read only when fault is None.  The
-    places are those of the torus signature, S, infinity and the zeros
-    and poles of gamma; a place outside these has factor W(0, 0) = 1.  A datum's kind
+    places are the plan's base places merged with the zeros and poles of
+    gamma; a place outside these has factor W(0, 0) = 1.  A datum's kind
     is read from the first spec and a tabulated factor computed once for
     all specs, so they must share S, w, the tables and the degrees their
-    rules cover, as validate_spec_pair makes them; Whittaker values are
-    the one factor computed per spec."""
+    rules cover, as validate_spec_pair makes them.  An unramified factor
+    W(a1 + ord gamma + c, a2 + c) depends on the place and ord gamma
+    alone: the plan keeps it per (place, ord gamma) for each spec whose
+    product was live when it was first needed, and one that raised is
+    not kept, so every product multiplies the values of a fresh pass."""
     if target.ground != specs[0].ground:
         raise ConfigMismatch("psi target built for a different ground field")
     config, orders = specs[0].config, gamma.orders
-    _, axes, central = torus
-    exps = {pl: (a1, a2) for pl, a1, a2 in axes}
-    central = dict(central)
-    relevant = _base_places(specs[0], exps.keys() | central.keys()) | orders.keys()
+    torus, keyed, factors = plan
+    extra = [(pl.sort_key(), pl) for pl in orders if pl not in torus]
     terms = [(config.one(), 0)] * len(specs)
-    for pl in sorted(relevant, key=Place.sort_key):
-        a1, a2 = exps.get(pl, (0, 0))
-        args = (config, pl, gamma, orders.get(pl, 0), a1, a2, central.get(pl, 0))
+    for key, pl in sorted(keyed + extra) if extra else keyed:
+        a1, a2, central = torus.get(pl, (0, 0, 0))
+        ordg = orders.get(pl, 0)
         try:
             datum = specs[0].datum_at(pl)
             _check_mirabolic(datum, a2)
-            shared = _local_factor(datum, *args) if isinstance(datum, TabulatedDatum) else None
+            if isinstance(datum, TabulatedDatum):
+                vals = [(_table_factor(datum, config, pl, gamma, a1, central), 0)] \
+                    * len(specs)
+            else:
+                vals = factors.setdefault((pl, ordg), [None] * len(specs))
             for k, (coef, half) in enumerate(terms):
                 if not coef.is_zero:
-                    val, h = shared or _local_factor(specs[k].datum_at(pl), *args)
+                    if vals[k] is None:
+                        wv = whittaker_value(specs[k].datum_at(pl).satake,
+                                             (a1 + ordg + central, a2 + central))
+                        vals[k] = (wv.coef, wv.q_half_exp * pl.degree)
+                    val, h = vals[k]
                     terms[k] = (config.zero(), 0) if val.is_zero else (coef * val, half + h)
         except ElladicError as err:
-            return terms, pl.sort_key(), err
+            return terms, key, err
         if all(coef.is_zero for coef, _ in terms):
-            return terms, pl.sort_key(), None
+            return terms, key, None
     return terms, None, None
 
 
@@ -528,7 +548,7 @@ def _gamma_term(spec: GlobalWhittakerSpec, point: MirabolicPoint,
     """The product of local values at diag(gamma,1) * point, as
     (coefficient, total half exponent): the psi-free part times psi_0 of
     the trace, (exact zero, 0) once a factor is zero."""
-    terms, last, fault = _psi_free((spec,), point.torus, gamma, target)
+    terms, last, fault = _psi_free((spec,), _plan((spec,), point.torus), gamma, target)
     psi = target.psi0(_trace(spec, point, gamma, (None, last, fault, {})))
     coef, half = terms[0]
     return coef * psi, half
@@ -542,7 +562,10 @@ def _sums(specs: tuple, point: MirabolicPoint, gammas, sqrt_q: LocalNumber,
 
     Terms come from the _terms table of the point's torus signature:
     gamma -> (rows, last, fault, traces), made when gamma is first met
-    from gamma and the torus signature alone.  rows is None if every
+    from gamma and the torus signature alone, through one plan (_plan),
+    built at the call's first gamma the table misses and read by every
+    later one, so each unramified factor is computed at most once per
+    (place, ord gamma) and spec in a call.  rows is None if every
     product is the exact zero, else per spec None for a zero product or
     the p values v * psi_0(t), one per trace t mod p, where v = coef *
     sqrt_q^half is read once and is itself the value at t = 0.
@@ -553,11 +576,12 @@ def _sums(specs: tuple, point: MirabolicPoint, gammas, sqrt_q: LocalNumber,
     the trace reads the first spec's data for all."""
     p = specs[0].ground.p
     table = _terms(specs, point.torus, target, sqrt_q)
-    sums = [specs[0].config.zero()] * len(specs)
+    sums, plan = [specs[0].config.zero()] * len(specs), None
     for gamma in gammas:
         entry = table.get(gamma)
         if entry is None:
-            terms, last, fault = _psi_free(specs, point.torus, gamma, target)
+            plan = plan or _plan(specs, point.torus)
+            terms, last, fault = _psi_free(specs, plan, gamma, target)
             rows = None if fault is not None or all(c.is_zero for c, _ in terms) else tuple(
                 None if coef.is_zero else
                 (v := coef * _power(sqrt_q, half), *[v * zeta for zeta in target.powers[1:]])
@@ -762,6 +786,13 @@ def validate_spec_pair(spec1: GlobalWhittakerSpec, spec2: GlobalWhittakerSpec):
         _check_satake_pair(u1, u2, f"default rule degree {deg}")
 
 
+@lru_cache(maxsize=16)
+def _validated(spec1: GlobalWhittakerSpec, spec2: GlobalWhittakerSpec):
+    """validate_spec_pair, memoised as check_sqrt_q is: a valid pair is
+    checked at its first call, an invalid one raises at every call."""
+    validate_spec_pair(spec1, spec2)
+
+
 def _check_satake_pair(d1: UnramifiedDatum, d2: UnramifiedDatum, where):
     p1, p2 = d1.char_poly, d2.char_poly
     if not (is_integral(p1) and is_integral(p2)):
@@ -774,11 +805,12 @@ def congruence_pipeline(spec1: GlobalWhittakerSpec, spec2: GlobalWhittakerSpec,
                         samples, sqrt_q: LocalNumber, target: PsiTarget,
                         cap: int = DEFAULT_ENUMERATION_CAP) -> PipelineReport:
     """Evaluate both Whittaker products and both expansions at every
-    sample point and record integrality and residue agreement.  After
+    sample point and record integrality and residue agreement.  The pair
+    is validated once (_validated), sqrt_q checked once per root; after
     validate_spec_pair the two specs share one gamma support per point
     and one geometry per place (_psi_free and _trace): one _sums pass
-    serves both."""
-    validate_spec_pair(spec1, spec2)
+    serves both, each point's gammas reading one plan (_plan)."""
+    _validated(spec1, spec2)
     check_sqrt_q(sqrt_q, spec1.ground.q)
     specs, one = (spec1, spec2), (spec1.ground.constant(1),)
     reports = []

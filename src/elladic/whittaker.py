@@ -82,7 +82,10 @@ def schur_value(S: SatakeParam, a) -> LocalNumber:
 def _schur_evaluator(S: SatakeParam, kmax: int):
     """schur_value of S as a function of dominant a with a_1 - a_n + n - 1
     <= kmax.  The h table and its negation, e_n, each power of e_n and
-    each minor (see _minor) are computed once, shared by its weights."""
+    each minor (see _minor) are computed once, shared by its weights; a
+    kmax above DEFAULT_ENUMERATION_CAP raises TooLarge before the table."""
+    if kmax > DEFAULT_ENUMERATION_CAP:
+        raise TooLarge(f"an h table to degree {kmax} exceeds the cap {DEFAULT_ENUMERATION_CAP}")
     n = S.n
     h = complete_homogeneous_table(S, kmax)
     neg = [-x for x in h]
@@ -219,15 +222,20 @@ def check_congruence(S1: SatakeParam, S2: SatakeParam, bound: int) -> Congruence
     kmax = 2 * bound + n - 1
     schur1, schur2 = _schur_evaluator(S1, kmax), _schur_evaluator(S2, kmax)
 
+    # the verdict is read from the digits: a nonzero value is integral
+    # for v >= 0, and for d = 1 its residue is its unit digit mod l at
+    # v = 0, else 0; reduce() serves d >= 2
+    ell, d = S1.config.ell, S1.config.d
     weights = dominant_weights(n, bound)
     violations = []
     for a in weights:
         c1, c2 = schur1(a), schur2(a)
-        v1, v2 = c1.valuation(), c2.valuation()
-        if v1 < 0 or v2 < 0:
+        if c1.coeffs and c1.v < 0 or c2.coeffs and c2.v < 0:
             violations.append(Violation(a, "non-integral",
-                                        f"valuations {v1}, {v2}"))
-        elif c1.reduce() != c2.reduce():
+                                        f"valuations {c1.valuation()}, {c2.valuation()}"))
+        elif (c1.reduce() != c2.reduce() if d > 1 else
+              (c1.coeffs[0] % ell if c1.coeffs and not c1.v else 0)
+              != (c2.coeffs[0] % ell if c2.coeffs and not c2.v else 0)):
             violations.append(Violation(a, "residue-mismatch",
                                         f"{_residue_text(c1)} vs {_residue_text(c2)}"
                                         f" at m={half_exponent(a)}"))

@@ -239,6 +239,15 @@ def test_a_congruence_box_beyond_the_cap_exits_three(capsys, command):
     assert record["message"].endswith("dominant weights exceed the cap 1000000")
 
 
+def test_a_weight_beyond_the_table_cap_exits_three(capsys):
+    """A weight whose h table would exceed the enumeration cap is refused
+    with a JSON record, before the table is built."""
+    data = {**WHITTAKER, "weights": [[10 ** 9, 0]]}
+    code, record = run_failing(capsys, "whittaker", "--input", json.dumps(data))
+    assert code == 3 and record["error"] == "TooLarge"
+    assert record["message"].endswith("exceeds the cap 1000000")
+
+
 def test_rr_command(capsys):
     code, out = run(capsys, "rr", "--p", "2", "--input", json.dumps(DIVISOR))
     assert code == 0

@@ -573,7 +573,8 @@ def test_a_trace_sizes_gamma_from_the_shifted_x(target, a2):
     x = local(t_pl, -1, 1, 1)
     point = MirabolicPoint(G2, ((t_pl, x, a2, a2), (t1, LocalElement.exact_zero(t1), 1, 0)))
     assert gamma in gamma_support(spec, point)
-    ((coef, half),), _, fault = pipeline._psi_free((spec,), point.torus, gamma, target)
+    plan = pipeline._plan((spec,), point.torus)
+    ((coef, half),), _, fault = pipeline._psi_free((spec,), plan, gamma, target)
     assert fault is None and not coef.is_zero
     psi = psi_local(t_pl, expand_at(gamma, t_pl, 60) * x.shift(-a2), target)
     assert _gamma_term(spec, point, gamma, target) == (coef * psi, half)
@@ -766,10 +767,11 @@ def test_a_stored_gamma_keeps_the_values_its_sums_add(target, sqrt2):
             for gamma in gammas:
                 sums_outcome(specs, point, (gamma,), sqrt2, target)
             table = pipeline._terms(specs, point.torus, target, sqrt2)
-            assert set(table) == {g for g in gammas if pipeline._psi_free(
-                specs, point.torus, g, target)[2] is None}
+            plan = pipeline._plan(specs, point.torus)
+            assert set(table) == {g for g in gammas
+                                  if pipeline._psi_free(specs, plan, g, target)[2] is None}
             for gamma, (rows, last, fault, traces) in table.items():
-                terms, want_last, _ = pipeline._psi_free(specs, point.torus, gamma, target)
+                terms, want_last, _ = pipeline._psi_free(specs, plan, gamma, target)
                 assert (last, fault, type(traces)) == (want_last, None, dict)
                 want = [None if coef.is_zero else
                         tuple((coef * zeta) * sqrt2 ** half for zeta in target.powers)
@@ -1332,3 +1334,128 @@ def test_the_pipeline_keeps_its_reports_and_errors():
     off_mirabolic = MirabolicPoint(ground, ((pl, LocalElement.exact_zero(pl), 1, 1),))
     assert pipeline_outcome(spec1, spec2, (off_mirabolic,), sq, target) == (
         "UnsupportedPoint: tabulated data is defined on the mirabolic subgroup (a2 = 0)")
+
+
+# -- one plan per point, one validation per pair -------------------------------
+
+def planned_outcomes(specs, plan, point, gammas, target) -> list:
+    """Each gamma's term per spec as _sums reads it through the one plan:
+    the psi-free part times psi_0 of the trace, or the error's class."""
+    out = []
+    for gamma in gammas:
+        terms, last, fault = pipeline._psi_free(specs, plan, gamma, target)
+        try:
+            psi = target.psi0(pipeline._trace(specs[0], point, gamma, (None, last, fault, {})))
+        except ElladicError as exc:
+            out.append(type(exc))
+            continue
+        out.append([digits((coef * psi, half)) for coef, half in terms])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_cases(), st.booleans())
+def test_a_plan_gives_each_spec_the_per_place_term(case, backwards):
+    """Every gamma read through one plan of the point, in either order, so
+    that the factors the plan keeps were filled by other gammas, gives
+    each spec of a split pair the per-place oracle's term; where it
+    raises, some spec's oracle raises the same class."""
+    specs, point = case
+    target = PsiTarget.create(G2, CFG)
+    try:
+        support = gamma_support(specs[0], point)[:15]
+    except ElladicError:
+        support = ()
+    gammas = SPLIT_GAMMAS + tuple(g for g in support if g not in SPLIT_GAMMAS)
+    gammas = gammas[::-1] if backwards else gammas
+    plan = pipeline._plan(specs, point.torus)
+    for gamma, got in zip(gammas, planned_outcomes(specs, plan, point, gammas, target)):
+        want = [outcome(gamma_term_per_place, s, point, gamma, target) for s in specs]
+        if isinstance(got, type):
+            assert got in want
+        else:
+            assert got == want
+
+
+def test_a_factor_that_raised_is_not_kept(monkeypatch, target):
+    """A fault at a place of gamma's own, a cubic zero no rule of the
+    second spec covers, is raised by every call through one plan; the
+    plan keeps the first spec's factor there and never the second's.  A
+    Whittaker value that raises at that place is computed afresh at each
+    call and not kept either."""
+    spec, short = UNRAMIFIED_SPECS
+    t_pl = G2.place([0, 1])
+    point = MirabolicPoint(G2, ((t_pl, local(t_pl, -1, 1), 3, 0),))
+    gamma = G2.rational([1, 0, 1, 1], [0, 0, 0, 1])   # a zero of order 1 at CUBIC
+    plan = pipeline._plan((spec, short), point.torus)
+    for _ in range(2):
+        _, last, fault = pipeline._psi_free((spec, short), plan, gamma, target)
+        assert (type(fault), last) == (IncompleteData, CUBIC.sort_key())
+        assert plan[2][CUBIC, 1][0] is not None and plan[2][CUBIC, 1][1] is None
+    real, calls = pipeline.whittaker_value, Counter()
+
+    def refusing(S, a):
+        calls[S.q, a] += 1
+        if S.q == 8:
+            raise PrecisionLoss("refused at the cubic place")
+        return real(S, a)
+
+    monkeypatch.setattr(pipeline, "whittaker_value", refusing)
+    plan = pipeline._plan((spec,), point.torus)
+    for n in (1, 2):
+        _, last, fault = pipeline._psi_free((spec,), plan, gamma, target)
+        assert (type(fault), last, calls[8, (1, 0)]) == (PrecisionLoss, CUBIC.sort_key(), n)
+        assert plan[2][CUBIC, 1] == [None]
+
+
+def test_each_unramified_factor_is_computed_once_per_sums_call(monkeypatch, target, sqrt2):
+    """Over a point's support, from cleared caches, a pair's _sums call
+    asks for exactly the Whittaker values its one plan keeps: one per
+    (place, ord gamma) and spec live there.  Every gamma reads both specs'
+    factors at infinity, an unramified place, yet over the points there
+    are fewer calls than gammas."""
+    specs = build_spec_pair(random.Random(5), n_perturbed=3)
+    real, plans, calls = pipeline._plan, [], Counter()
+    monkeypatch.setattr(pipeline, "_plan", lambda *args: plans.append(real(*args)) or plans[-1])
+    monkeypatch.setattr(pipeline, "whittaker_value",
+                        lambda S, a, wv=pipeline.whittaker_value: calls.update(["wv"]) or wv(S, a))
+    terms = asked = 0
+    for point in default_sample_points(G2, seed=110, count=12):
+        support = gamma_support(specs[0], point)
+        if not support:
+            continue
+        clear_elladic_caches()
+        calls.clear()
+        plans.clear()
+        _sums(specs, point, support, sqrt2, target)
+        (plan,) = plans
+        assert calls["wv"] == sum(v is not None for row in plan[2].values() for v in row)
+        terms, asked = terms + len(support), asked + calls["wv"]
+    assert 0 < asked < terms
+
+
+def test_a_spec_pair_is_validated_once(monkeypatch, rng, target, sqrt2):
+    """congruence_pipeline checks a valid pair's Satake data at its first
+    call only; an invalid pair raises the same error at every call."""
+    spec1, spec2 = build_spec_pair(rng)
+    point = default_sample_points(G2, seed=3, count=1)
+    checks = Counter()
+    real = pipeline._check_satake_pair
+    monkeypatch.setattr(pipeline, "_check_satake_pair",
+                        lambda *args: checks.update(["check"]) or real(*args))
+    clear_elladic_caches()
+    first = congruence_pipeline(spec1, spec2, point, sqrt2, target)
+    once = checks["check"]
+    assert once == 14          # two explicit unramified places, twelve degrees
+    assert congruence_pipeline(spec1, spec2, point, sqrt2, target) == first
+    assert checks["check"] == once
+    t_pl = G2.place([0, 1])
+    bad = UnramifiedDatum(SatakeParam(2, 2, (CFG.integer(1), CFG.integer(2))))
+    tampered = replace(spec2, explicit=tuple((pl, bad if pl == t_pl else d)
+                                             for pl, d in spec2.explicit))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(NotCongruent) as info:
+            congruence_pipeline(spec1, tampered, point, sqrt2, target)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] and checks["check"] == once + 2

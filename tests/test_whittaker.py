@@ -424,6 +424,45 @@ def test_a_box_beyond_the_enumeration_cap_is_refused_before_any_table(monkeypatc
         check_congruence(s1, s1, bound)
 
 
+def test_an_h_table_beyond_the_enumeration_cap_is_refused_before_it_is_built(monkeypatch):
+    """A weight with a_1 - a_n + n - 1 above DEFAULT_ENUMERATION_CAP raises
+    TooLarge before the h table is built, at every call; one at the cap
+    gets as far as the table."""
+    def forming(S, kmax):
+        raise RuntimeError("the h table was built")
+
+    monkeypatch.setattr(whittaker, "complete_homogeneous_table", forming)
+    s = S(CFG5, 3, 1, 2)
+    for _ in range(2):
+        with pytest.raises(TooLarge, match="exceeds the cap 1000000"):
+            whittaker_value(s, (10 ** 9, 0))
+    with pytest.raises(TooLarge):
+        schur_value(s, (0, -DEFAULT_ENUMERATION_CAP))
+    with pytest.raises(RuntimeError, match="h table"):
+        schur_value(s, (DEFAULT_ENUMERATION_CAP - 1, 0))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_check_congruence_gives_the_reduce_verdict(d, data):
+    """The verdict read from the digits is the one reduce() gives: the
+    report, its violations in order and every detail string, over pairs
+    with non-integral values, values of positive valuation and exact
+    zeros, and over pairs whose residues differ."""
+    s1, s2, bound = data.draw(integral_pairs(d))
+    ell = s1.config.ell
+    # (l, l) and (l, 2l): non-integral values and, from bound 1 on,
+    # residues that differ
+    mismatched = (S(s1.config, 2, ell, ell), S(s1.config, 2, ell, 2 * ell))
+    for pair in ((s1, s2), (s1, s1), mismatched):
+        try:
+            want = reference_sweep(*pair, bound)
+        except PrecisionLoss:
+            continue
+        assert check_congruence(*pair, bound).to_dict() == want
+
+
 @pytest.mark.parametrize("a", [(1.9, 0), (2.5, True), (1, False), (1.0, 0)])
 def test_a_weight_entry_that_is_no_int_is_refused(a):
     """A float or a bool is refused, not truncated to an int."""
