@@ -37,9 +37,9 @@ product of Whittaker values, table values and central twists, the exact
 zero once a factor is zero) is passed only gamma and a plan of the
 point's torus signature (its nonzero a1, a2 and its central exponents),
 which _sums builds once per call for all its gammas: the base places in
-order and each spec's unramified factor per (place, ord gamma); it
-expands gamma only at tabulated places, and records the one place, last, where
-the last live product stopped or a fault was met.  The trace reads the
+order and each spec's unramified factor per (place, ord gamma).  It
+expands gamma only at tabulated places, and records the one place,
+last, where the last live product stopped or a fault was met.  The trace reads the
 entries whose x is not the exact zero, up to last, with the first spec's
 data.  A unipotent shift changes only x, as in W(n(x)g) = psi(x)W(g), so
 the points of one torus share the psi-free part: _sums reads every term
@@ -51,7 +51,8 @@ outlive the calls that fill them, and a gamma's traces start over past
 _TRACES; every entry is a function of its key, so W, phi, a pair and
 every coset share them in any order.  gamma_support is memoised per
 (spec, torus signature, support places, cap), sqrt_q checked once per
-root and a valid spec pair once per pair.  An empty Kirillov table is the zero function wherever it is read.
+root and a valid spec pair once.  An empty Kirillov table is the zero
+function wherever it is read.
 
 Per-place data is read from maps built once per object: a spec's explicit
 data and its S, and a character family's explicit and per-degree
@@ -468,18 +469,18 @@ def _psi_free(specs: tuple, plan: tuple, gamma: RationalFunction,
     if target.ground != specs[0].ground:
         raise ConfigMismatch("psi target built for a different ground field")
     config, orders = specs[0].config, gamma.orders
-    torus, keyed, factors = plan
-    extra = [(pl.sort_key(), pl) for pl in orders if pl not in torus]
+    base, keyed, factors = plan
+    extra = [(pl.sort_key(), pl) for pl in orders if pl not in base]
     terms = [(config.one(), 0)] * len(specs)
     for key, pl in sorted(keyed + extra) if extra else keyed:
-        a1, a2, central = torus.get(pl, (0, 0, 0))
+        a1, a2, central = base.get(pl, (0, 0, 0))
         ordg = orders.get(pl, 0)
         try:
             datum = specs[0].datum_at(pl)
             _check_mirabolic(datum, a2)
             if isinstance(datum, TabulatedDatum):
-                vals = [(_table_factor(datum, config, pl, gamma, a1, central), 0)] \
-                    * len(specs)
+                value = _table_factor(datum, config, pl, gamma, a1, central)
+                vals = [(value, 0)] * len(specs)
             else:
                 vals = factors.setdefault((pl, ordg), [None] * len(specs))
             for k, (coef, half) in enumerate(terms):
